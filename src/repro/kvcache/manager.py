@@ -121,7 +121,7 @@ class KvCacheManager:
         if not self.prefix_sharing or conv_key is None:
             return 0
         B = self.block_tokens
-        keys = [token_block_key(conv_key, i) for i in range(total_tokens // B)]
+        keys = (token_block_key(conv_key, i) for i in range(total_tokens // B))
         return len(self.tree.walk(keys)) * B
 
     def begin(
@@ -144,7 +144,8 @@ class KvCacheManager:
         seq = _Sequence(seq_id, conv_key)
         hits: List[PrefixNode] = []
         if self.prefix_sharing and conv_key is not None and total_tokens >= B:
-            keys = [token_block_key(conv_key, i) for i in range(total_tokens // B)]
+            # lazy keys: the walk stops hashing at the first miss
+            keys = (token_block_key(conv_key, i) for i in range(total_tokens // B))
             hits = self.tree.walk(keys)
         self.prefix_lookup_tokens += total_tokens
         cached = len(hits) * B
@@ -203,10 +204,15 @@ class KvCacheManager:
         :class:`KvPoolExhausted` when the pool cannot provide — the
         sequence's existing blocks are untouched."""
         seq = self._seqs[seq_id]
+        B = self.block_tokens
+        if seq.tokens + n_tokens <= seq.capacity(B):
+            p = seq.tokens // B - len(seq.shared)
+            if 0 <= p < len(seq.private) and self.pool.get(seq.private[p]).ref_count == 1:
+                return  # the tail is held by this sequence alone; room exists
         self._make_tail_writable(seq, now_ns)
         added: List[BlockRef] = []
         try:
-            while seq.tokens + n_tokens > seq.capacity(self.block_tokens):
+            while seq.tokens + n_tokens > seq.capacity(B):
                 ref = self._alloc_block(now_ns).ref
                 seq.private.append(ref)
                 added.append(ref)
@@ -219,28 +225,33 @@ class KvCacheManager:
     def commit(self, seq_id: int, n_tokens: int, now_ns: float = 0.0) -> None:
         """Record *n_tokens* newly computed tokens (capacity must already
         exist); full private blocks of a conversation are published to
-        the prefix tree."""
+        the prefix tree.
+
+        Each private block receiving tokens passes the write guard
+        (:meth:`BlockPool.check_writable`) and has its fill recorded in
+        the same pass; the sequence's token count moves only after the
+        last touched block passed, so a guard failure leaves it
+        unchanged."""
         seq = self._seqs[seq_id]
         B = self.block_tokens
-        if seq.tokens + n_tokens > seq.capacity(B):
+        end = seq.tokens + n_tokens
+        if end > seq.capacity(B):
             raise KvCacheError(
                 f"sequence {seq_id} commits past its capacity; call "
                 "ensure_capacity first"
             )
-        # the write guard: every block receiving tokens must be private
-        start, end = seq.tokens, seq.tokens + n_tokens
-        for index in range(start // B, ceil_div(end, B) if end else 0):
-            p = index - len(seq.shared)
-            if 0 <= p < len(seq.private):
-                self.pool.check_writable(seq.private[p])
+        n_shared = len(seq.shared)
+        private = seq.private
+        # blocks seq.tokens // B .. ceil(end / B) - 1 receive tokens; the
+        # capacity check bounds the range by the block table's end
+        for index in range(max(seq.tokens // B, n_shared), ceil_div(end, B)):
+            block = self.pool.check_writable(private[index - n_shared])
+            block.tokens = min(B, end - index * B)
+            block.last_use_ns = now_ns
         seq.tokens = end
-        for index in range(start // B, ceil_div(end, B) if end else 0):
-            p = index - len(seq.shared)
-            if 0 <= p < len(seq.private):
-                block = self.pool.get(seq.private[p])
-                block.tokens = min(B, seq.tokens - index * B)
-                block.last_use_ns = now_ns
-        self._promote(seq, now_ns)
+        # _promote publishes nothing unless the first private block is full
+        if private and end >= (n_shared + 1) * B:
+            self._promote(seq, now_ns)
 
     def _promote(self, seq: _Sequence, now_ns: float) -> None:
         """Publish full private blocks (in order) into the prefix tree,
@@ -310,21 +321,59 @@ class KvCacheManager:
 
     def pressure(self) -> float:
         """Fraction of the pool that is live and **not** reclaimable
-        (idle cached leaves are reclaimable by eviction)."""
-        idle = len(self.tree.idle_nodes())
-        return (self.pool.used - idle) / self.pool.num_blocks
+        (idle cached nodes are reclaimable by eviction).  O(1): reads
+        the tree's incrementally kept idle count."""
+        return (self.pool.used - self.tree.idle_count) / self.pool.num_blocks
 
     def audit(self) -> List[str]:
-        """Cross-layer invariant check; returns violations (empty = clean)."""
+        """Cross-layer invariant check; returns violations (empty = clean).
+
+        Reconciles block refcounts against every holder, and prefix-tree
+        attachment against the live sequences: each node's ``seq_refs``
+        must equal the number of ``shared`` lists holding it, the tree's
+        idle count must equal the walked one, and every idle leaf must
+        have exactly one live eviction-index entry."""
         violations = list(self.pool.audit())
+        attached: Dict[PrefixNode, int] = {}
+        for seq in self._seqs.values():
+            for node in seq.shared:
+                attached[node] = attached.get(node, 0) + 1
+        indexed: Dict[PrefixNode, int] = {}
+        for node in self.tree.indexed_leaves():
+            indexed[node] = indexed.get(node, 0) + 1
         expected: Dict[int, int] = {}
+        idle = 0
         for node in self.tree.nodes():
+            holders = attached.pop(node, 0)
+            if node.seq_refs != holders:
+                violations.append(
+                    f"prefix node {node.key} has seq_refs={node.seq_refs} "
+                    f"but {holders} live sequence(s) hold it"
+                )
+            if node.seq_refs == 0:
+                idle += 1
+                entries = indexed.get(node, 0)
+                if node.is_leaf and entries != 1:
+                    violations.append(
+                        f"idle leaf {node.key} has {entries} live eviction-"
+                        "index entries (expected 1)"
+                    )
             try:
                 self.pool.get(node.ref)
             except StaleBlockError as exc:
                 violations.append(f"prefix tree holds a stale ref: {exc}")
                 continue
             expected[node.ref.block_id] = expected.get(node.ref.block_id, 0) + 1
+        if idle != self.tree.idle_count:
+            violations.append(
+                f"prefix tree idle count {self.tree.idle_count} != "
+                f"{idle} walked idle nodes"
+            )
+        for node, holders in attached.items():
+            violations.append(
+                f"{holders} live sequence(s) hold prefix node {node.key}, "
+                "which is no longer in the tree"
+            )
         for seq in self._seqs.values():
             for ref in seq.private:
                 try:

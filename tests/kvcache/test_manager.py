@@ -8,7 +8,7 @@ from repro.kvcache import (
     KvPoolExhausted,
     KvSpec,
 )
-from repro.kvcache.block import KvCacheError
+from repro.kvcache.block import KvCacheError, SharedBlockWriteError
 
 B = 4  # block_tokens used throughout
 
@@ -100,6 +100,66 @@ class TestGrowth:
         assert kv.audit() == []
 
 
+class TestCommitPath:
+    """The one-pass commit: write guard, capacity check, promotion."""
+
+    def test_commit_into_fork_shared_tail_is_refused(self):
+        kv = make_kv()
+        kv.begin(1, conv_key=None, total_tokens=6)
+        kv.commit(1, 6)
+        kv.fork(1, 2)
+        # no ensure_capacity: the partial tail is still shared
+        with pytest.raises(SharedBlockWriteError):
+            kv.commit(2, 1)
+        assert kv._seqs[2].tokens == 6
+        with pytest.raises(SharedBlockWriteError):
+            kv.commit(1, 1)
+        assert kv._seqs[1].tokens == 6
+        assert kv.audit() == []
+
+    def test_one_token_commit_past_capacity_is_refused(self):
+        kv = make_kv()
+        kv.begin(1, conv_key=None, total_tokens=B)
+        kv.commit(1, B)
+        with pytest.raises(KvCacheError, match="capacity"):
+            kv.commit(1, 1)
+        assert kv._seqs[1].tokens == B
+        assert kv.audit() == []
+
+    def test_fork_holds_full_block_back_until_released(self):
+        kv = make_kv(num_blocks=8)
+        # a fork's CoW copy publishes block 0 of conversation 7 first, so
+        # the parent's own full copy stays private (key already cached)
+        kv.begin(1, conv_key=7, total_tokens=B - 1)
+        kv.commit(1, B - 1)
+        kv.fork(1, 2)
+        kv.ensure_capacity(2, 1)
+        kv.commit(2, 1)
+        kv.release(2, retain=False)
+        kv.ensure_capacity(1, 1)
+        kv.commit(1, 1)
+        parent = kv._seqs[1]
+        full = parent.private[0]
+        assert parent.shared == [] and kv.pool.get(full).tokens == B
+        # evict the fork's published copy: the key is free again
+        kv.begin(9, conv_key=None, total_tokens=7 * B)
+        assert kv.evictions == 1 and len(kv.tree) == 0
+        kv.release(9, retain=False)
+        # a second fork shares the parent's full block: no promotion
+        kv.fork(1, 3)
+        kv.ensure_capacity(1, 1)
+        kv.commit(1, 1)
+        assert parent.shared == [] and parent.private[0] == full
+        # with the fork gone, the very next commit (mid-block, token
+        # B + 2) promotes the held-back block
+        kv.release(3, retain=False)
+        kv.ensure_capacity(1, 1)
+        kv.commit(1, 1)
+        assert [n.ref for n in parent.shared] == [full]
+        assert parent.private and parent.private[0] != full
+        assert kv.audit() == []
+
+
 class TestForksAndCow:
     def test_fork_shares_all_blocks(self):
         kv = make_kv()
@@ -186,3 +246,37 @@ class TestPressureAndStats:
         ):
             assert key in stats
         assert stats["occupancy_peak"] <= stats["num_blocks"]
+
+
+class TestAuditAttachment:
+    """The audit reconciles prefix-tree attachment, not just refcounts."""
+
+    @staticmethod
+    def _second_turn_attached():
+        kv = make_kv()
+        kv.begin(1, conv_key=7, total_tokens=2 * B + 1)
+        kv.commit(1, 2 * B + 1)
+        kv.release(1)
+        kv.begin(2, conv_key=7, total_tokens=2 * B)  # all cached: no private
+        assert kv.audit() == []
+        return kv
+
+    def test_missed_release_is_a_finding(self):
+        kv = self._second_turn_attached()
+        del kv._seqs[2]  # dropped without release: its nodes stay pinned
+        found = kv.audit()
+        assert len(found) == 2
+        assert all("seq_refs=1 but 0 live" in v for v in found)
+
+    def test_idle_count_drift_is_a_finding(self):
+        kv = self._second_turn_attached()
+        kv.tree._n_idle += 1
+        (finding,) = kv.audit()
+        assert "idle count" in finding
+
+    def test_unindexed_idle_leaf_is_a_finding(self):
+        kv = self._second_turn_attached()
+        kv.release(2)
+        kv.tree._heap.clear()
+        (finding,) = kv.audit()
+        assert "0 live eviction-index entries" in finding

@@ -1,9 +1,31 @@
-"""Prefix tree: chain hashing, walk/insert, LRU leaf eviction."""
+"""Prefix tree: chain hashing, walk/insert, LRU leaf eviction, and the
+incremental idle-leaf index checked against full-tree scans."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.kvcache.block import BlockRef
 from repro.kvcache.prefix import PrefixTree, chain_hash, token_block_key
+
+
+def reference_lru_leaf(tree):
+    """The least-recently-used idle leaf by a full-tree scan: the
+    reference the incremental index must agree with."""
+    best = None
+    for node in tree.nodes():
+        if node.seq_refs != 0 or not node.is_leaf:
+            continue
+        if best is None or (node.last_use_ns, node.key) < (
+            best.last_use_ns,
+            best.key,
+        ):
+            best = node
+    return best
+
+
+def reference_pressure(kv):
+    """``KvCacheManager.pressure`` with the idle count walked, not kept."""
+    return (kv.pool.used - len(kv.tree.idle_nodes())) / kv.pool.num_blocks
 
 
 class TestHashing:
@@ -97,3 +119,71 @@ class TestEviction:
         tree.acquire(b, 0.0)
         with pytest.raises(ValueError, match="attached"):
             tree.evict(b)
+
+
+# one step: (op, a, b, t) — a/b pick a node or key, t a reused timestamp
+_OPS = st.tuples(
+    st.sampled_from(["insert", "acquire", "release", "evict_lru", "evict_any"]),
+    st.integers(0, 63),
+    st.integers(0, 23),
+    st.sampled_from([0.0, 1.0, 2.0, 3.0]),
+)
+
+
+class TestIdleLeafIndex:
+    """The heap index and idle count against the scans they replaced."""
+
+    @staticmethod
+    def _step(tree, op, a, b, t):
+        nodes = tree.nodes()
+        if op == "insert":
+            # keys are unique within a tree (one node per conversation
+            # block); a key freed by an eviction may come back
+            if any(n.key == b for n in nodes):
+                return
+            parent = None if a % (len(nodes) + 1) == 0 else nodes[a % len(nodes)]
+            tree.insert(parent, b, BlockRef(b, 0), t)
+        elif op == "acquire" and nodes:
+            tree.acquire(nodes[a % len(nodes)], t)
+        elif op == "release":
+            held = [n for n in nodes if n.seq_refs > 0]
+            if held:
+                tree.release(held[a % len(held)], t)
+        elif op == "evict_lru":
+            leaf = tree.lru_leaf()
+            if leaf is not None:
+                tree.evict(leaf)
+        elif op == "evict_any":
+            idle = [n for n in nodes if n.seq_refs == 0 and n.is_leaf]
+            if idle:
+                tree.evict(idle[a % len(idle)])
+
+    @given(steps=st.lists(_OPS, max_size=80))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_full_scans_after_every_step(self, steps):
+        tree = PrefixTree()
+        for step in steps:
+            self._step(tree, *step)
+            assert tree.lru_leaf() is reference_lru_leaf(tree)
+            assert tree.idle_count == len(tree.idle_nodes())
+            idle_leaves = [n for n in tree.nodes() if n.seq_refs == 0 and n.is_leaf]
+            indexed = tree.indexed_leaves()
+            assert len(indexed) == len(idle_leaves)
+            assert {n.key for n in indexed} == {n.key for n in idle_leaves}
+
+    def test_evicting_a_child_reindexes_its_parent(self):
+        tree = PrefixTree()
+        a = tree.insert(None, 10, BlockRef(0, 0), now_ns=0.0)
+        b = tree.insert(a, 11, BlockRef(1, 0), now_ns=5.0)
+        assert tree.lru_leaf() is b  # drops a's stale entry on the way
+        tree.evict(b)
+        assert tree.lru_leaf() is a
+
+    def test_heap_stays_bounded_by_live_entries(self):
+        tree = PrefixTree()
+        node = tree.insert(None, 10, BlockRef(0, 0), now_ns=0.0)
+        for i in range(1000):
+            tree.acquire(node, float(i))
+            tree.release(node, float(i))
+        assert len(tree._heap) <= 2 * len(tree.indexed_leaves()) + 1
+        assert tree.lru_leaf() is node
