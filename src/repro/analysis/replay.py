@@ -16,12 +16,16 @@ Rules:
   barrier (or produce different barrier sequences).
 * ``RD002`` — every barrier matched but the final state hash differs:
   the barriers are too coarse to localize a real divergence.
+* ``RD003`` — a run recorded no barriers at all: the check compared
+  nothing, so a clean verdict would be vacuous.
 
 The oracle is deliberately generic: :func:`replay_diff` takes a
 callable that runs the workload against a fresh
 :class:`BarrierRecorder` and returns the run's result.  The serving
-runtime wires itself in behind ``repro-facil serve --replay-check``
-(see :meth:`repro.serving.runtime.ServingRuntime._barrier_state`).
+loops wire themselves in behind ``repro-facil serve --replay-check``
+(see :meth:`repro.workloads.runtime.WorkloadLoop.barrier_state` for
+chat and the workloads, and ``barrier_state`` inside
+:func:`repro.kvcache.scheduler.run_kv_serving` for paged KV).
 """
 
 from __future__ import annotations
@@ -46,6 +50,8 @@ REPLAY_RULES: Dict[str, str] = {
              "state-hash barrier",
     "RD002": "replay final-state mismatch with every barrier clean "
              "(barriers too coarse to localize the divergence)",
+    "RD003": "vacuous replay: a run recorded no state-hash barriers, so "
+             "the check compared nothing",
 }
 register_rules(REPLAY_RULES)
 
@@ -144,7 +150,8 @@ class ReplayReport:
     def render(self) -> str:
         if self.ok:
             return f"replay-diff: OK ({self.barriers} barriers identical)"
-        lines = [f"replay-diff: DIVERGED ({self.barriers} barriers)"]
+        verdict = "DIVERGED" if self.barriers else "VACUOUS"
+        lines = [f"replay-diff: {verdict} ({self.barriers} barriers)"]
         lines.extend(f.render() for f in self.findings)
         return "\n".join(lines)
 
@@ -167,6 +174,13 @@ def replay_diff(
 
     findings: List[Finding] = []
     a, b = recorder_a.barriers, recorder_b.barriers
+    if not a or not b:
+        findings.append(Finding(
+            "RD003", LEVEL_ERROR,
+            f"a run recorded no barriers ({len(a)} vs {len(b)}): the "
+            f"replay check compared nothing",
+            location="barriers",
+        ))
     if len(a) != len(b):
         findings.append(Finding(
             "RD001", LEVEL_ERROR,

@@ -339,7 +339,7 @@ def _cmd_serve(args: argparse.Namespace) -> None:
         )
     if args.adaptive != "off" and args.kv_blocks:
         raise SystemExit(
-            "--adaptive requires the legacy scheduler (drop --kv-blocks)"
+            "--adaptive runs on the whole-request loop only (drop --kv-blocks)"
         )
     workload_spec = _build_workload_spec(args)
     probe = TenantSpec(
@@ -442,8 +442,8 @@ def _cmd_serve(args: argparse.Namespace) -> None:
         print(replay.render())
         if not replay.ok:
             raise SystemExit(
-                "replay-diff found nondeterminism: two runs at seed "
-                f"{args.seed} diverged"
+                f"replay-diff check failed at seed {args.seed}: "
+                f"{replay.findings[0].message}"
             )
     if report.unserved:
         raise SystemExit(
@@ -892,7 +892,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="off",
                        help="online adaptive remapping: 'static' watches the "
                        "advisor without migrating, 'active' migrates the hot "
-                       "arena behind a canary (legacy scheduler only)")
+                       "arena behind a canary (whole-request loop: no --kv-blocks)")
     serve.add_argument("--adaptive-pin", type=int, default=None,
                        metavar="MAPID",
                        help="force the advisor recommendation to this MapID "
@@ -909,8 +909,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workload",
                        choices=("chat", "speculative", "moe", "coresident"),
                        default="chat",
-                       help="serving workload shape; non-chat shapes run "
-                       "the repro.workloads loops (legacy scheduler only)")
+                       help="serving workload shape; non-chat shapes swap "
+                       "the repro.workloads decode into the whole-request "
+                       "loop (no --kv-blocks, --adaptive off)")
     serve.add_argument("--draft-model", default="phi-1.5",
                        help="speculative: draft model name")
     serve.add_argument("--gamma", type=_positive_int, default=4,
@@ -959,7 +960,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--deadline-ms", type=_positive_float, default=10_000.0)
     trace.add_argument("--capacity", type=_positive_int, default=16)
     trace.add_argument("--kv-blocks", type=_nonneg_int, default=256,
-                       help="KV block pool size (0: legacy serving loop)")
+                       help="KV block pool size (0: whole-request serving loop)")
     trace.add_argument("--block-tokens", type=_positive_int, default=16)
     trace.add_argument("--sample-every", type=_positive_int, default=1,
                        help="head-sampling period: trace every Nth query")

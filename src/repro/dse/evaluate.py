@@ -4,8 +4,9 @@ The evaluator is the bridge between a :class:`~repro.dse.spec.SweepPoint`
 and the existing simulation backends: it builds the platform's
 :class:`InferenceEngine`, samples the point's workload shape on the
 point's own seeded RNG substream, and runs the serving runtime — the
-legacy loop or the paged-KV continuous-batching scheduler, selected by
-the ``kv_blocks`` axis exactly as ``repro-facil serve`` would.
+whole-request loop or the paged-KV continuous-batching scheduler,
+selected by the ``kv_blocks`` axis exactly as ``repro-facil serve``
+would.
 
 Every metric is a plain float so the result is JSON-stable and
 byte-comparable across worker processes.  The four **objective**
@@ -14,7 +15,7 @@ metrics the Pareto layer trades off:
 * ``goodput_qps``        (maximize) — served requests per simulated s;
 * ``ttft_p99_ms``        (minimize) — served tail first-token latency;
 * ``kv_mib``             (minimize) — KV pool footprint actually
-  reserved (0 for the legacy loop);
+  reserved (0 for the whole-request loop);
 * ``gemm_slowdown_pct``  (minimize) — the platform's Table III GEMM
   penalty for keeping weights PIM-resident, paid only by the ``facil``
   mapping family.

@@ -71,7 +71,7 @@ WORKLOADS: Dict[str, Dict[str, object]] = {
         "think_time_ms": 1500.0,
     },
     # repro.workloads shapes: a "kind" key switches the evaluator onto a
-    # workload loop (absent = legacy chat serving, so the three entries
+    # workload's decode (absent = chat serving, so the three entries
     # above keep their exact configs and hashes)
     "speculative": {
         "dataset": "alpaca-like",

@@ -35,13 +35,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.journal import InjectedCrash, MapJournal
-from repro.engine.policies import InferenceEngine, decode_on_pim
+from repro.engine.policies import InferenceEngine
 from repro.kvcache.block import BlockRef
 from repro.kvcache.pool import KV_CRASH_SITES, BlockPool, KvSpec, recover_pool
 from repro.platforms.specs import PlatformSpec
 from repro.reliability.degrade import RETRY_BASE_BACKOFF_NS, HealthMonitor
 from repro.reliability.faults import FaultInjector
-from repro.serving.breaker import BrownoutController, CircuitBreaker
+from repro.serving.device import DeviceCore, check_retry_fields
 from repro.serving.queue import AdmissionQueue
 from repro.serving.workload import Request
 
@@ -99,13 +99,7 @@ class DeviceSpec:
     def __post_init__(self) -> None:
         if self.device_id < 0:
             raise ValueError("device_id must be >= 0")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError("jitter must be in [0, 1)")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        for rate in (self.pim_fault_rate, self.mapping_fault_rate, self.soc_fault_rate):
-            if not 0.0 <= rate < 1.0:
-                raise ValueError("fault rates must be in [0, 1)")
+        check_retry_fields(self)
         if not 0.0 < self.degrade_fault_rate <= self.quarantine_fault_rate <= 1.0:
             raise ValueError(
                 "need 0 < degrade_fault_rate <= quarantine_fault_rate <= 1"
@@ -129,19 +123,6 @@ class _Residency:
     refs: List[BlockRef] = field(default_factory=list)
     tokens: int = 0
     last_use_ns: float = 0.0
-
-
-@dataclass(frozen=True)
-class _Route:
-    """Resource plan for one request (mirrors the serving runtime)."""
-
-    policy: str
-    prefill_ns: float
-    prefill_resource: str
-    prefill_component: str
-    pim_allowed: bool
-    brownout_active: bool
-    fallbacks: Tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -186,18 +167,10 @@ class FleetDevice:
         self.device_seed = seed * 1_000_003 + 7919 * (spec.device_id + 1)
         self.engine = engine if engine is not None else InferenceEngine(spec.platform)
         self.rng = random.Random(self.device_seed)
+        #: the health machine's input; the core records every phase in it
         self.monitor = HealthMonitor()
-        breaker_args = dict(
-            monitor=self.monitor,
-            fault_rate_threshold=spec.breaker_threshold,
-            min_observations=spec.breaker_min_observations,
-            cooldown_ns=spec.breaker_cooldown_ns,
-            probe_quota=spec.breaker_probe_quota,
-        )
-        self.pim_breaker = CircuitBreaker("pim", **breaker_args)
-        self.mapping_breaker = CircuitBreaker("mapping", **breaker_args)
-        self.brownout = BrownoutController(spec.brownout_high_ns, spec.brownout_low_ns)
-        self._breakers = {"pim": self.pim_breaker, "mapping": self.mapping_breaker}
+        #: breakers, brown-out, routing and retry pricing
+        self.core = DeviceCore(self.engine, spec, self.monitor)
         self.queue = AdmissionQueue(
             spec.queue_capacity, spec.shed_policy, spec.degrade_watermark
         )
@@ -499,95 +472,6 @@ class FleetDevice:
             self.degraded[request.req_id] = verdict == "admitted-degraded"
         return verdict, evicted
 
-    # -- routing and phase execution (mirrors the single-device loop) ---------
-
-    def _price_prefill(
-        self, policy: str, prefill_len: int, allow_pim: bool
-    ) -> Tuple[float, str]:
-        if allow_pim:
-            return self.engine.prefill_ns(policy, prefill_len)
-        if policy == "facil":
-            return self.engine.prefill_ns(policy, prefill_len, dynamic_offload=False)
-        if policy == "hybrid-dynamic":
-            ns = self.engine.relayout_total_ns() + self.engine.soc_prefill_ns(
-                prefill_len
-            )
-            return ns, "soc"
-        return self.engine.prefill_ns(policy, prefill_len)
-
-    def _route(self, request: Request, now_ns: float, priced_tokens: int) -> _Route:
-        policy = request.policy
-        fallbacks: List[str] = []
-        if policy == "facil" and not self.mapping_breaker.allow(now_ns):
-            policy = "hybrid-static"
-            fallbacks.append("facil->hybrid-static (mapping breaker open)")
-        pim_allowed = True
-        brownout_active = False
-        if policy != "soc-only":
-            pim_allowed = self.pim_breaker.allow(now_ns)
-            if not pim_allowed:
-                fallbacks.append("pim->soc (pim breaker open)")
-            brownout_active = self.brownout.observe(
-                max(0.0, self.free["pim"] - now_ns), now_ns
-            )
-        prefill_pim_ok = pim_allowed and not brownout_active
-        prefill_ns, prefill_resource = self._price_prefill(
-            policy, priced_tokens, allow_pim=prefill_pim_ok
-        )
-        if prefill_resource == "pim":
-            prefill_component = "pim"
-        elif policy == "facil":
-            prefill_component = "mapping"
-        else:
-            prefill_component = "soc"
-        return _Route(
-            policy=policy,
-            prefill_ns=prefill_ns,
-            prefill_resource=prefill_resource,
-            prefill_component=prefill_component,
-            pim_allowed=pim_allowed,
-            brownout_active=brownout_active,
-            fallbacks=tuple(fallbacks),
-        )
-
-    def _fault_rate(self, component: str) -> float:
-        return {
-            "pim": self.spec.pim_fault_rate,
-            "mapping": self.spec.mapping_fault_rate,
-            "soc": self.spec.soc_fault_rate,
-        }[component]
-
-    def _run_phase(
-        self, start_ns: float, work_ns: float, component: str
-    ) -> Tuple[float, bool, int, float]:
-        """Retry-on-transient-fault phase pricing (see serving.runtime)."""
-        spec = self.spec
-        rate = self._fault_rate(component)
-        breaker = self._breakers.get(component)
-        t = start_ns
-        retries = 0
-        backoff_total = 0.0
-        while True:
-            t += work_ns
-            if rate <= 0.0 or self.rng.random() >= rate:
-                if breaker is not None:
-                    breaker.record_success(t)
-                else:
-                    self.monitor.record_success(component)
-                return t, True, retries, backoff_total
-            if breaker is not None:
-                breaker.record_failure(t)
-            else:
-                self.monitor.record_fault(component)
-            if retries >= spec.max_retries:
-                return t, False, retries, backoff_total
-            wait = spec.base_backoff_ns * (2**retries)
-            if spec.jitter:
-                wait *= 1.0 + spec.jitter * self.rng.uniform(-1.0, 1.0)
-            backoff_total += wait
-            t += wait
-            retries += 1
-
     # -- serving ---------------------------------------------------------------
 
     def serve_next(self, interrupt_ns: Optional[float] = None):
@@ -618,7 +502,10 @@ class FleetDevice:
             priced_tokens = max(1, head.prefill_tokens - covered)
             prefix_hit = True
 
-        route = self._route(head, est, priced_tokens)
+        core = self.core
+        route = core.route(
+            head, est, max(0.0, self.free["pim"] - est), prefill_tokens=priced_tokens
+        )
         start = max(est, self.free[route.prefill_resource])
         if interrupt_ns is not None and start >= interrupt_ns:
             self.queue.pop(interrupt_ns)
@@ -628,80 +515,56 @@ class FleetDevice:
         self.clock = start
         was_degraded = self.degraded.pop(head.req_id, False)
 
-        # boundary 1: admission -> prefill
-        if start > head.deadline_abs_ns:
+        def settle(
+            status: str, prefill_end: float, end: float, retries: int = 0,
+            backoff: float = 0.0, fallbacks: Tuple[str, ...] = route.fallbacks,
+            tokens: int = 0,
+        ) -> ServedPhases:
             return ServedPhases(
-                start_ns=start, prefill_end_ns=start, end_ns=start,
-                status="timed-out", policy_served=route.policy,
-                decode_tokens_served=0, retries=0, backoff_ns=0.0,
-                fallbacks=route.fallbacks,
+                start_ns=start, prefill_end_ns=prefill_end, end_ns=end,
+                status=status, policy_served=route.policy,
+                decode_tokens_served=tokens, retries=retries,
+                backoff_ns=backoff, fallbacks=fallbacks,
                 prefill_tokens_priced=priced_tokens, prefix_hit=prefix_hit,
             )
 
-        prefill_end, ok, retries_p, backoff_p = self._run_phase(
-            start, route.prefill_ns, route.prefill_component
+        # boundary 1: admission -> prefill
+        if start > head.deadline_abs_ns:
+            return settle("timed-out", start, start)
+
+        prefill_end, ok, retries_p, backoff_p = core.run_phase(
+            start, route.prefill_ns, route.prefill_component, self.rng
         )
         self.free[route.prefill_resource] = prefill_end
         if interrupt_ns is not None and prefill_end > interrupt_ns:
             # the device dies mid-prefill: burned work, no outcome
             return Preempted(head, interrupt_ns)
         if not ok:
-            return ServedPhases(
-                start_ns=start, prefill_end_ns=prefill_end, end_ns=prefill_end,
-                status="aborted", policy_served=route.policy,
-                decode_tokens_served=0, retries=retries_p, backoff_ns=backoff_p,
-                fallbacks=route.fallbacks,
-                prefill_tokens_priced=priced_tokens, prefix_hit=prefix_hit,
-            )
+            return settle("aborted", prefill_end, prefill_end, retries_p, backoff_p)
 
         # boundary 2: prefill -> decode (first token must be in budget)
         if prefill_end > head.deadline_abs_ns:
-            return ServedPhases(
-                start_ns=start, prefill_end_ns=prefill_end, end_ns=prefill_end,
-                status="timed-out", policy_served=route.policy,
-                decode_tokens_served=0, retries=retries_p, backoff_ns=backoff_p,
-                fallbacks=route.fallbacks,
-                prefill_tokens_priced=priced_tokens, prefix_hit=prefix_hit,
-            )
+            return settle("timed-out", prefill_end, prefill_end, retries_p, backoff_p)
 
         decode_tokens = head.decode_tokens
         if was_degraded:
             decode_tokens = max(
                 1, min(decode_tokens, self.spec.degraded_decode_tokens)
             )
-        fallbacks = route.fallbacks
-        decode_pim = decode_on_pim(route.policy) and route.pim_allowed
-        if decode_pim and route.brownout_active:
-            pim_ns = self.engine.decode_total_ns(
-                head.prefill_tokens, decode_tokens, True
-            )
-            soc_ns = self.engine.decode_total_ns(
-                head.prefill_tokens, decode_tokens, False
-            )
-            if max(prefill_end, self.free["soc"]) + soc_ns < (
-                max(prefill_end, self.free["pim"]) + pim_ns
-            ):
-                decode_pim = False
-                fallbacks = fallbacks + ("pim->soc (brown-out)",)
-        decode_ns = self.engine.decode_total_ns(
-            head.prefill_tokens, decode_tokens, decode_pim
+        decode = core.decode(
+            route, head.prefill_tokens, decode_tokens, prefill_end, self.free,
+            self.rng,
         )
-        decode_resource = "pim" if decode_pim else "soc"
-        decode_start = max(prefill_end, self.free[decode_resource])
-        decode_end, ok, retries_d, backoff_d = self._run_phase(
-            decode_start, decode_ns, decode_resource
-        )
-        self.free[decode_resource] = decode_end
+        decode_end = decode.end_ns
         if interrupt_ns is not None and decode_end > interrupt_ns:
             # the device dies mid-service: all work burned, no outcome
             return Preempted(head, interrupt_ns)
-        if not ok:
-            return ServedPhases(
-                start_ns=start, prefill_end_ns=prefill_end, end_ns=decode_end,
-                status="aborted", policy_served=route.policy,
-                decode_tokens_served=0, retries=retries_p + retries_d,
-                backoff_ns=backoff_p + backoff_d, fallbacks=fallbacks,
-                prefill_tokens_priced=priced_tokens, prefix_hit=prefix_hit,
+        retries = retries_p + decode.retries
+        backoff = backoff_p + decode.backoff_ns
+        fallbacks = route.fallbacks + decode.fallbacks
+        if not decode.ok:
+            return settle(
+                "aborted", prefill_end, decode_end, retries, backoff, fallbacks
             )
 
         self.served += 1
@@ -711,19 +574,15 @@ class FleetDevice:
         self._grow_residency(
             head, head.prefill_tokens + decode_tokens, decode_end
         )
-        return ServedPhases(
-            start_ns=start, prefill_end_ns=prefill_end, end_ns=decode_end,
-            status="served-degraded" if was_degraded else "served",
-            policy_served=route.policy,
-            decode_tokens_served=decode_tokens,
-            retries=retries_p + retries_d,
-            backoff_ns=backoff_p + backoff_d, fallbacks=fallbacks,
-            prefill_tokens_priced=priced_tokens, prefix_hit=prefix_hit,
+        return settle(
+            "served-degraded" if was_degraded else "served",
+            prefill_end, decode_end, retries, backoff, fallbacks, decode_tokens,
         )
 
     # -- reporting -------------------------------------------------------------
 
     def summary(self) -> Dict:
+        fields = self.core.report_fields()
         return {
             "device_id": self.spec.device_id,
             "platform": self.spec.platform.name,
@@ -737,10 +596,8 @@ class FleetDevice:
             "prefill_tokens_saved": self.prefill_tokens_saved,
             "kv_evicted_conversations": self.kv_evicted_conversations,
             "kv_used_blocks": self.pool.used,
-            "health": self.monitor.summary(),
-            "breakers": {
-                name: brk.snapshot() for name, brk in sorted(self._breakers.items())
-            },
+            "health": fields["health"],
+            "breakers": dict(sorted(fields["breaker_snapshots"].items())),
             "queue": {
                 "offered": self.queue.stats.offered,
                 "admitted": self.queue.stats.admitted,

@@ -561,7 +561,7 @@ class FleetRuntime:
             + [o.arrival_ns for o in outcomes]
         )
         for device in self.devices:
-            device.brownout.finish(end_ns)
+            device.core.brownout.finish(end_ns)
         outcomes.sort(key=lambda o: o.req_id)
         findings: List[str] = []
         for device in self.devices:

@@ -1,7 +1,7 @@
 """Continuous-batching serving loop over a bounded KV block pool.
 
 :class:`~repro.serving.runtime.ServingRuntime` delegates here when
-``ServingConfig.kv_blocks > 0``.  The legacy loop prices whole requests
+``ServingConfig.kv_blocks > 0``.  The whole-request loop prices requests
 on two serialized timelines; this one makes the KV cache a first-class
 resource:
 
@@ -36,7 +36,6 @@ import random
 from collections import deque
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
-from repro.engine.policies import decode_on_pim
 from repro.kvcache.block import KvPoolExhausted
 from repro.kvcache.manager import KvCacheManager, SeqAdmission
 from repro.kvcache.pool import BlockPool, KvSpec
@@ -109,11 +108,11 @@ def run_kv_serving(
         SERVED_DEGRADED,
         TIMED_OUT,
         RequestOutcome,
-        ServingReport,
     )
 
     cfg = runtime.config
     engine = runtime.engine
+    core = runtime.core
     tel = runtime.telemetry
     if tel is not None:
         tel.ensure_calibrated(engine)
@@ -307,7 +306,7 @@ def run_kv_serving(
         free["pim"] = end
         last_event = max(last_event, end)
         # batched rounds are modeled fault-free; keep the breaker warm
-        runtime.pim_breaker.record_success(end)
+        core.pim_breaker.record_success(end)
         round_inflight = (end, participants)
         return True
 
@@ -339,7 +338,7 @@ def run_kv_serving(
         total = seq.prefill_total
         cached = kv.peek_cached(seq.conv_key, total)
         priced = max(1, total - cached)
-        route = runtime._route(
+        route = core.route(
             request, est, max(0.0, free["pim"] - est), prefill_tokens=priced
         )
         start = max(est, free[route.prefill_resource])
@@ -392,14 +391,14 @@ def run_kv_serving(
             f for f in route.fallbacks if f not in seq.fallbacks
         )
         clock = start
-        end, ok, retries, backoff = runtime._run_phase(
+        end, ok, retries, backoff = core.run_phase(
             start, route.prefill_ns, route.prefill_component, rng
         )
         free[route.prefill_resource] = end
         last_event = max(last_event, end)
         seq.retries += retries
         seq.backoff_ns += backoff
-        prefill_inflight = (end, seq, ok, decode_on_pim(route.policy) and route.pim_allowed, route.brownout_active)
+        prefill_inflight = (end, seq, ok, route.pim_decode, route.brownout_active)
         return True
 
     def on_prefill_end(now: float, seq: _Seq, ok: bool, pim_ok: bool, brownout: bool) -> None:
@@ -454,7 +453,7 @@ def run_kv_serving(
             kv_clipped += 1
         decode_ns = engine.decode_total_ns(seq.ctx, seq.remaining, False)
         start = max(now, free["soc"])
-        end, ok_d, retries, backoff = runtime._run_phase(start, decode_ns, "soc", rng)
+        end, ok_d, retries, backoff = core.run_phase(start, decode_ns, "soc", rng)
         free["soc"] = end
         seq.retries += retries
         seq.backoff_ns += backoff
@@ -565,14 +564,12 @@ def run_kv_serving(
             on_soc_end(t, seq, ok_d)
 
     end_ns = max(last_event, pending[-1].arrival_ns if pending else 0.0, clock)
-    runtime.brownout.finish(end_ns)
     governor.finish(end_ns)
     if bar is not None:
         final = barrier_state()
         final["duration_ns"] = end_ns
         bar.snap("final", len(outcomes), final)
     audit_failures = kv.audit()
-    outcomes.sort(key=lambda o: o.req_id)
 
     kv_stats = kv.stats()
     kv_stats.update(
@@ -586,24 +583,6 @@ def run_kv_serving(
             "audit_failures": list(audit_failures),
         }
     )
-    report = ServingReport(
-        config=cfg,
-        outcomes=outcomes,
-        queue_stats=queue.stats,
-        duration_ns=end_ns,
-        breaker_transitions={
-            name: [(t, a.value, b.value) for t, a, b in brk.transitions]
-            for name, brk in runtime._breakers.items()
-        },
-        breaker_snapshots={
-            name: brk.snapshot() for name, brk in runtime._breakers.items()
-        },
-        brownout_intervals=list(runtime.brownout.intervals),
-        health=runtime.monitor.summary(),
-        kv=kv_stats,
-    )
     if tel is not None:
         kv.publish_metrics(tel.metrics)
-        tel.record_serving_report(report)
-        tel.tracer.close_all(end_ns)
-    return report
+    return runtime.report(outcomes, queue.stats, end_ns, kv=kv_stats)

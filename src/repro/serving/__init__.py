@@ -10,8 +10,11 @@ failures.  This package adds a discrete-event serving runtime over the
   load-shedding policies and backpressure accounting;
 * :mod:`repro.serving.breaker` — circuit breakers over the reliability
   health monitor, plus a brown-out controller for PIM saturation;
-* :mod:`repro.serving.runtime` — the event loop, deadline enforcement at
-  phase boundaries, retry pricing, and the SLO report;
+* :mod:`repro.serving.device` — the per-device policy core: breakers,
+  brown-out, routing, retry pricing and decode placement, written once;
+* :mod:`repro.serving.runtime` — the config, the SLO report, and the
+  dispatch to a serving loop (the whole-request loop lives in
+  :mod:`repro.workloads.runtime`);
 * :mod:`repro.serving.crashes` — the crash-recovery campaign exercising
   the write-ahead MapID journal (and, with ``kv_injections``, the KV
   block pool's journal).

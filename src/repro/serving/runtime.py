@@ -1,4 +1,4 @@
-"""The discrete-event serving runtime and its SLO report.
+"""The serving runtime: its config, its SLO report, and loop dispatch.
 
 The simulation runs in virtual nanoseconds over **two resources** — the
 SoC processor and the PIM units — each a single-server timeline
@@ -20,7 +20,14 @@ the end), then the request backs off ``base * 2^attempt`` scaled by
 seeded jitter and retries, up to ``max_retries`` — beyond that it is
 aborted.  Every outcome feeds the circuit breakers; the brown-out
 controller watches the PIM backlog and migrates decode to the SoC while
-saturated (and back under the low watermark).
+saturated (and back under the low watermark).  Routing, retry pricing
+and brown-out placement live in :class:`~repro.serving.device.DeviceCore`.
+
+:meth:`ServingRuntime.run` only dispatches: the paged-KV
+continuous-batching loop (:mod:`repro.kvcache.scheduler`) when
+``kv_blocks > 0``, else the whole-request loop
+(:class:`repro.workloads.runtime.WorkloadLoop`) with chat decode or the
+workload spec's decode.
 
 The :class:`ServingReport` aggregates the run: per-status counts, TTFT /
 TTLT percentiles of served requests, goodput, shed rate, SLO attainment,
@@ -43,8 +50,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from repro.engine.metrics import LatencyStats
 from repro.engine.policies import InferenceEngine, decode_on_pim
 from repro.reliability.degrade import RETRY_BASE_BACKOFF_NS, HealthMonitor
-from repro.serving.breaker import BrownoutController, CircuitBreaker
-from repro.serving.queue import AdmissionQueue, QueueStats
+from repro.serving.device import DeviceCore, check_retry_fields
+from repro.serving.queue import QueueStats
 from repro.serving.workload import Request, TenantSpec
 
 __all__ = [
@@ -94,7 +101,7 @@ class ServingConfig:
     brownout_low_ns: float = 1e9
     #: paged KV cache: a positive ``kv_blocks`` switches :meth:`run` to
     #: the continuous-batching scheduler over a bounded block pool
-    #: (see repro.kvcache.scheduler); 0 keeps the legacy loop
+    #: (see repro.kvcache.scheduler); 0 keeps the whole-request loop
     kv_blocks: int = 0
     block_tokens: int = 16
     prefix_sharing: bool = True
@@ -106,7 +113,8 @@ class ServingConfig:
     #: byte-identical to before the feature existed; ``static`` prices
     #: the MapID/workload mismatch penalty but never migrates (the
     #: static-selector baseline); ``active`` closes the loop — canary
-    #: migrations, promotion, rollback.  Legacy loop only (kv_blocks=0).
+    #: migrations, promotion, rollback.  A hook of the whole-request
+    #: loop only: not with kv_blocks > 0 or a workload spec.
     adaptive: str = "off"
     adaptive_window: int = 32
     adaptive_canary_window: int = 16
@@ -121,13 +129,7 @@ class ServingConfig:
     adaptive_pinned_map_id: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError("jitter must be in [0, 1)")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        for rate in (self.pim_fault_rate, self.mapping_fault_rate, self.soc_fault_rate):
-            if not 0.0 <= rate < 1.0:
-                raise ValueError("fault rates must be in [0, 1)")
+        check_retry_fields(self)
         if self.degraded_decode_tokens <= 0:
             raise ValueError("degraded_decode_tokens must be positive")
         if self.kv_blocks < 0:
@@ -145,7 +147,7 @@ class ServingConfig:
             )
         if self.adaptive != "off" and self.kv_blocks > 0:
             raise ValueError(
-                "adaptive remapping runs on the legacy loop only; "
+                "adaptive remapping runs on the whole-request loop only; "
                 "it cannot be combined with kv_blocks > 0"
             )
 
@@ -170,23 +172,6 @@ class RequestOutcome:
     @property
     def served(self) -> bool:
         return self.status in (SERVED, SERVED_DEGRADED)
-
-
-@dataclass(frozen=True)
-class _Route:
-    """Resource plan for one request, fixed at pop time.
-
-    Decode placement is finalized later, at the prefill -> decode
-    boundary, where both resource timelines are known (see
-    :meth:`ServingRuntime.run`)."""
-
-    policy: str
-    prefill_ns: float
-    prefill_resource: str
-    prefill_component: str
-    pim_allowed: bool  # breaker verdict for this request
-    brownout_active: bool
-    fallbacks: Tuple[str, ...]
 
 
 @dataclass
@@ -451,7 +436,12 @@ class ServingReport:
 
 
 class ServingRuntime:
-    """Push a workload through the engine under one :class:`ServingConfig`."""
+    """Push a workload through the engine under one :class:`ServingConfig`.
+
+    The runtime owns the device's :class:`~repro.serving.device.DeviceCore`
+    (breakers, brown-out, health, routing, retry pricing) and the
+    optional adaptive controller; :meth:`run` only picks the loop.
+    """
 
     def __init__(
         self,
@@ -464,9 +454,24 @@ class ServingRuntime:
     ):
         self.engine = engine
         self.config = config if config is not None else ServingConfig()
+        cfg = self.config
+        if workload is not None:
+            # the workload loops own their placement state and run no
+            # adaptive controller: refuse instead of silently ignoring
+            if cfg.adaptive != "off":
+                raise ValueError(
+                    f"ServingConfig.adaptive must be 'off' with a workload "
+                    f"spec, got {cfg.adaptive!r}"
+                )
+            if cfg.kv_blocks > 0:
+                raise ValueError(
+                    f"ServingConfig.kv_blocks must be 0 with a workload "
+                    f"spec (workload loops manage their own placement "
+                    f"state), got {cfg.kv_blocks!r}"
+                )
         #: optional workload spec (repro.workloads): a SpeculativeSpec /
-        #: ExpertPlacementSpec / CoResidencySpec switches :meth:`run` to
-        #: that workload's loop; None keeps the chat paths untouched
+        #: ExpertPlacementSpec / CoResidencySpec selects that workload's
+        #: decode; None serves chat
         self.workload = workload
         #: optional observability bundle; spans ride simulated time and
         #: counters are pure derivations, so results are byte-identical
@@ -476,19 +481,7 @@ class ServingRuntime:
         #: observing state never mutates it, so results are byte-identical
         #: with the recorder on or off
         self.barriers = barriers
-        cfg = self.config
-        self.monitor = monitor if monitor is not None else HealthMonitor()
-        breaker_args = dict(
-            monitor=self.monitor,
-            fault_rate_threshold=cfg.breaker_threshold,
-            min_observations=cfg.breaker_min_observations,
-            cooldown_ns=cfg.breaker_cooldown_ns,
-            probe_quota=cfg.breaker_probe_quota,
-        )
-        self.pim_breaker = CircuitBreaker("pim", **breaker_args)
-        self.mapping_breaker = CircuitBreaker("mapping", **breaker_args)
-        self.brownout = BrownoutController(cfg.brownout_high_ns, cfg.brownout_low_ns)
-        self._breakers = {"pim": self.pim_breaker, "mapping": self.mapping_breaker}
+        self.core = DeviceCore(engine, cfg, monitor)
         #: adaptive remapping controller (None when cfg.adaptive == "off";
         #: the import is lazy so the base serving stack stays free of the
         #: functional-system dependency)
@@ -513,509 +506,43 @@ class ServingRuntime:
                 seed=cfg.seed,
             )
 
-    # -- routing ---------------------------------------------------------------
-
-    def _price_prefill(
+    def report(
         self,
-        policy: str,
-        prefill_len: int,
-        allow_pim: bool,
-        engine: Optional[InferenceEngine] = None,
-    ) -> Tuple[float, str]:
-        engine = engine if engine is not None else self.engine
-        if allow_pim:
-            return engine.prefill_ns(policy, prefill_len)
-        if policy == "facil":
-            return engine.prefill_ns(policy, prefill_len, dynamic_offload=False)
-        if policy == "hybrid-dynamic":
-            ns = engine.relayout_total_ns() + engine.soc_prefill_ns(
-                prefill_len
-            )
-            return ns, "soc"
-        return engine.prefill_ns(policy, prefill_len)
-
-    def _route(
-        self,
-        request: Request,
-        now_ns: float,
-        pim_backlog_ns: float,
-        prefill_tokens: Optional[int] = None,
-        engine: Optional[InferenceEngine] = None,
-    ) -> _Route:
-        """Plan one request's resources.  *prefill_tokens* overrides the
-        request's own count — the KV scheduler prices only the tokens a
-        prefix-cache hit did not cover.  *engine* overrides the pricing
-        engine — the co-residency workload routes each tenant through
-        its own model's engine."""
-        policy = request.policy
-        priced_tokens = (
-            prefill_tokens if prefill_tokens is not None else request.prefill_tokens
+        outcomes: List[RequestOutcome],
+        queue_stats: QueueStats,
+        end_ns: float,
+        **sections: Optional[Dict],
+    ) -> ServingReport:
+        """Close a finished run at *end_ns*: end the brown-out window,
+        assemble the report (outcomes in request order, plus the loop's
+        ``kv`` / ``adaptive`` / ``workload`` *sections*) and fold it into
+        telemetry."""
+        self.core.brownout.finish(end_ns)
+        outcomes.sort(key=lambda o: o.req_id)
+        report = ServingReport(
+            config=self.config,
+            outcomes=outcomes,
+            queue_stats=queue_stats,
+            duration_ns=end_ns,
+            **self.core.report_fields(),
+            **sections,
         )
-        fallbacks: List[str] = []
-        if policy == "facil" and not self.mapping_breaker.allow(now_ns):
-            policy = "hybrid-static"
-            fallbacks.append("facil->hybrid-static (mapping breaker open)")
-
-        pim_allowed = True
-        brownout_active = False
-        if policy != "soc-only":
-            pim_allowed = self.pim_breaker.allow(now_ns)
-            if not pim_allowed:
-                fallbacks.append("pim->soc (pim breaker open)")
-            brownout_active = self.brownout.observe(pim_backlog_ns, now_ns)
-
-        # prefill goes to PIM only when it is both healthy and not
-        # saturated; decode placement is settled at the phase boundary
-        prefill_pim_ok = pim_allowed and not brownout_active
-        prefill_ns, prefill_resource = self._price_prefill(
-            policy, priced_tokens, allow_pim=prefill_pim_ok, engine=engine
-        )
-        if prefill_resource == "pim":
-            prefill_component = "pim"
-        elif policy == "facil":
-            # SoC GEMM straight on the PIM layout: the flexible-mapping path
-            prefill_component = "mapping"
-        else:
-            prefill_component = "soc"
-        return _Route(
-            policy=policy,
-            prefill_ns=prefill_ns,
-            prefill_resource=prefill_resource,
-            prefill_component=prefill_component,
-            pim_allowed=pim_allowed,
-            brownout_active=brownout_active,
-            fallbacks=tuple(fallbacks),
-        )
-
-    # -- phase execution -------------------------------------------------------
-
-    def _fault_rate(self, component: str) -> float:
-        cfg = self.config
-        return {
-            "pim": cfg.pim_fault_rate,
-            "mapping": cfg.mapping_fault_rate,
-            "soc": cfg.soc_fault_rate,
-        }[component]
-
-    def _run_phase(
-        self, start_ns: float, work_ns: float, component: str, rng: random.Random
-    ) -> Tuple[float, bool, int, float]:
-        """Execute one phase with retry-on-transient-fault pricing.
-
-        Returns ``(end_ns, ok, retries, backoff_ns)``.  A faulted attempt
-        burns the full phase on the resource, then waits the jittered
-        exponential backoff before retrying.
-        """
-        cfg = self.config
-        rate = self._fault_rate(component)
-        breaker = self._breakers.get(component)
-        t = start_ns
-        retries = 0
-        backoff_total = 0.0
-        while True:
-            t += work_ns
-            if rate <= 0.0 or rng.random() >= rate:
-                if breaker is not None:
-                    breaker.record_success(t)
-                else:
-                    self.monitor.record_success(component)
-                return t, True, retries, backoff_total
-            if breaker is not None:
-                breaker.record_failure(t)
-            else:
-                self.monitor.record_fault(component)
-            if retries >= cfg.max_retries:
-                return t, False, retries, backoff_total
-            wait = cfg.base_backoff_ns * (2**retries)
-            if cfg.jitter:
-                wait *= 1.0 + cfg.jitter * rng.uniform(-1.0, 1.0)
-            backoff_total += wait
-            t += wait
-            retries += 1
-
-    # -- replay barriers -------------------------------------------------------
-
-    def _barrier_state(
-        self,
-        rng: random.Random,
-        free: Dict[str, float],
-        outcomes: List["RequestOutcome"],
-        full: bool = False,
-    ) -> Dict[str, object]:
-        """State components for one replay-diff barrier: the RNG stream
-        position, both resource timelines, outcome progress, the
-        adaptive arena (PTEs + journal cursor; whole-arena CRC when
-        *full*), and the metrics snapshot hash when telemetry rides
-        along.  Reads only — a barrier must never perturb the run."""
-        state: Dict[str, object] = {
-            "rng": rng.getstate(),
-            "free_soc": free["soc"],
-            "free_pim": free["pim"],
-            "outcomes": len(outcomes),
-            "last_outcome": outcomes[-1].req_id if outcomes else -1,
-        }
-        if self.adaptive is not None:
-            state.update(self.adaptive.arena.barrier_state(full=full))
         if self.telemetry is not None:
-            state["metrics"] = self.telemetry.metrics.snapshot()
-        return state
-
-    # -- the event loop --------------------------------------------------------
+            self.telemetry.record_serving_report(report)
+            self.telemetry.tracer.close_all(end_ns)
+        return report
 
     def run(self, requests: Sequence[Request]) -> ServingReport:
-        if self.workload is not None:
-            from repro.workloads import run_workload_serving
-
-            return run_workload_serving(self, list(requests))
+        """Serve *requests*: paged-KV continuous batching when
+        ``kv_blocks > 0``, else the whole-request loop with chat decode
+        or the workload spec's decode."""
         if self.config.kv_blocks > 0:
             from repro.kvcache.scheduler import run_kv_serving
 
             return run_kv_serving(self, list(requests))
-        cfg = self.config
-        tel = self.telemetry
-        if tel is not None:
-            # probe once per bundle: grounds controller/DRAM span
-            # durations and the advisor counters without touching the
-            # run's RNG or timelines
-            tel.ensure_calibrated(self.engine)
-        rng = random.Random(cfg.seed)
-        queue = AdmissionQueue(
-            cfg.queue_capacity, cfg.shed_policy, cfg.degrade_watermark
-        )
-        free = {"soc": 0.0, "pim": 0.0}
-        pending = sorted(requests, key=lambda r: (r.arrival_ns, r.req_id))
-        next_arrival = 0
-        degraded: Dict[int, bool] = {}
-        outcomes: List[RequestOutcome] = []
-        clock = 0.0
-        last_event = 0.0
+        from repro.workloads.runtime import run_workload_serving
 
-        def admit(request: Request) -> None:
-            verdict, evicted = queue.offer(request)
-            if evicted is not None:
-                outcomes.append(
-                    RequestOutcome(
-                        req_id=evicted.req_id,
-                        tenant=evicted.tenant,
-                        status=DROPPED,
-                        policy_requested=evicted.policy,
-                        wait_ns=request.arrival_ns - evicted.arrival_ns,
-                    )
-                )
-                degraded.pop(evicted.req_id, None)
-                if tel is not None:
-                    tel.trace_query(
-                        evicted.req_id, evicted.tenant, evicted.arrival_ns,
-                        DROPPED, evicted.policy,
-                        start_ns=request.arrival_ns,
-                    )
-            if verdict == "rejected":
-                outcomes.append(
-                    RequestOutcome(
-                        req_id=request.req_id,
-                        tenant=request.tenant,
-                        status=REJECTED,
-                        policy_requested=request.policy,
-                    )
-                )
-                if tel is not None:
-                    tel.trace_query(
-                        request.req_id, request.tenant, request.arrival_ns,
-                        REJECTED, request.policy,
-                    )
-            else:
-                degraded[request.req_id] = verdict == "admitted-degraded"
-
-        bar = self.barriers
-        while next_arrival < len(pending) or len(queue):
-            if bar is not None:
-                bar.observe(
-                    len(outcomes),
-                    lambda: self._barrier_state(rng, free, outcomes),
-                )
-            if not len(queue):
-                admit(pending[next_arrival])
-                next_arrival += 1
-                continue
-            head = queue.peek()
-            if head is None:  # unreachable: guarded by len(queue) above
-                raise RuntimeError("admission queue reported non-empty but has no head")
-            est = max(head.arrival_ns, clock)
-            # arrivals strictly before the earliest possible service come first
-            if (
-                next_arrival < len(pending)
-                and pending[next_arrival].arrival_ns <= est
-            ):
-                admit(pending[next_arrival])
-                next_arrival += 1
-                continue
-            route = self._route(head, est, max(0.0, free["pim"] - est))
-            start = max(est, free[route.prefill_resource])
-            # ... and arrivals while the head waits for its resource may
-            # still evict it (drop-oldest) or shed themselves: ingest, redo
-            if (
-                next_arrival < len(pending)
-                and pending[next_arrival].arrival_ns <= start
-            ):
-                admit(pending[next_arrival])
-                next_arrival += 1
-                continue
-
-            queue.pop(start)
-            clock = start
-            was_degraded = degraded.pop(head.req_id, False)
-            wait_ns = start - head.arrival_ns
-
-            # adaptive remapping: price the request's MapID/arena mismatch
-            # on its PIM phases, and let the controller observe the round
-            # (possibly migrating between rounds on the PIM timeline).
-            # With adaptive off the multiplier is exactly 1.0 and the tick
-            # is a no-op, so the run stays byte-identical.
-            ada = self.adaptive
-            k_req = ada.ideal_map_id(head.prefill_tokens) if ada is not None else 0
-            pim_mult = ada.pim_multiplier(k_req) if ada is not None else 1.0
-
-            def adaptive_tick(
-                served: bool, ttft: float, pim_base_ns: float,
-                route=route, head=head, k_req=k_req, pim_mult=pim_mult,
-            ) -> None:
-                nonlocal last_event
-                if ada is None:
-                    return
-                migration_ns = ada.tick(
-                    head.req_id,
-                    last_event,
-                    k_req,
-                    served,
-                    ttft,
-                    pim_base_ns,
-                    pim_obs_ns=pim_base_ns * pim_mult,
-                    pim_ok=route.pim_allowed,
-                    brownout=route.brownout_active,
-                )
-                if migration_ns > 0.0:
-                    free["pim"] = max(free["pim"], last_event) + migration_ns
-                    last_event = free["pim"]
-
-            # boundary 1: admission -> prefill
-            if start > head.deadline_abs_ns:
-                outcomes.append(
-                    RequestOutcome(
-                        req_id=head.req_id,
-                        tenant=head.tenant,
-                        status=TIMED_OUT,
-                        policy_requested=head.policy,
-                        policy_served=route.policy,
-                        wait_ns=wait_ns,
-                        fallbacks=route.fallbacks,
-                    )
-                )
-                if tel is not None:
-                    tel.trace_query(
-                        head.req_id, head.tenant, head.arrival_ns,
-                        TIMED_OUT, route.policy, start_ns=start,
-                    )
-                last_event = max(last_event, start)
-                adaptive_tick(False, 0.0, 0.0)
-                continue
-
-            prefill_base_ns = route.prefill_ns
-            prefill_pim = route.prefill_resource == "pim"
-            prefill_end, ok, retries_p, backoff_p = self._run_phase(
-                start,
-                prefill_base_ns * pim_mult if prefill_pim else prefill_base_ns,
-                route.prefill_component,
-                rng,
-            )
-            free[route.prefill_resource] = prefill_end
-            last_event = max(last_event, prefill_end)
-            if not ok:
-                outcomes.append(
-                    RequestOutcome(
-                        req_id=head.req_id,
-                        tenant=head.tenant,
-                        status=ABORTED,
-                        policy_requested=head.policy,
-                        policy_served=route.policy,
-                        wait_ns=wait_ns,
-                        retries=retries_p,
-                        backoff_ns=backoff_p,
-                        fallbacks=route.fallbacks,
-                    )
-                )
-                if tel is not None:
-                    tel.trace_query(
-                        head.req_id, head.tenant, head.arrival_ns,
-                        ABORTED, route.policy,
-                        start_ns=start, prefill_end_ns=prefill_end,
-                        prefill_resource=route.prefill_resource,
-                        retries=retries_p,
-                    )
-                adaptive_tick(False, 0.0, prefill_base_ns if prefill_pim else 0.0)
-                continue
-            ttft_ns = prefill_end - head.arrival_ns
-
-            # boundary 2: prefill -> decode (first token must be in budget)
-            if prefill_end > head.deadline_abs_ns:
-                outcomes.append(
-                    RequestOutcome(
-                        req_id=head.req_id,
-                        tenant=head.tenant,
-                        status=TIMED_OUT,
-                        policy_requested=head.policy,
-                        policy_served=route.policy,
-                        wait_ns=wait_ns,
-                        ttft_ns=ttft_ns,
-                        retries=retries_p,
-                        backoff_ns=backoff_p,
-                        fallbacks=route.fallbacks,
-                    )
-                )
-                if tel is not None:
-                    tel.trace_query(
-                        head.req_id, head.tenant, head.arrival_ns,
-                        TIMED_OUT, route.policy,
-                        start_ns=start, prefill_end_ns=prefill_end,
-                        prefill_resource=route.prefill_resource,
-                    )
-                adaptive_tick(False, 0.0, prefill_base_ns if prefill_pim else 0.0)
-                continue
-
-            decode_tokens = head.decode_tokens
-            if was_degraded:
-                decode_tokens = max(1, min(decode_tokens, cfg.degraded_decode_tokens))
-
-            # decode placement: policy resource unless the breaker forbids
-            # PIM; under brown-out, migrate to the SoC only when that
-            # finishes *sooner* (a blind migration would park a monster
-            # decode on the SoC and starve every following prefill)
-            fallbacks = route.fallbacks
-            decode_pim = decode_on_pim(route.policy) and route.pim_allowed
-            if decode_pim and route.brownout_active:
-                pim_ns = (
-                    self.engine.decode_total_ns(
-                        head.prefill_tokens, decode_tokens, True
-                    )
-                    * pim_mult
-                )
-                soc_ns = self.engine.decode_total_ns(
-                    head.prefill_tokens, decode_tokens, False
-                )
-                pim_done = max(prefill_end, free["pim"]) + pim_ns
-                soc_done = max(prefill_end, free["soc"]) + soc_ns
-                if soc_done < pim_done:
-                    decode_pim = False
-                    fallbacks = fallbacks + ("pim->soc (brown-out)",)
-            decode_base_ns = self.engine.decode_total_ns(
-                head.prefill_tokens, decode_tokens, decode_pim
-            )
-            decode_ns = decode_base_ns * pim_mult if decode_pim else decode_base_ns
-            decode_resource = "pim" if decode_pim else "soc"
-            decode_start = max(prefill_end, free[decode_resource])
-            decode_end, ok, retries_d, backoff_d = self._run_phase(
-                decode_start, decode_ns, decode_resource, rng
-            )
-            free[decode_resource] = decode_end
-            last_event = max(last_event, decode_end)
-            if not ok:
-                outcomes.append(
-                    RequestOutcome(
-                        req_id=head.req_id,
-                        tenant=head.tenant,
-                        status=ABORTED,
-                        policy_requested=head.policy,
-                        policy_served=route.policy,
-                        wait_ns=wait_ns,
-                        ttft_ns=ttft_ns,
-                        retries=retries_p + retries_d,
-                        backoff_ns=backoff_p + backoff_d,
-                        fallbacks=fallbacks,
-                    )
-                )
-                if tel is not None:
-                    tel.trace_query(
-                        head.req_id, head.tenant, head.arrival_ns,
-                        ABORTED, route.policy,
-                        start_ns=start, prefill_end_ns=prefill_end,
-                        decode_start_ns=decode_start, end_ns=decode_end,
-                        prefill_resource=route.prefill_resource,
-                        decode_resource=decode_resource,
-                        context_tokens=head.prefill_tokens,
-                    )
-                adaptive_tick(
-                    False,
-                    0.0,
-                    (prefill_base_ns if prefill_pim else 0.0)
-                    + (decode_base_ns if decode_pim else 0.0),
-                )
-                continue
-
-            outcomes.append(
-                RequestOutcome(
-                    req_id=head.req_id,
-                    tenant=head.tenant,
-                    status=SERVED_DEGRADED if was_degraded else SERVED,
-                    policy_requested=head.policy,
-                    policy_served=route.policy,
-                    wait_ns=wait_ns,
-                    ttft_ns=ttft_ns,
-                    ttlt_ns=decode_end - head.arrival_ns,
-                    decode_tokens_served=decode_tokens,
-                    retries=retries_p + retries_d,
-                    backoff_ns=backoff_p + backoff_d,
-                    fallbacks=fallbacks,
-                )
-            )
-            if tel is not None:
-                tel.trace_query(
-                    head.req_id, head.tenant, head.arrival_ns,
-                    SERVED_DEGRADED if was_degraded else SERVED,
-                    route.policy,
-                    start_ns=start, prefill_end_ns=prefill_end,
-                    decode_start_ns=decode_start, end_ns=decode_end,
-                    prefill_resource=route.prefill_resource,
-                    decode_resource=decode_resource,
-                    context_tokens=head.prefill_tokens,
-                    decode_tokens=decode_tokens,
-                )
-            # the controller sees *service* TTFT (queue wait excluded):
-            # its canary judges the mapping, not the admission backlog
-            adaptive_tick(
-                True,
-                ttft_ns - wait_ns,
-                (prefill_base_ns if prefill_pim else 0.0)
-                + (decode_base_ns if decode_pim else 0.0),
-            )
-
-        end_ns = max(
-            last_event, pending[-1].arrival_ns if pending else 0.0, clock
-        )
-        self.brownout.finish(end_ns)
-        if bar is not None:
-            final = self._barrier_state(rng, free, outcomes, full=True)
-            final["duration_ns"] = end_ns
-            bar.snap("final", len(outcomes), final)
-        outcomes.sort(key=lambda o: o.req_id)
-        report = ServingReport(
-            config=cfg,
-            outcomes=outcomes,
-            queue_stats=queue.stats,
-            duration_ns=end_ns,
-            breaker_transitions={
-                name: [(t, a.value, b.value) for t, a, b in brk.transitions]
-                for name, brk in self._breakers.items()
-            },
-            breaker_snapshots={
-                name: brk.snapshot() for name, brk in self._breakers.items()
-            },
-            brownout_intervals=list(self.brownout.intervals),
-            health=self.monitor.summary(),
-            adaptive=self.adaptive.report() if self.adaptive is not None else None,
-        )
-        if tel is not None:
-            tel.record_serving_report(report)
-            tel.tracer.close_all(end_ns)
-        return report
+        return run_workload_serving(self, list(requests))
 
 
 def sustainable_qps(

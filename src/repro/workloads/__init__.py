@@ -1,12 +1,14 @@
 """Serving workloads beyond single-model chat (extension).
 
 Three first-class workloads — speculative decoding, MoE expert
-placement, and two-model co-residency — run on the same discrete-event
-serving skeleton as the legacy chat loop (admission, deadlines,
-breakers, retries) and differ only in how decode is priced and what
-placement state they conserve.  A :class:`repro.serving.ServingRuntime`
-built with ``workload=<spec>`` dispatches here; without a workload spec
-the chat path is untouched and its reports stay byte-identical.
+placement, and two-model co-residency — run on the same whole-request
+serving loop as chat (:class:`~repro.workloads.runtime.WorkloadLoop`:
+admission, deadlines, breakers, retries, replay barriers, request
+spans) and differ only in how decode is priced and what placement
+state they conserve.  A :class:`repro.serving.ServingRuntime` built
+with ``workload=<spec>`` swaps in that workload's decode; without a
+workload spec it serves chat, and chat reports carry no ``workload``
+section.
 """
 
 from repro.workloads.coresident import CoResidencyLoop

@@ -28,11 +28,12 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.pimalloc import PimSystem, PimTensor
 from repro.dram.config import TINY_ORG
-from repro.engine.policies import InferenceEngine, decode_on_pim
+from repro.engine.policies import InferenceEngine
 from repro.llm.layers import linear_specs
 from repro.llm.model_config import model_by_name
 from repro.pim.config import aim_config_for
-from repro.serving.runtime import ServingRuntime, _Route
+from repro.serving.device import Route
+from repro.serving.runtime import ServingRuntime
 from repro.serving.workload import Request
 from repro.workloads.runtime import DecodeResult, WorkloadLoop, require_placed
 from repro.workloads.specs import CoResidencySpec
@@ -167,13 +168,13 @@ class CoResidencyLoop(WorkloadLoop):
 
     # -- routing + phases ----------------------------------------------
 
-    def route(self, head: Request, now_ns: float, backlog_ns: float) -> _Route:
-        return self.runtime._route(
+    def route(self, head: Request, now_ns: float, backlog_ns: float) -> Route:
+        return self.core.route(
             head, now_ns, backlog_ns, engine=self._engine_for(head)
         )
 
     def prefill_overhead(
-        self, head: Request, route: _Route, est_ns: float, start_ns: float
+        self, head: Request, route: Route, est_ns: float, start_ns: float
     ) -> float:
         return self._switch_cost(
             route.prefill_resource, self._model_key(head)
@@ -182,35 +183,25 @@ class CoResidencyLoop(WorkloadLoop):
     def decode(
         self,
         head: Request,
-        route: _Route,
+        route: Route,
         prefill_end_ns: float,
         decode_tokens: int,
         rng: random.Random,
     ) -> DecodeResult:
-        runtime = self.runtime
         engine = self._engine_for(head)
         model_key = self._model_key(head)
-        on_pim = decode_on_pim(route.policy) and route.pim_allowed
+        on_pim = route.pim_decode
         resource = "pim" if on_pim else "soc"
         decode_ns = engine.decode_total_ns(
             head.prefill_tokens, decode_tokens, on_pim
         ) + self._switch_cost(resource, model_key)
-        start = max(prefill_end_ns, self.free[resource])
-        end, ok, retries, backoff = runtime._run_phase(
-            start, decode_ns, resource, rng
+        result = self.core.decode_phase(
+            prefill_end_ns, decode_ns, resource, decode_tokens, self.free, rng
         )
-        self.free[resource] = end
-        if ok:
+        if result.ok:
             self.served[model_key] += 1
             self.tokens[model_key] += decode_tokens
-        return DecodeResult(
-            end_ns=end,
-            ok=ok,
-            retries=retries,
-            backoff_ns=backoff,
-            tokens_served=decode_tokens if ok else 0,
-            resource=resource,
-        )
+        return result
 
     # -- reporting -----------------------------------------------------
 

@@ -33,9 +33,9 @@ from repro.core.pimalloc import PimSystem, PimTensor
 from repro.core.relayout import relayout_cost_ns
 from repro.core.selector import MatrixConfig
 from repro.dram.config import TINY_ORG
-from repro.engine.policies import decode_on_pim
 from repro.pim.config import aim_config_for
-from repro.serving.runtime import ServingRuntime, _Route
+from repro.serving.device import Route
+from repro.serving.runtime import ServingRuntime
 from repro.serving.workload import Request
 from repro.workloads.runtime import DecodeResult, WorkloadLoop, require_placed
 from repro.workloads.specs import ExpertPlacementSpec
@@ -228,7 +228,7 @@ class ExpertPlacementLoop(WorkloadLoop):
     def decode(
         self,
         head: Request,
-        route: _Route,
+        route: Route,
         prefill_end_ns: float,
         decode_tokens: int,
         rng: random.Random,
@@ -236,7 +236,7 @@ class ExpertPlacementLoop(WorkloadLoop):
         runtime = self.runtime
         pool = require_placed(self.pool, "expert pool")
         spec = self.spec
-        on_pim = decode_on_pim(route.policy) and route.pim_allowed
+        on_pim = route.pim_decode
         resource = "pim" if on_pim else "soc"
         step = (
             runtime.engine.pim_decode_step_ns
@@ -251,18 +251,8 @@ class ExpertPlacementLoop(WorkloadLoop):
             )
             self.tokens_routed += 1
             total_ns += pool.touch(chosen) + step(ctx + i)
-        start = max(prefill_end_ns, self.free[resource])
-        end, ok, retries, backoff = runtime._run_phase(
-            start, total_ns, resource, rng
-        )
-        self.free[resource] = end
-        return DecodeResult(
-            end_ns=end,
-            ok=ok,
-            retries=retries,
-            backoff_ns=backoff,
-            tokens_served=decode_tokens if ok else 0,
-            resource=resource,
+        return self.core.decode_phase(
+            prefill_end_ns, total_ns, resource, decode_tokens, self.free, rng
         )
 
     # -- reporting -----------------------------------------------------

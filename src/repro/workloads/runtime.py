@@ -1,23 +1,32 @@
-"""The shared workload serving loop and the dispatch entry point.
+"""The whole-request serving loop and the dispatch entry point.
 
-Each workload in :mod:`repro.workloads` runs the same discrete-event
-skeleton as the legacy serving loop — admission queue, deadline
-boundaries at admission->prefill and prefill->decode, retry-priced
-phases on the two-resource (SoC / PIM) timeline — and differs only in
-how it **prices and executes decode**.  :class:`WorkloadLoop` factors
-the skeleton; each workload subclasses it with hooks:
+Every request in this loop runs to completion before the next one
+starts its prefill: admission queue, deadline boundaries at
+admission->prefill and prefill->decode, and retry-priced phases on the
+two-resource (SoC / PIM) timeline, all through the runtime's
+:class:`~repro.serving.device.DeviceCore`.  Chat serving is the default
+decode; each workload in :mod:`repro.workloads` subclasses
+:class:`WorkloadLoop` and differs only in how it **prices and executes
+decode**, through these hooks:
 
-* :meth:`WorkloadLoop.route` — plan prefill (default: the runtime's
+* :meth:`WorkloadLoop.route` — plan prefill (default: the device core's
   breaker/brownout-aware router);
 * :meth:`WorkloadLoop.begin_request` — per-request setup after pop
   (e.g. KV admission); may shed the request;
-* :meth:`WorkloadLoop.decode` — the workload's decode execution; runs
-  its phases itself and advances the resource timelines;
+* :meth:`WorkloadLoop.decode` — decode execution; runs its phases
+  itself and advances the resource timelines.  The default is chat's
+  whole-request decode with the brown-out SoC migration;
 * :meth:`WorkloadLoop.abandon` / :meth:`WorkloadLoop.finish` — cleanup
   on failure / success;
 * :meth:`WorkloadLoop.teardown` + :meth:`WorkloadLoop.section` — end of
   run: release placed state and summarize into the report's
   ``workload`` section.
+
+The runtime's adaptive remapping controller, when configured, is an
+optional hook inside the loop: it prices each request's MapID mismatch
+on its PIM phases and observes every popped request's outcome.  Replay
+barriers and per-outcome request spans live here too, so every
+workload gets them.
 
 Determinism contract: all randomness flows through the one
 ``random.Random(config.seed)`` the loop owns, in request order — same
@@ -29,9 +38,9 @@ byte-identical with telemetry on or off.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import Any, Dict, List, Optional, Sequence, TypeVar
 
+from repro.serving.device import DecodeResult, Route
 from repro.serving.queue import AdmissionQueue
 from repro.serving.runtime import (
     ABORTED,
@@ -43,7 +52,6 @@ from repro.serving.runtime import (
     RequestOutcome,
     ServingReport,
     ServingRuntime,
-    _Route,
 )
 from repro.serving.workload import Request
 
@@ -66,41 +74,29 @@ def require_placed(value: Optional[_T], what: str) -> _T:
     return value
 
 
-@dataclass(frozen=True)
-class DecodeResult:
-    """Outcome of one request's decode under a workload loop.
-
-    The decode hook runs its own phases and advances ``free`` itself;
-    this carries only what the skeleton needs for the outcome record.
-    """
-
-    end_ns: float
-    ok: bool
-    retries: int = 0
-    backoff_ns: float = 0.0
-    tokens_served: int = 0
-    resource: str = "pim"
-    fallbacks: Tuple[str, ...] = ()
-
-
 class WorkloadLoop:
-    """Template-method serving loop; subclasses implement one workload."""
+    """Whole-request serving loop: chat decode by default, workloads
+    override the hooks (see the module docstring)."""
 
     #: workload name recorded in the report section and telemetry labels
-    name = "workload"
+    name = "chat"
 
-    def __init__(self, runtime: ServingRuntime, spec: object) -> None:
+    def __init__(self, runtime: ServingRuntime, spec: object = None) -> None:
         self.runtime = runtime
+        self.core = runtime.core
         self.spec = spec
         self.free: Dict[str, float] = {"soc": 0.0, "pim": 0.0}
+        #: PIM work multiplier of the request in service: the adaptive
+        #: controller's MapID mismatch penalty (1.0 without one)
+        self.pim_mult = 1.0
 
     # -- hooks ---------------------------------------------------------
 
     def setup(self) -> None:
         """Place workload state (expert regions, KV pools, ...)."""
 
-    def route(self, head: Request, now_ns: float, backlog_ns: float) -> _Route:
-        return self.runtime._route(head, now_ns, backlog_ns)
+    def route(self, head: Request, now_ns: float, backlog_ns: float) -> Route:
+        return self.core.route(head, now_ns, backlog_ns)
 
     def begin_request(self, head: Request, start_ns: float) -> Optional[str]:
         """Per-request setup after pop; a non-None return sheds the
@@ -108,7 +104,7 @@ class WorkloadLoop:
         return None
 
     def prefill_overhead(
-        self, head: Request, route: _Route, est_ns: float, start_ns: float
+        self, head: Request, route: Route, est_ns: float, start_ns: float
     ) -> float:
         """Extra ns charged to the prefill phase (e.g. a cross-model
         mapping-switch penalty).  Default: none."""
@@ -117,12 +113,17 @@ class WorkloadLoop:
     def decode(
         self,
         head: Request,
-        route: _Route,
+        route: Route,
         prefill_end_ns: float,
         decode_tokens: int,
         rng: random.Random,
     ) -> DecodeResult:
-        raise NotImplementedError
+        """Chat decode: the whole request in one retry-priced phase,
+        placed by the device core's brown-out rule."""
+        return self.core.decode(
+            route, head.prefill_tokens, decode_tokens, prefill_end_ns,
+            self.free, rng, self.pim_mult,
+        )
 
     def abandon(self, head: Request, now_ns: float) -> None:
         """Cleanup for a request that failed after :meth:`begin_request`."""
@@ -133,17 +134,24 @@ class WorkloadLoop:
     def teardown(self, end_ns: float) -> None:
         """Release everything placed in :meth:`setup`."""
 
-    def section(self) -> Dict:
-        """The report's ``workload`` section (JSON-stable)."""
-        return {"name": self.name}
+    def section(self) -> Optional[Dict]:
+        """The report's ``workload`` section (JSON-stable); chat has
+        none, so its report serializes without the key."""
+        return None
 
-    # -- the event loop (legacy-loop skeleton, decode delegated) -------
+    # -- the event loop ------------------------------------------------
 
     def run(self, requests: Sequence[Request]) -> ServingReport:
         runtime = self.runtime
+        core = self.core
         cfg = runtime.config
         tel = runtime.telemetry
+        bar = runtime.barriers
+        ada = runtime.adaptive
         if tel is not None:
+            # probe once per bundle: grounds controller/DRAM span
+            # durations and the advisor counters without touching the
+            # run's RNG or timelines
             tel.ensure_calibrated(runtime.engine)
         rng = random.Random(cfg.seed)
         queue = AdmissionQueue(
@@ -158,6 +166,14 @@ class WorkloadLoop:
         last_event = 0.0
         self.setup()
 
+        def trace(request: Request, status: str, policy: str,
+                  served: Optional[DecodeResult] = None, **phases: Any) -> None:
+            if tel is not None:
+                tel.trace_query(
+                    request.req_id, request.tenant, request.arrival_ns,
+                    status, policy, **phases, **self.span_args(served),
+                )
+
         def admit(request: Request) -> None:
             verdict, evicted = queue.offer(request)
             if evicted is not None:
@@ -171,6 +187,8 @@ class WorkloadLoop:
                     )
                 )
                 degraded.pop(evicted.req_id, None)
+                trace(evicted, DROPPED, evicted.policy,
+                      start_ns=request.arrival_ns)
             if verdict == "rejected":
                 outcomes.append(
                     RequestOutcome(
@@ -180,10 +198,15 @@ class WorkloadLoop:
                         policy_requested=request.policy,
                     )
                 )
+                trace(request, REJECTED, request.policy)
             else:
                 degraded[request.req_id] = verdict == "admitted-degraded"
 
         while next_arrival < len(pending) or len(queue):
+            if bar is not None:
+                bar.observe(
+                    len(outcomes), lambda: self.barrier_state(rng, outcomes)
+                )
             if not len(queue):
                 admit(pending[next_arrival])
                 next_arrival += 1
@@ -194,6 +217,7 @@ class WorkloadLoop:
                     "admission queue reported non-empty but has no head"
                 )
             est = max(head.arrival_ns, clock)
+            # arrivals strictly before the earliest possible service come first
             if (
                 next_arrival < len(pending)
                 and pending[next_arrival].arrival_ns <= est
@@ -203,6 +227,8 @@ class WorkloadLoop:
                 continue
             route = self.route(head, est, max(0.0, free["pim"] - est))
             start = max(est, free[route.prefill_resource])
+            # ... and arrivals while the head waits for its resource may
+            # still evict it (drop-oldest) or shed themselves: ingest, redo
             if (
                 next_arrival < len(pending)
                 and pending[next_arrival].arrival_ns <= start
@@ -216,79 +242,97 @@ class WorkloadLoop:
             was_degraded = degraded.pop(head.req_id, False)
             wait_ns = start - head.arrival_ns
 
-            # boundary 1: admission -> prefill
-            if start > head.deadline_abs_ns:
+            # adaptive remapping: price the request's MapID/arena mismatch
+            # on its PIM phases, and let the controller observe every
+            # outcome (possibly migrating between requests on the PIM
+            # timeline).  Without a controller the multiplier is exactly
+            # 1.0 and the tick is a no-op, so the run is unchanged.
+            k_req = ada.ideal_map_id(head.prefill_tokens) if ada is not None else 0
+            self.pim_mult = ada.pim_multiplier(k_req) if ada is not None else 1.0
+
+            def record(status: str, **fields: Any) -> None:
+                fields.setdefault("fallbacks", route.fallbacks)
                 outcomes.append(
                     RequestOutcome(
                         req_id=head.req_id,
                         tenant=head.tenant,
-                        status=TIMED_OUT,
+                        status=status,
                         policy_requested=head.policy,
                         policy_served=route.policy,
                         wait_ns=wait_ns,
-                        fallbacks=route.fallbacks,
+                        **fields,
                     )
                 )
+
+            def adaptive_tick(served: bool, ttft: float, pim_base_ns: float) -> None:
+                nonlocal last_event
+                if ada is None:
+                    return
+                migration_ns = ada.tick(
+                    head.req_id,
+                    last_event,
+                    k_req,
+                    served,
+                    ttft,
+                    pim_base_ns,
+                    pim_obs_ns=pim_base_ns * self.pim_mult,
+                    pim_ok=route.pim_allowed,
+                    brownout=route.brownout_active,
+                )
+                if migration_ns > 0.0:
+                    free["pim"] = max(free["pim"], last_event) + migration_ns
+                    last_event = free["pim"]
+
+            # boundary 1: admission -> prefill
+            if start > head.deadline_abs_ns:
+                record(TIMED_OUT)
+                trace(head, TIMED_OUT, route.policy, start_ns=start)
                 last_event = max(last_event, start)
+                adaptive_tick(False, 0.0, 0.0)
                 continue
 
             shed_reason = self.begin_request(head, start)
             if shed_reason is not None:
-                outcomes.append(
-                    RequestOutcome(
-                        req_id=head.req_id,
-                        tenant=head.tenant,
-                        status=REJECTED,
-                        policy_requested=head.policy,
-                        policy_served=route.policy,
-                        wait_ns=wait_ns,
-                        fallbacks=route.fallbacks + (shed_reason,),
-                    )
-                )
+                record(REJECTED, fallbacks=route.fallbacks + (shed_reason,))
+                trace(head, REJECTED, route.policy, start_ns=start,
+                      reason=shed_reason)
                 last_event = max(last_event, start)
+                adaptive_tick(False, 0.0, 0.0)
                 continue
 
-            extra_ns = self.prefill_overhead(head, route, est, start)
-            prefill_end, ok, retries_p, backoff_p = runtime._run_phase(
-                start, route.prefill_ns + extra_ns, route.prefill_component, rng
+            prefill_pim = route.prefill_resource == "pim"
+            prefill_ns = route.prefill_ns
+            if prefill_pim:
+                prefill_ns *= self.pim_mult
+            prefill_end, ok, retries_p, backoff_p = core.run_phase(
+                start,
+                prefill_ns + self.prefill_overhead(head, route, est, start),
+                route.prefill_component,
+                rng,
             )
             free[route.prefill_resource] = prefill_end
             last_event = max(last_event, prefill_end)
+            prefill_pim_ns = route.prefill_ns if prefill_pim else 0.0
             if not ok:
-                outcomes.append(
-                    RequestOutcome(
-                        req_id=head.req_id,
-                        tenant=head.tenant,
-                        status=ABORTED,
-                        policy_requested=head.policy,
-                        policy_served=route.policy,
-                        wait_ns=wait_ns,
-                        retries=retries_p,
-                        backoff_ns=backoff_p,
-                        fallbacks=route.fallbacks,
-                    )
-                )
+                record(ABORTED, retries=retries_p, backoff_ns=backoff_p)
+                trace(head, ABORTED, route.policy,
+                      start_ns=start, prefill_end_ns=prefill_end,
+                      prefill_resource=route.prefill_resource,
+                      retries=retries_p)
                 self.abandon(head, prefill_end)
+                adaptive_tick(False, 0.0, prefill_pim_ns)
                 continue
             ttft_ns = prefill_end - head.arrival_ns
 
-            # boundary 2: prefill -> decode
+            # boundary 2: prefill -> decode (first token must be in budget)
             if prefill_end > head.deadline_abs_ns:
-                outcomes.append(
-                    RequestOutcome(
-                        req_id=head.req_id,
-                        tenant=head.tenant,
-                        status=TIMED_OUT,
-                        policy_requested=head.policy,
-                        policy_served=route.policy,
-                        wait_ns=wait_ns,
-                        ttft_ns=ttft_ns,
-                        retries=retries_p,
-                        backoff_ns=backoff_p,
-                        fallbacks=route.fallbacks,
-                    )
-                )
+                record(TIMED_OUT, ttft_ns=ttft_ns, retries=retries_p,
+                       backoff_ns=backoff_p)
+                trace(head, TIMED_OUT, route.policy,
+                      start_ns=start, prefill_end_ns=prefill_end,
+                      prefill_resource=route.prefill_resource)
                 self.abandon(head, prefill_end)
+                adaptive_tick(False, 0.0, prefill_pim_ns)
                 continue
 
             decode_tokens = head.decode_tokens
@@ -298,83 +342,95 @@ class WorkloadLoop:
                 )
             result = self.decode(head, route, prefill_end, decode_tokens, rng)
             last_event = max(last_event, result.end_ns)
+            decode_start = (
+                result.start_ns if result.start_ns is not None else prefill_end
+            )
+            settled: Dict[str, Any] = dict(
+                ttft_ns=ttft_ns,
+                retries=retries_p + result.retries,
+                backoff_ns=backoff_p + result.backoff_ns,
+                fallbacks=route.fallbacks + result.fallbacks,
+            )
+            phases: Dict[str, Any] = dict(
+                start_ns=start, prefill_end_ns=prefill_end,
+                decode_start_ns=decode_start, end_ns=result.end_ns,
+                prefill_resource=route.prefill_resource,
+                decode_resource=result.resource,
+                context_tokens=head.prefill_tokens,
+            )
+            pim_ns = prefill_pim_ns + result.pim_ns
             if not result.ok:
-                outcomes.append(
-                    RequestOutcome(
-                        req_id=head.req_id,
-                        tenant=head.tenant,
-                        status=ABORTED,
-                        policy_requested=head.policy,
-                        policy_served=route.policy,
-                        wait_ns=wait_ns,
-                        ttft_ns=ttft_ns,
-                        retries=retries_p + result.retries,
-                        backoff_ns=backoff_p + result.backoff_ns,
-                        fallbacks=route.fallbacks + result.fallbacks,
-                    )
-                )
+                record(ABORTED, **settled)
+                trace(head, ABORTED, route.policy, **phases)
                 self.abandon(head, result.end_ns)
+                adaptive_tick(False, 0.0, pim_ns)
                 continue
 
-            outcomes.append(
-                RequestOutcome(
-                    req_id=head.req_id,
-                    tenant=head.tenant,
-                    status=SERVED_DEGRADED if was_degraded else SERVED,
-                    policy_requested=head.policy,
-                    policy_served=route.policy,
-                    wait_ns=wait_ns,
-                    ttft_ns=ttft_ns,
-                    ttlt_ns=result.end_ns - head.arrival_ns,
-                    decode_tokens_served=result.tokens_served,
-                    retries=retries_p + result.retries,
-                    backoff_ns=backoff_p + result.backoff_ns,
-                    fallbacks=route.fallbacks + result.fallbacks,
-                )
+            status = SERVED_DEGRADED if was_degraded else SERVED
+            record(
+                status,
+                ttlt_ns=result.end_ns - head.arrival_ns,
+                decode_tokens_served=result.tokens_served,
+                **settled,
             )
             self.finish(head, result.end_ns)
-            if tel is not None:
-                tel.trace_query(
-                    head.req_id, head.tenant, head.arrival_ns,
-                    SERVED_DEGRADED if was_degraded else SERVED,
-                    route.policy,
-                    start_ns=start, prefill_end_ns=prefill_end,
-                    decode_start_ns=prefill_end, end_ns=result.end_ns,
-                    prefill_resource=route.prefill_resource,
-                    decode_resource=result.resource,
-                    context_tokens=head.prefill_tokens,
-                    workload=self.name,
-                )
-                self.trace_decode(head, prefill_end, result)
+            trace(head, status, route.policy, served=result, **phases)
+            self.trace_decode(head, prefill_end, result)
+            # the controller sees *service* TTFT (queue wait excluded):
+            # its canary judges the mapping, not the admission backlog
+            adaptive_tick(True, ttft_ns - wait_ns, pim_ns)
 
         end_ns = max(
             last_event, pending[-1].arrival_ns if pending else 0.0, clock
         )
-        runtime.brownout.finish(end_ns)
         self.teardown(end_ns)
-        outcomes.sort(key=lambda o: o.req_id)
-        report = ServingReport(
-            config=cfg,
-            outcomes=outcomes,
-            queue_stats=queue.stats,
-            duration_ns=end_ns,
-            breaker_transitions={
-                name: [(t, a.value, b.value) for t, a, b in brk.transitions]
-                for name, brk in runtime._breakers.items()
-            },
-            breaker_snapshots={
-                name: brk.snapshot() for name, brk in runtime._breakers.items()
-            },
-            brownout_intervals=list(runtime.brownout.intervals),
-            health=runtime.monitor.summary(),
+        if bar is not None:
+            final = self.barrier_state(rng, outcomes, full=True)
+            final["duration_ns"] = end_ns
+            bar.snap("final", len(outcomes), final)
+        return runtime.report(
+            outcomes, queue.stats, end_ns,
+            adaptive=ada.report() if ada is not None else None,
             workload=self.section(),
         )
-        if tel is not None:
-            tel.record_serving_report(report)
-            tel.tracer.close_all(end_ns)
-        return report
+
+    # -- replay barriers -----------------------------------------------
+
+    def barrier_state(
+        self,
+        rng: random.Random,
+        outcomes: List[RequestOutcome],
+        full: bool = False,
+    ) -> Dict[str, object]:
+        """State components for one replay-diff barrier: the RNG stream
+        position, both resource timelines, outcome progress, the
+        adaptive arena (PTEs + journal cursor; whole-arena CRC when
+        *full*), and the metrics snapshot hash when telemetry rides
+        along.  Reads only — a barrier must never perturb the run."""
+        runtime = self.runtime
+        state: Dict[str, object] = {
+            "rng": rng.getstate(),
+            "free_soc": self.free["soc"],
+            "free_pim": self.free["pim"],
+            "outcomes": len(outcomes),
+            "last_outcome": outcomes[-1].req_id if outcomes else -1,
+        }
+        if runtime.adaptive is not None:
+            state.update(runtime.adaptive.arena.barrier_state(full=full))
+        if runtime.telemetry is not None:
+            state["metrics"] = runtime.telemetry.metrics.snapshot()
+        return state
 
     # -- telemetry -----------------------------------------------------
+
+    def span_args(self, served: Optional[DecodeResult] = None) -> Dict[str, Any]:
+        """Extra args on a request's root span.  Workload loops tag every
+        span with their name (a served decode also gets its own
+        workload-lane span); chat records a served request's decode
+        tokens."""
+        if self.spec is not None:
+            return {"workload": self.name}
+        return {} if served is None else {"decode_tokens": served.tokens_served}
 
     def trace_decode(
         self, head: Request, decode_start_ns: float, result: DecodeResult
@@ -382,7 +438,8 @@ class WorkloadLoop:
         """Emit a workload-lane span for a served request's decode
         (sampled like every other span; simulated time only)."""
         tel = self.runtime.telemetry
-        if tel is None or result.end_ns <= decode_start_ns:
+        args = self.decode_span_args(head)
+        if tel is None or args is None or result.end_ns <= decode_start_ns:
             return
         handle = tel.tracer.begin(
             head.req_id,
@@ -390,20 +447,22 @@ class WorkloadLoop:
             "workload",
             decode_start_ns,
             tokens=result.tokens_served,
-            **self.decode_span_args(head),
+            **args,
         )
         if handle is not None:
             handle.close(result.end_ns)
 
-    def decode_span_args(self, head: Request) -> Dict:
-        """Extra args for the workload-lane decode span."""
-        return {}
+    def decode_span_args(self, head: Request) -> Optional[Dict]:
+        """Extra args for the workload-lane decode span; None (chat)
+        emits no lane span."""
+        return None
 
 
 def run_workload_serving(
     runtime: ServingRuntime, requests: List[Request]
 ) -> ServingReport:
-    """Dispatch a run to the loop matching ``runtime.workload``."""
+    """Run *requests* through the whole-request loop whose decode
+    matches ``runtime.workload`` (chat when it is None)."""
     from repro.workloads.coresident import CoResidencyLoop
     from repro.workloads.moe import ExpertPlacementLoop
     from repro.workloads.specs import (
@@ -414,6 +473,8 @@ def run_workload_serving(
     from repro.workloads.speculative import SpeculativeLoop
 
     spec = runtime.workload
+    if spec is None:
+        return WorkloadLoop(runtime).run(requests)
     if isinstance(spec, SpeculativeSpec):
         return SpeculativeLoop(runtime, spec).run(requests)
     if isinstance(spec, ExpertPlacementSpec):

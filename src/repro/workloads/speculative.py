@@ -30,12 +30,13 @@ from __future__ import annotations
 import random
 from typing import Dict, Optional, Tuple
 
-from repro.engine.policies import InferenceEngine, decode_on_pim
+from repro.engine.policies import InferenceEngine
 from repro.kvcache.block import KvPoolExhausted
 from repro.kvcache.manager import KvCacheManager
 from repro.kvcache.pool import BlockPool, KvSpec
 from repro.llm.model_config import model_by_name
-from repro.serving.runtime import ServingRuntime, _Route
+from repro.serving.device import Route, phase_component
+from repro.serving.runtime import ServingRuntime
 from repro.serving.workload import Request
 from repro.workloads.runtime import DecodeResult, WorkloadLoop, require_placed
 from repro.workloads.specs import SpeculativeSpec
@@ -137,22 +138,15 @@ class SpeculativeLoop(WorkloadLoop):
 
     # -- decode --------------------------------------------------------
 
-    def _verify_component(self, policy: str, resource: str) -> str:
-        if resource == "pim":
-            return "pim"
-        if policy == "facil":
-            return "mapping"
-        return "soc"
-
     def decode(
         self,
         head: Request,
-        route: _Route,
+        route: Route,
         prefill_end_ns: float,
         decode_tokens: int,
         rng: random.Random,
     ) -> DecodeResult:
-        runtime = self.runtime
+        core = self.core
         kv = require_placed(self.kv, "kv pool")
         spec = self.spec
         free = self.free
@@ -160,7 +154,7 @@ class SpeculativeLoop(WorkloadLoop):
         ctx = head.prefill_tokens
         # draft steps follow the policy's decode placement (a soc-only
         # policy must not smuggle the draft model onto PIM)
-        draft_on_pim = decode_on_pim(route.policy) and route.pim_allowed
+        draft_on_pim = route.pim_decode
         draft_res = "pim" if draft_on_pim else "soc"
         draft_step = (
             self.draft_engine.pim_decode_step_ns
@@ -187,6 +181,18 @@ class SpeculativeLoop(WorkloadLoop):
                 resource=last_resource,
             )
 
+        def phase(work_ns: float, resource: str, component: str) -> bool:
+            """One retry-priced phase once *resource* is free after t."""
+            nonlocal t, retries, backoff, last_resource
+            t, ok, r, b = core.run_phase(
+                max(t, free[resource]), work_ns, component, rng
+            )
+            free[resource] = t
+            retries += r
+            backoff += b
+            last_resource = resource
+            return ok
+
         # the prefill phase just computed the admission's recompute
         # tokens; record them (mirrors the paged-KV scheduler) so forks
         # share only committed state
@@ -201,15 +207,8 @@ class SpeculativeLoop(WorkloadLoop):
             draft_ns = sum(
                 draft_step(context + i) for i in range(gamma)
             )
-            start = max(t, free[draft_res])
-            end, ok, r, b = runtime._run_phase(start, draft_ns, draft_res, rng)
-            free[draft_res] = end
-            t = end
-            retries += r
-            backoff += b
-            last_resource = draft_res
-            if not ok:
-                return fail(end)
+            if not phase(draft_ns, draft_res, draft_res):
+                return fail(t)
 
             # -- speculate: gamma KV entries on a CoW fork -------------
             child = self._next_child
@@ -234,21 +233,13 @@ class SpeculativeLoop(WorkloadLoop):
                     self.kv_rejections += 1
                     return fail(t)
                 recompute = max(1, admission.recompute_tokens)
-                re_ns, re_res = runtime._price_prefill(
+                re_ns, re_res = core.price_prefill(
                     route.policy, recompute, allow_pim=route.pim_allowed
                 )
-                start = max(t, free[re_res])
-                end, ok, r, b = runtime._run_phase(
-                    start, re_ns,
-                    self._verify_component(route.policy, re_res), rng,
-                )
-                free[re_res] = end
-                t = end
-                retries += r
-                backoff += b
-                last_resource = re_res
-                if not ok:
-                    return fail(end)
+                if not phase(
+                    re_ns, re_res, phase_component(route.policy, re_res)
+                ):
+                    return fail(t)
                 if admission.recompute_tokens:
                     kv.commit(seq, admission.recompute_tokens, t)
                 continue
@@ -263,22 +254,15 @@ class SpeculativeLoop(WorkloadLoop):
                 self.bonus += 1
 
             # -- verify phase: one target-model GEMM over the batch ----
-            verify_ns, verify_res = runtime._price_prefill(
+            verify_ns, verify_res = core.price_prefill(
                 route.policy, gamma, allow_pim=route.pim_allowed
             )
-            start = max(t, free[verify_res])
-            end, ok, r, b = runtime._run_phase(
-                start, verify_ns,
-                self._verify_component(route.policy, verify_res), rng,
-            )
-            free[verify_res] = end
-            t = end
-            retries += r
-            backoff += b
-            last_resource = verify_res
-            if not ok:
+            if not phase(
+                verify_ns, verify_res,
+                phase_component(route.policy, verify_res),
+            ):
                 kv.release(child, t, retain=False)
-                return fail(end)
+                return fail(t)
 
             # -- settle: roll the fork back, keep only produced tokens -
             kv.release(child, t, retain=False)

@@ -127,6 +127,12 @@ class TestReplayDiff:
         assert [f.rule_id for f in report.findings] == ["RD002"]
         assert "barriers matched" in report.findings[0].message
 
+    def test_rd003_when_no_barriers_recorded(self):
+        report = replay_diff(lambda rec: 1, final_hash=state_hash)
+        assert not report.ok
+        assert [f.rule_id for f in report.findings] == ["RD003"]
+        assert "VACUOUS (0 barriers)" in report.render()
+
     def test_result_is_first_runs(self):
         calls = {"n": 0}
 

@@ -110,7 +110,7 @@ class TestNoRegret:
 
 class TestConfigGuards:
     def test_adaptive_requires_legacy_scheduler(self):
-        with pytest.raises(ValueError, match="legacy"):
+        with pytest.raises(ValueError, match="whole-request loop"):
             ServingConfig(adaptive="active", kv_blocks=64)
 
     def test_unknown_adaptive_mode_rejected(self):

@@ -43,7 +43,7 @@ def _run_phase(engine, n_faults, jitter=0.0, base=1000.0, seed=0):
     )
     runtime = ServingRuntime(engine, config)
     rng = _ScriptedRng([True] * n_faults + [False], seed=seed)
-    return runtime._run_phase(0.0, 100.0, "pim", rng)
+    return runtime.core.run_phase(0.0, 100.0, "pim", rng)
 
 
 class TestBackoffPricing:
@@ -85,7 +85,7 @@ class TestBackoffPricing:
         )
         runtime = ServingRuntime(iphone_engine, config)
         rng = _ScriptedRng([True] * n_faults)
-        _, ok, retries, backoff = runtime._run_phase(0.0, 100.0, "pim", rng)
+        _, ok, retries, backoff = runtime.core.run_phase(0.0, 100.0, "pim", rng)
         assert not ok
         assert retries == n_faults - 1
         # every granted retry was paid for before the abort

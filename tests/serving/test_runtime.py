@@ -154,9 +154,9 @@ class TestFaultsAndBreakers:
         runtime = ServingRuntime(iphone_engine, ServingConfig())
         # wound the mapping path directly, then route one facil request
         for _ in range(8):
-            runtime.mapping_breaker.record_failure(0.0)
-        assert not runtime.mapping_breaker.allow(0.0)
-        route = runtime._route(make_request(), now_ns=0.0, pim_backlog_ns=0.0)
+            runtime.core.mapping_breaker.record_failure(0.0)
+        assert not runtime.core.mapping_breaker.allow(0.0)
+        route = runtime.core.route(make_request(), now_ns=0.0, pim_backlog_ns=0.0)
         assert route.policy == "hybrid-static"
         assert any("mapping breaker open" in f for f in route.fallbacks)
 

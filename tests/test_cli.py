@@ -128,7 +128,7 @@ class TestServeCommand:
         assert build_parser().parse_args(["serve"]).adaptive == "off"
 
     def test_serve_adaptive_rejects_kv_scheduler(self, tmp_path):
-        with pytest.raises(SystemExit, match="legacy"):
+        with pytest.raises(SystemExit, match="whole-request loop"):
             main([
                 "serve", "--adaptive", "active", "--kv-blocks", "64",
                 "--duration-ms", "1000",
@@ -166,6 +166,20 @@ class TestServeCommand:
         # the report written is the first run's, and it is still complete
         report = json.loads(out.read_text())
         assert report["ok"] is True
+
+    @pytest.mark.parametrize("workload", ["speculative", "moe", "coresident"])
+    def test_serve_workload_replay_check_records_barriers(
+            self, capsys, tmp_path, workload):
+        assert main([
+            "serve", "--platform", "iphone-15-pro", "--workload", workload,
+            "--seed", "0", "--duration-ms", "30000", "--load", "0.5",
+            "--replay-check", "--replay-barrier", "4",
+            "--out", str(tmp_path / "serve_replay.json"),
+        ]) == 0
+        # 9 offered requests: epochs at 0, 4 and 8 plus the final snap
+        assert "replay-diff: OK (4 barriers identical)" in (
+            capsys.readouterr().out
+        )
 
     def test_serve_replay_check_rejects_telemetry_flags(self, tmp_path):
         with pytest.raises(SystemExit, match="replay-check"):
