@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro.core.selector import MatrixConfig, build_selected_mapping, select_mapping
 from repro.engine.metrics import geomean
@@ -72,46 +72,28 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive (got {value})")
-    return value
+def _float_flag(rule: str, ok: Callable[[float], bool]) -> Callable[[str], float]:
+    """An argparse ``type``: a number for which *ok* holds, else the
+    error ``must be <rule>``."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a number")
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule} (got {value})")
+        return value
+
+    return parse
 
 
-def _nonneg_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"must be non-negative (got {value})"
-        )
-    return value
-
-
-def _unit_interval(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must be in [0, 1] (got {value})")
-    return value
-
-
-def _open_unit_interval(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"must be in (0, 1) (got {value})")
-    return value
+_positive_float = _float_flag("positive", lambda v: v > 0)
+_nonneg_float = _float_flag("non-negative", lambda v: v >= 0)
+_unit_interval = _float_flag("in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+_open_unit_interval = _float_flag("in (0, 1)", lambda v: 0.0 < v < 1.0)
+#: probabilities and jitter amplitudes that the runtime requires below 1
+_half_open_unit_interval = _float_flag("in [0, 1)", lambda v: 0.0 <= v < 1.0)
 
 
 def _platform_by_name(name: str) -> PlatformSpec:
@@ -877,11 +859,13 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--shed", choices=("reject", "degrade", "drop-oldest"),
                        default="reject", help="load-shedding policy")
     serve.add_argument("--max-retries", type=_nonneg_int, default=3)
-    serve.add_argument("--jitter", type=float, default=0.1,
+    serve.add_argument("--jitter", type=_half_open_unit_interval, default=0.1,
                        help="backoff jitter amplitude in [0, 1)")
-    serve.add_argument("--pim-fault-rate", type=_nonneg_float, default=0.0,
+    serve.add_argument("--pim-fault-rate", type=_half_open_unit_interval,
+                       default=0.0,
                        help="P(transient fault) per PIM phase attempt")
-    serve.add_argument("--mapping-fault-rate", type=_nonneg_float, default=0.0,
+    serve.add_argument("--mapping-fault-rate", type=_half_open_unit_interval,
+                       default=0.0,
                        help="P(transient fault) per flexible-mapping prefill")
     serve.add_argument("--kv-blocks", type=_nonneg_int, default=0,
                        help="KV block pool size; > 0 switches to the paged-KV "
@@ -1008,9 +992,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-device admission queue bound")
     fleet.add_argument("--shed", choices=("reject", "degrade", "drop-oldest"),
                        default="reject", help="per-device shedding policy")
-    fleet.add_argument("--pim-fault-rate", type=_nonneg_float, default=0.0,
+    fleet.add_argument("--pim-fault-rate", type=_half_open_unit_interval,
+                       default=0.0,
                        help="P(transient fault) per PIM phase attempt")
-    fleet.add_argument("--mapping-fault-rate", type=_nonneg_float,
+    fleet.add_argument("--mapping-fault-rate", type=_half_open_unit_interval,
                        default=0.0,
                        help="P(transient fault) per flexible-mapping prefill")
     fleet.add_argument("--kv-blocks", type=_positive_int, default=64,

@@ -32,7 +32,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.journal import InjectedCrash, MapJournal
 from repro.engine.policies import InferenceEngine
@@ -42,8 +42,9 @@ from repro.platforms.specs import PlatformSpec
 from repro.reliability.degrade import RETRY_BASE_BACKOFF_NS, HealthMonitor
 from repro.reliability.faults import FaultInjector
 from repro.serving.device import DeviceCore, check_retry_fields
-from repro.serving.queue import AdmissionQueue
+from repro.serving.runtime import SERVED, SERVED_DEGRADED
 from repro.serving.workload import Request
+from repro.workloads.runtime import WorkloadLoop
 
 __all__ = ["DEVICE_STATES", "DeviceSpec", "DeviceState", "FleetDevice"]
 
@@ -136,8 +137,6 @@ class ServedPhases:
     policy_served: str
     decode_tokens_served: int
     retries: int
-    backoff_ns: float
-    fallbacks: Tuple[str, ...]
     prefill_tokens_priced: int
     prefix_hit: bool
 
@@ -150,8 +149,13 @@ class Preempted:
     at_ns: float
 
 
-class FleetDevice:
-    """One simulated device inside a fleet (see the module docstring)."""
+class FleetDevice(WorkloadLoop):
+    """One simulated device inside a fleet (see the module docstring).
+
+    A chat :class:`~repro.workloads.runtime.WorkloadLoop` the fleet
+    runtime steps through :meth:`offer` and :meth:`serve_next`; the
+    fleet runtime records every outcome itself (as a ``FleetOutcome``).
+    """
 
     def __init__(
         self,
@@ -160,23 +164,25 @@ class FleetDevice:
         engine: Optional[InferenceEngine] = None,
         adaptive: Optional[object] = None,
     ) -> None:
+        # CPython 3.11 keeps an instance's attributes inline only while
+        # its class has at most 29; past that they all live in a dict,
+        # and the router, autoscaler and backlog reads on every fleet
+        # event get slower (about 4% of a fleet run).  Keep within 29.
         self.spec = spec
-        self.seed = seed
         #: per-device substream: derived from (fleet seed, device_id) so
         #: adding a device never perturbs the others' draws
         self.device_seed = seed * 1_000_003 + 7919 * (spec.device_id + 1)
         self.engine = engine if engine is not None else InferenceEngine(spec.platform)
-        self.rng = random.Random(self.device_seed)
         #: the health machine's input; the core records every phase in it
         self.monitor = HealthMonitor()
-        #: breakers, brown-out, routing and retry pricing
-        self.core = DeviceCore(self.engine, spec, self.monitor)
-        self.queue = AdmissionQueue(
-            spec.queue_capacity, spec.shed_policy, spec.degrade_watermark
+        # the loop: breakers, brown-out, routing and retry pricing on
+        # the core; queue, timelines and clock; no adaptive controller
+        self._init_loop(
+            DeviceCore(self.engine, spec, self.monitor), spec,
+            random.Random(self.device_seed),
         )
-        self.degraded: Dict[int, bool] = {}
-        self.free = {"soc": 0.0, "pim": 0.0}
-        self.clock = 0.0
+        #: the next scheduled loss while :meth:`serve_next` runs
+        self.loss_ns = float("inf")
         #: journaled KV bookkeeping pool — the device's failure domain
         self.journal = MapJournal()
         self.injector = FaultInjector(self.device_seed + 1)
@@ -187,7 +193,8 @@ class FleetDevice:
             journal=self.journal,
         )
         self.resident: Dict[int, _Residency] = {}
-        #: optional per-device adaptive remapping controller
+        #: optional per-device adaptive remapping controller; only
+        #: drain() drives it (the loop's ``controller`` stays None)
         self.adaptive = adaptive
         self.state = DeviceState.ACTIVE
         #: (virtual ns, from, to) — every health/admin transition
@@ -462,17 +469,14 @@ class FleetDevice:
             return float("inf")
         return max(head.arrival_ns, self.clock)
 
-    # -- admission -------------------------------------------------------------
-
-    def offer(self, request: Request, now_ns: float) -> Tuple[str, Optional[Request]]:
-        verdict, evicted = self.queue.offer(request, now_ns)
-        if evicted is not None:
-            self.degraded.pop(evicted.req_id, None)
-        if verdict != "rejected":
-            self.degraded[request.req_id] = verdict == "admitted-degraded"
-        return verdict, evicted
-
     # -- serving ---------------------------------------------------------------
+
+    def record(self, request: Request, status: str, **fields: Any) -> None:
+        """Keep nothing: the fleet runtime records every outcome."""
+
+    def interrupted(self, t_ns: float) -> bool:
+        """The device's next scheduled loss lands before *t_ns*."""
+        return t_ns > self.loss_ns
 
     def serve_next(self, interrupt_ns: Optional[float] = None):
         """Pop the queue head and run it to completion on this device.
@@ -482,12 +486,6 @@ class FleetDevice:
         scheduled loss) lands inside the service window — the caller
         re-admits the request elsewhere via the router.
         """
-        result = self._serve_next(interrupt_ns)
-        if isinstance(result, ServedPhases):
-            self._observe_service(result.end_ns - result.start_ns)
-        return result
-
-    def _serve_next(self, interrupt_ns: Optional[float] = None):
         head = self.queue.peek()
         if head is None:
             raise RuntimeError("serve_next on an empty queue")
@@ -502,81 +500,32 @@ class FleetDevice:
             priced_tokens = max(1, head.prefill_tokens - covered)
             prefix_hit = True
 
-        core = self.core
-        route = core.route(
+        route = self.core.route(
             head, est, max(0.0, self.free["pim"] - est), prefill_tokens=priced_tokens
         )
         start = max(est, self.free[route.prefill_resource])
-        if interrupt_ns is not None and start >= interrupt_ns:
-            self.queue.pop(interrupt_ns)
+        self.loss_ns = interrupt_ns if interrupt_ns is not None else float("inf")
+        if start >= self.loss_ns:
+            self.queue.pop(self.loss_ns)
             self.degraded.pop(head.req_id, None)
-            return Preempted(head, interrupt_ns)
-        self.queue.pop(start)
-        self.clock = start
-        was_degraded = self.degraded.pop(head.req_id, False)
-
-        def settle(
-            status: str, prefill_end: float, end: float, retries: int = 0,
-            backoff: float = 0.0, fallbacks: Tuple[str, ...] = route.fallbacks,
-            tokens: int = 0,
-        ) -> ServedPhases:
-            return ServedPhases(
-                start_ns=start, prefill_end_ns=prefill_end, end_ns=end,
-                status=status, policy_served=route.policy,
-                decode_tokens_served=tokens, retries=retries,
-                backoff_ns=backoff, fallbacks=fallbacks,
-                prefill_tokens_priced=priced_tokens, prefix_hit=prefix_hit,
-            )
-
-        # boundary 1: admission -> prefill
-        if start > head.deadline_abs_ns:
-            return settle("timed-out", start, start)
-
-        prefill_end, ok, retries_p, backoff_p = core.run_phase(
-            start, route.prefill_ns, route.prefill_component, self.rng
-        )
-        self.free[route.prefill_resource] = prefill_end
-        if interrupt_ns is not None and prefill_end > interrupt_ns:
-            # the device dies mid-prefill: burned work, no outcome
-            return Preempted(head, interrupt_ns)
-        if not ok:
-            return settle("aborted", prefill_end, prefill_end, retries_p, backoff_p)
-
-        # boundary 2: prefill -> decode (first token must be in budget)
-        if prefill_end > head.deadline_abs_ns:
-            return settle("timed-out", prefill_end, prefill_end, retries_p, backoff_p)
-
-        decode_tokens = head.decode_tokens
-        if was_degraded:
-            decode_tokens = max(
-                1, min(decode_tokens, self.spec.degraded_decode_tokens)
-            )
-        decode = core.decode(
-            route, head.prefill_tokens, decode_tokens, prefill_end, self.free,
-            self.rng,
-        )
-        decode_end = decode.end_ns
-        if interrupt_ns is not None and decode_end > interrupt_ns:
-            # the device dies mid-service: all work burned, no outcome
-            return Preempted(head, interrupt_ns)
-        retries = retries_p + decode.retries
-        backoff = backoff_p + decode.backoff_ns
-        fallbacks = route.fallbacks + decode.fallbacks
-        if not decode.ok:
-            return settle(
-                "aborted", prefill_end, decode_end, retries, backoff, fallbacks
-            )
-
-        self.served += 1
-        if prefix_hit:
-            self.prefix_hits += 1
-            self.prefill_tokens_saved += head.prefill_tokens - priced_tokens
-        self._grow_residency(
-            head, head.prefill_tokens + decode_tokens, decode_end
-        )
-        return settle(
-            "served-degraded" if was_degraded else "served",
-            prefill_end, decode_end, retries, backoff, fallbacks, decode_tokens,
+            return Preempted(head, self.loss_ns)
+        settled = self.serve(head, route, est, start)
+        if settled is None:
+            # the device dies mid-service: burned work, no outcome
+            return Preempted(head, self.loss_ns)
+        status, prefill_end, end, retries, tokens = settled
+        if status in (SERVED, SERVED_DEGRADED):
+            self.served += 1
+            if prefix_hit:
+                self.prefix_hits += 1
+                self.prefill_tokens_saved += head.prefill_tokens - priced_tokens
+            self._grow_residency(head, head.prefill_tokens + tokens, end)
+        self._observe_service(end - start)
+        return ServedPhases(
+            start_ns=start, prefill_end_ns=prefill_end, end_ns=end,
+            status=status, policy_served=route.policy,
+            decode_tokens_served=tokens, retries=retries,
+            prefill_tokens_priced=priced_tokens, prefix_hit=prefix_hit,
         )
 
     # -- reporting -------------------------------------------------------------

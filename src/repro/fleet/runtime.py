@@ -47,17 +47,20 @@ from repro.fleet.device import DeviceSpec, DeviceState, FleetDevice, Preempted
 from repro.fleet.router import FleetRouter
 from repro.fleet.workloads import ArrivalShape, shaped_workload
 from repro.platforms.specs import ALL_PLATFORMS
+from repro.serving.runtime import (
+    ABORTED,
+    DROPPED,
+    REJECTED,
+    SERVED,
+    SERVED_DEGRADED,
+    TIMED_OUT,
+)
 from repro.serving.workload import Request, TenantSpec
 
 __all__ = ["FleetConfig", "FleetOutcome", "FleetReport", "FleetRuntime", "build_fleet"]
 
-SERVED = "served"
-SERVED_DEGRADED = "served-degraded"
-REJECTED = "rejected"
-DROPPED = "dropped"
+#: a request no routable device could take (the fleet's own status)
 SHED_UNROUTABLE = "shed-unroutable"
-TIMED_OUT = "timed-out"
-ABORTED = "aborted"
 
 TERMINAL_STATUSES = (
     SERVED, SERVED_DEGRADED, REJECTED, DROPPED, SHED_UNROUTABLE,

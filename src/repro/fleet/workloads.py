@@ -5,12 +5,13 @@ fleet serves *populations*, and population traffic is not stationary: it
 breathes on a daily cycle and it spikes.  This module makes the shape a
 first-class spec — an :class:`ArrivalShape` maps virtual time to a rate
 multiplier, and :func:`shaped_workload` samples the resulting
-**inhomogeneous** Poisson process by thinning [Lewis & Shedler 1979]:
-draw candidate arrivals at the tenant's peak rate, keep each with
-probability ``multiplier(t) / peak``.  Thinning draws exactly one
-uniform per candidate on the same single seeded stream as everything
-else, so one seed still reproduces a whole fleet run byte-for-byte, and
-a ``SteadyShape`` (multiplier 1 everywhere) thins nothing away in
+**inhomogeneous** Poisson process by thinning (see
+:func:`~repro.serving.workload.poisson_workload`): draw candidate
+arrivals at the tenant's peak rate, keep each with probability
+``multiplier(t) / peak``.  Thinning draws exactly one uniform per
+candidate on the same single seeded stream as everything else, so one
+seed still reproduces a whole fleet run byte-for-byte, and a
+``SteadyShape`` (multiplier 1 everywhere) thins nothing away in
 expectation.
 
 Two canned shapes cover the autoscaler's design load:
@@ -30,10 +31,14 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Protocol, Sequence
+from typing import List, Optional, Sequence
 
-from repro.llm.datasets import QueryTrace
-from repro.serving.workload import MAX_TURNS, Request, TenantSpec
+from repro.serving.workload import (
+    ArrivalShape,
+    Request,
+    TenantSpec,
+    poisson_workload,
+)
 
 __all__ = [
     "ArrivalShape",
@@ -44,15 +49,6 @@ __all__ = [
     "SteadyShape",
     "shaped_workload",
 ]
-
-
-class ArrivalShape(Protocol):
-    """Time-varying arrival-rate modulation, normalized to peak 1.0."""
-
-    def rate_multiplier(self, t_ns: float) -> float:
-        """Fraction of the tenant's peak rate arriving around *t_ns*
-        (must stay within [0, 1] — the thinning bound)."""
-        ...
 
 
 @dataclass(frozen=True)
@@ -135,100 +131,12 @@ def shaped_workload(
 ) -> List[Request]:
     """Sample a merged multi-tenant stream under *shape* by thinning.
 
-    Mirrors :func:`repro.serving.workload.poisson_workload` (same
-    multi-turn conversation semantics, same single-stream determinism
-    discipline, same final merge-sort and dense req_id assignment); a
-    ``None`` or :class:`SteadyShape` shape degenerates to a homogeneous
-    process at the tenant's full ``qps``.  Conversation follow-up turns
-    are *not* thinned — the user already engaged; the shape modulates
-    session openings, which is how real diurnal traffic behaves.
+    :func:`repro.serving.workload.poisson_workload` with the shape
+    defaulting to :class:`SteadyShape`: a homogeneous process at the
+    tenant's full ``qps`` that still draws one thinning uniform per
+    candidate, so its seeded streams differ from the unshaped sampler's.
     """
-    if not tenants:
-        raise ValueError("need at least one tenant")
-    if duration_ms <= 0:
-        raise ValueError("duration_ms must be positive")
-    if shape is None:
-        shape = SteadyShape()
-    stream = rng if rng is not None else random.Random(seed)
-    horizon_ns = duration_ms * 1e6
-    requests: List[Request] = []
-    conversation_id = 0
-    for tenant in tenants:
-        rate_per_ns = tenant.qps / 1e9  # the peak (thinning bound)
-        multi_turn = tenant.mean_turns > 1.0
-        p_more = 1.0 - 1.0 / tenant.mean_turns if multi_turn else 0.0
-        think_rate_per_ns = 1.0 / (tenant.think_time_ms * 1e6)
-        sample_at = getattr(tenant.dataset, "sample_at", None)
-
-        def draw(at_ns: float) -> QueryTrace:
-            if sample_at is not None:
-                return sample_at(stream, at_ns)
-            return tenant.dataset.sample_one(stream)
-
-        t = stream.expovariate(rate_per_ns)
-        while t < horizon_ns:
-            keep = shape.rate_multiplier(t)
-            if not 0.0 <= keep <= 1.0:
-                raise ValueError(
-                    f"shape multiplier {keep} at t={t:.0f} ns outside [0, 1]"
-                )
-            if stream.random() >= keep:  # thinned away
-                t += stream.expovariate(rate_per_ns)
-                continue
-            trace = draw(t)
-            if not multi_turn:
-                requests.append(
-                    Request(
-                        req_id=-1,  # assigned after the merge sort below
-                        tenant=tenant.name,
-                        policy=tenant.policy,
-                        arrival_ns=t,
-                        prefill_tokens=trace.prefill_tokens,
-                        decode_tokens=trace.decode_tokens,
-                        deadline_ns=tenant.deadline_ms * 1e6,
-                    )
-                )
-            else:
-                conv = conversation_id
-                conversation_id += 1
-                turn_t = t
-                context = 0
-                turn = 0
-                while True:
-                    requests.append(
-                        Request(
-                            req_id=-1,
-                            tenant=tenant.name,
-                            policy=tenant.policy,
-                            arrival_ns=turn_t,
-                            prefill_tokens=context + trace.prefill_tokens,
-                            decode_tokens=trace.decode_tokens,
-                            deadline_ns=tenant.deadline_ms * 1e6,
-                            conversation_id=conv,
-                            turn_index=turn,
-                            context_tokens=context,
-                        )
-                    )
-                    context += trace.prefill_tokens + trace.decode_tokens
-                    turn += 1
-                    if turn >= MAX_TURNS or stream.random() >= p_more:
-                        break
-                    turn_t += stream.expovariate(think_rate_per_ns)
-                    trace = draw(turn_t)
-            t += stream.expovariate(rate_per_ns)
-    requests.sort(key=lambda r: (r.arrival_ns, r.tenant))
-    return [
-        Request(
-            req_id=i,
-            tenant=r.tenant,
-            policy=r.policy,
-            arrival_ns=r.arrival_ns,
-            prefill_tokens=r.prefill_tokens,
-            decode_tokens=r.decode_tokens,
-            deadline_ns=r.deadline_ns,
-            conversation_id=r.conversation_id,
-            turn_index=r.turn_index,
-            context_tokens=r.context_tokens,
-        )
-        for i, r in enumerate(requests)
-    ]
+    return poisson_workload(
+        tenants, duration_ms, seed=seed, rng=rng,
+        shape=shape if shape is not None else SteadyShape(),
+    )

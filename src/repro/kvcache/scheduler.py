@@ -10,7 +10,8 @@ resource:
   finish), oversized decode budgets are clipped to fit, and a pressure
   governor — a :class:`~repro.serving.breaker.BrownoutController` over
   :meth:`KvCacheManager.pressure` — degrades admissions while the pool
-  runs hot;
+  runs hot.  Those checks wrap the whole-request loop's own admission
+  step (:meth:`~repro.workloads.runtime.WorkloadLoop.offer`);
 * **prefill** is priced on ``recompute_tokens`` only: the prefix-tree
   hit for a conversation's earlier turns is subtracted before routing,
   so shared-prefix turns are measurably cheaper;
@@ -26,27 +27,42 @@ resource:
   cached, and it re-enters through a priority recompute queue whose
   prefill hits that cached prefix.
 
-Every outcome is a standard :class:`RequestOutcome`; the KV-side
-counters land in ``ServingReport.kv``.
+Every outcome is a standard :class:`RequestOutcome`, kept in that
+loop's outcome list; the KV-side counters land in ``ServingReport.kv``.
 """
 
 from __future__ import annotations
 
-import random
 from collections import deque
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.kvcache.block import KvPoolExhausted
 from repro.kvcache.manager import KvCacheManager, SeqAdmission
 from repro.kvcache.pool import BlockPool, KvSpec
 from repro.serving.breaker import BrownoutController
-from repro.serving.queue import AdmissionQueue
+from repro.serving.runtime import (
+    ABORTED,
+    REJECTED,
+    SERVED,
+    SERVED_DEGRADED,
+    TIMED_OUT,
+    ServingReport,
+    ServingRuntime,
+)
 from repro.serving.workload import Request
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.serving.runtime import ServingReport, ServingRuntime
+from repro.workloads.runtime import WorkloadLoop
 
 __all__ = ["run_kv_serving"]
+
+
+class _KvAdmission(WorkloadLoop):
+    """The paged-KV loop's admission queue, RNG, timelines and outcome
+    list: :meth:`WorkloadLoop.offer` and :meth:`WorkloadLoop.record`,
+    with every span tagged as the KV loop's.  The continuous-batching
+    core in :func:`run_kv_serving` is its own."""
+
+    def span_args(self, served: Any = None) -> Dict[str, Any]:
+        return {"kv_loop": True}
 
 
 class _Seq:
@@ -97,32 +113,24 @@ class _Seq:
 
 
 def run_kv_serving(
-    runtime: "ServingRuntime", requests: List[Request]
-) -> "ServingReport":
+    runtime: ServingRuntime, requests: List[Request]
+) -> ServingReport:
     """Run *requests* through *runtime* with paged-KV continuous batching."""
-    from repro.serving.runtime import (
-        ABORTED,
-        DROPPED,
-        REJECTED,
-        SERVED,
-        SERVED_DEGRADED,
-        TIMED_OUT,
-        RequestOutcome,
-    )
-
     cfg = runtime.config
     engine = runtime.engine
     core = runtime.core
     tel = runtime.telemetry
     if tel is not None:
         tel.ensure_calibrated(engine)
-    rng = random.Random(cfg.seed)
+    loop = _KvAdmission(runtime)
+    rng = loop.rng
+    queue = loop.queue
+    free = loop.free
+    outcomes = loop.outcomes
     B = cfg.block_tokens
     pool = BlockPool(cfg.kv_blocks, KvSpec(block_tokens=B))
     kv = KvCacheManager(pool, prefix_sharing=cfg.prefix_sharing)
     governor = BrownoutController(cfg.kv_pressure_high, cfg.kv_pressure_low)
-    queue = AdmissionQueue(cfg.queue_capacity, cfg.shed_policy, cfg.degrade_watermark)
-    free = {"soc": 0.0, "pim": 0.0}
 
     pending = sorted(requests, key=lambda r: (r.arrival_ns, r.req_id))
     next_arrival = 0
@@ -132,7 +140,6 @@ def run_kv_serving(
     prefill_inflight: Optional[Tuple[float, _Seq, bool, int, float]] = None
     round_inflight: Optional[Tuple[float, List[_Seq]]] = None
     soc_jobs: List[Tuple[float, _Seq, bool, int, float]] = []
-    outcomes: List[RequestOutcome] = []
     clock = 0.0
     last_event = 0.0
     stalled = False  # KV-exhausted with work in flight: wait for a completion
@@ -143,21 +150,17 @@ def run_kv_serving(
     cap_tokens = cfg.kv_blocks * B
 
     def finish(seq: _Seq, status: str, now: float, ttlt: bool = False) -> None:
-        outcomes.append(
-            RequestOutcome(
-                req_id=seq.request.req_id,
-                tenant=seq.request.tenant,
-                status=status,
-                policy_requested=seq.request.policy,
-                policy_served=seq.policy_served,
-                wait_ns=seq.wait_ns,
-                ttft_ns=seq.ttft_ns,
-                ttlt_ns=(now - seq.request.arrival_ns) if ttlt else 0.0,
-                decode_tokens_served=seq.served_tokens,
-                retries=seq.retries,
-                backoff_ns=seq.backoff_ns,
-                fallbacks=seq.fallbacks,
-            )
+        loop.record(
+            seq.request,
+            status,
+            policy_served=seq.policy_served,
+            wait_ns=seq.wait_ns,
+            ttft_ns=seq.ttft_ns,
+            ttlt_ns=(now - seq.request.arrival_ns) if ttlt else 0.0,
+            decode_tokens_served=seq.served_tokens,
+            retries=seq.retries,
+            backoff_ns=seq.backoff_ns,
+            fallbacks=seq.fallbacks,
         )
         if tel is not None:
             # Reconstruct the phase boundaries from the per-sequence
@@ -202,14 +205,7 @@ def run_kv_serving(
         # before it burns queue capacity or compute
         if request.prefill_tokens + 1 > cap_tokens:
             kv_rejections += 1
-            outcomes.append(
-                RequestOutcome(
-                    req_id=request.req_id,
-                    tenant=request.tenant,
-                    status=REJECTED,
-                    policy_requested=request.policy,
-                )
-            )
+            loop.record(request, REJECTED)
             if tel is not None:
                 tel.trace_query(
                     request.req_id, request.tenant, request.arrival_ns,
@@ -217,40 +213,12 @@ def run_kv_serving(
                     reason="kv-demand-exceeds-pool",
                 )
             return
-        verdict, evicted = queue.offer(request)
+        verdict, evicted = loop.offer(request)
         if evicted is not None:
             seqs.pop(evicted.req_id, None)
-            outcomes.append(
-                RequestOutcome(
-                    req_id=evicted.req_id,
-                    tenant=evicted.tenant,
-                    status=DROPPED,
-                    policy_requested=evicted.policy,
-                    wait_ns=request.arrival_ns - evicted.arrival_ns,
-                )
-            )
-            if tel is not None:
-                tel.trace_query(
-                    evicted.req_id, evicted.tenant, evicted.arrival_ns,
-                    DROPPED, evicted.policy,
-                    start_ns=request.arrival_ns, kv_loop=True,
-                )
-        if verdict == "rejected":
-            outcomes.append(
-                RequestOutcome(
-                    req_id=request.req_id,
-                    tenant=request.tenant,
-                    status=REJECTED,
-                    policy_requested=request.policy,
-                )
-            )
-            if tel is not None:
-                tel.trace_query(
-                    request.req_id, request.tenant, request.arrival_ns,
-                    REJECTED, request.policy, kv_loop=True,
-                )
+        if verdict == REJECTED:
             return
-        degraded = verdict == "admitted-degraded"
+        degraded = loop.degraded.pop(request.req_id)
         if governor.observe(kv.pressure(), now) and not degraded:
             degraded = True
             kv_degraded += 1

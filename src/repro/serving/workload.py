@@ -5,7 +5,9 @@ tenant (an app sharing the device NPU/PIM — assistant chat, keyboard
 autocompletion, ...), carries its token counts sampled from the tenant's
 dataset model, and a per-request **deadline budget** on TTFT.
 
-Arrivals are Poisson per tenant (exponential inter-arrival times).  All
+Arrivals are Poisson per tenant (exponential inter-arrival times),
+optionally modulated by an :class:`ArrivalShape` (the fleet's diurnal
+and bursty traffic, see repro.fleet.workloads).  All
 randomness — arrival jitter and length sampling — flows through **one**
 ``random.Random(seed)``, the same discipline as
 :class:`~repro.reliability.faults.FaultInjector`: one seed reproduces a
@@ -24,12 +26,23 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Protocol, Sequence
 
 from repro.engine.policies import POLICIES
 from repro.llm.datasets import ALPACA_LIKE, DatasetSpec, QueryTrace
 
-__all__ = ["Request", "TenantSpec", "poisson_workload", "trace_workload"]
+__all__ = [
+    "ArrivalShape", "Request", "TenantSpec", "poisson_workload", "trace_workload",
+]
+
+
+class ArrivalShape(Protocol):
+    """Time-varying arrival-rate modulation, normalized to peak 1.0."""
+
+    def rate_multiplier(self, t_ns: float) -> float:
+        """Fraction of the tenant's peak rate arriving around *t_ns*
+        (must stay within [0, 1] — the thinning bound)."""
+        ...
 
 #: hard cap on the geometric turn count, so a pathological stream cannot
 #: emit an unbounded conversation
@@ -94,6 +107,7 @@ def poisson_workload(
     duration_ms: float,
     seed: int = 0,
     rng: Optional[random.Random] = None,
+    shape: Optional[ArrivalShape] = None,
 ) -> List[Request]:
     """Sample a merged multi-tenant Poisson arrival stream.
 
@@ -108,6 +122,13 @@ def poisson_workload(
     request's arrival time, so non-stationary workloads drift along the
     trace; plain :class:`~repro.llm.datasets.DatasetSpec` tenants are
     unaffected.
+
+    A *shape* makes session openings an **inhomogeneous** process,
+    sampled by thinning [Lewis & Shedler 1979]: candidates arrive at the
+    tenant's ``qps`` (the peak) and each is kept with probability
+    ``shape.rate_multiplier(t)``.  Follow-up turns are not thinned — the
+    user already engaged.  The thinning uniform is drawn only when a
+    shape is given, so unshaped streams are unchanged by it.
     """
     if not tenants:
         raise ValueError("need at least one tenant")
@@ -132,6 +153,15 @@ def poisson_workload(
 
         t = stream.expovariate(rate_per_ns)
         while t < horizon_ns:
+            if shape is not None:
+                keep = shape.rate_multiplier(t)
+                if not 0.0 <= keep <= 1.0:
+                    raise ValueError(
+                        f"shape multiplier {keep} at t={t:.0f} ns outside [0, 1]"
+                    )
+                if stream.random() >= keep:  # thinned away
+                    t += stream.expovariate(rate_per_ns)
+                    continue
             trace = draw(t)
             if not multi_turn:
                 requests.append(

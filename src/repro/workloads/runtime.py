@@ -3,11 +3,18 @@
 Every request in this loop runs to completion before the next one
 starts its prefill: admission queue, deadline boundaries at
 admission->prefill and prefill->decode, and retry-priced phases on the
-two-resource (SoC / PIM) timeline, all through the runtime's
-:class:`~repro.serving.device.DeviceCore`.  Chat serving is the default
-decode; each workload in :mod:`repro.workloads` subclasses
-:class:`WorkloadLoop` and differs only in how it **prices and executes
-decode**, through these hooks:
+two-resource (SoC / PIM) timeline, all through the loop's
+:class:`~repro.serving.device.DeviceCore`.  The loop owns its per-run
+state (RNG, queue, degraded map, outcomes, timelines, clock) and is
+steppable: :meth:`WorkloadLoop.offer` admits one arrival,
+:meth:`WorkloadLoop.serve` runs one popped request to its outcome, and
+:meth:`WorkloadLoop.run` drives a single device over a request list.
+Fleet devices (:class:`~repro.fleet.device.FleetDevice`) are chat loops
+the fleet runtime steps; the paged-KV loop admits through ``offer``.
+
+Chat serving is the default decode; each workload in
+:mod:`repro.workloads` subclasses :class:`WorkloadLoop` and differs
+only in how it **prices and executes decode**, through these hooks:
 
 * :meth:`WorkloadLoop.route` — plan prefill (default: the device core's
   breaker/brownout-aware router);
@@ -16,8 +23,11 @@ decode**, through these hooks:
 * :meth:`WorkloadLoop.decode` — decode execution; runs its phases
   itself and advances the resource timelines.  The default is chat's
   whole-request decode with the brown-out SoC migration;
+* :meth:`WorkloadLoop.interrupted` — a loss of the device inside the
+  service window (never by default; a fleet device's scheduled kill);
 * :meth:`WorkloadLoop.abandon` / :meth:`WorkloadLoop.finish` — cleanup
   on failure / success;
+* :meth:`WorkloadLoop.record` — keep one terminal outcome;
 * :meth:`WorkloadLoop.teardown` + :meth:`WorkloadLoop.section` — end of
   run: release placed state and summarize into the report's
   ``workload`` section.
@@ -28,19 +38,19 @@ on its PIM phases and observes every popped request's outcome.  Replay
 barriers and per-outcome request spans live here too, so every
 workload gets them.
 
-Determinism contract: all randomness flows through the one
-``random.Random(config.seed)`` the loop owns, in request order — same
-seed, same report bytes.  Telemetry is fold-in only (spans on simulated
-time, metrics derived from the finished report), so results are
+Determinism contract: all randomness flows through the loop's one
+``random.Random`` (``config.seed``), in request order — same seed, same
+report bytes.  Telemetry is fold-in only (spans on simulated time,
+metrics derived from the finished report), so results are
 byte-identical with telemetry on or off.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Optional, Sequence, TypeVar
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, TypeVar
 
-from repro.serving.device import DecodeResult, Route
+from repro.serving.device import DecodeResult, DeviceCore, Route
 from repro.serving.queue import AdmissionQueue
 from repro.serving.runtime import (
     ABORTED,
@@ -55,14 +65,23 @@ from repro.serving.runtime import (
 )
 from repro.serving.workload import Request
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.fleet.device import DeviceSpec
+    from repro.serving.runtime import ServingConfig
+
 __all__ = [
     "DecodeResult",
+    "Settled",
     "WorkloadLoop",
     "require_placed",
     "run_workload_serving",
 ]
 
 _T = TypeVar("_T")
+
+#: what :meth:`WorkloadLoop.serve` reports of a settled request:
+#: ``(status, prefill_end_ns, end_ns, retries, decode_tokens_served)``
+Settled = Tuple[str, float, float, int, int]
 
 
 def require_placed(value: Optional[_T], what: str) -> _T:
@@ -80,15 +99,45 @@ class WorkloadLoop:
 
     #: workload name recorded in the report section and telemetry labels
     name = "chat"
+    # class-level defaults that a loop built from a runtime overrides and
+    # a fleet device keeps (see FleetDevice on its attribute budget)
+    #: the observability bundle (None: no spans)
+    telemetry: Any = None
+    #: the adaptive remapping controller (None: no MapID pricing)
+    controller: Any = None
+    #: PIM work multiplier of the request in service: the adaptive
+    #: controller's MapID mismatch penalty (1.0 without one)
+    pim_mult = 1.0
 
     def __init__(self, runtime: ServingRuntime, spec: object = None) -> None:
+        cfg = runtime.config
         self.runtime = runtime
-        self.core = runtime.core
+        #: the workload spec (None for chat); the base loop never reads it
         self.spec = spec
+        self.telemetry = runtime.telemetry
+        self.controller = runtime.adaptive
+        self.outcomes: List[RequestOutcome] = []
+        self._init_loop(runtime.core, cfg, random.Random(cfg.seed))
+
+    def _init_loop(
+        self, core: DeviceCore, settings: ServingConfig | DeviceSpec,
+        rng: random.Random,
+    ) -> None:
+        """Place the per-run state every loop steps on: *settings* size
+        the admission queue and the degraded decode budget."""
+        self.core = core
+        self.rng = rng
+        self.queue = AdmissionQueue(
+            settings.queue_capacity, settings.shed_policy,
+            settings.degrade_watermark,
+        )
+        self.degraded_decode_tokens: int = settings.degraded_decode_tokens
+        #: req_id -> admitted degraded, for every queued request
+        self.degraded: Dict[int, bool] = {}
         self.free: Dict[str, float] = {"soc": 0.0, "pim": 0.0}
-        #: PIM work multiplier of the request in service: the adaptive
-        #: controller's MapID mismatch penalty (1.0 without one)
-        self.pim_mult = 1.0
+        #: start of the latest service (``last_event``: latest event)
+        self.clock = 0.0
+        self.last_event = 0.0
 
     # -- hooks ---------------------------------------------------------
 
@@ -125,11 +174,30 @@ class WorkloadLoop:
             self.free, rng, self.pim_mult,
         )
 
+    def interrupted(self, t_ns: float) -> bool:
+        """Whether the device is lost before a phase ending at *t_ns*
+        completes.  A lost request gets no outcome and its burned work
+        stays on the timelines.  Default: never."""
+        return False
+
     def abandon(self, head: Request, now_ns: float) -> None:
         """Cleanup for a request that failed after :meth:`begin_request`."""
 
     def finish(self, head: Request, now_ns: float) -> None:
         """Cleanup for a served request."""
+
+    def record(self, request: Request, status: str, **fields: Any) -> None:
+        """Keep *request*'s terminal outcome in :attr:`outcomes`; *fields*
+        are :class:`~repro.serving.runtime.RequestOutcome` fields."""
+        self.outcomes.append(
+            RequestOutcome(
+                req_id=request.req_id,
+                tenant=request.tenant,
+                status=status,
+                policy_requested=request.policy,
+                **fields,
+            )
+        )
 
     def teardown(self, end_ns: float) -> None:
         """Release everything placed in :meth:`setup`."""
@@ -139,296 +207,276 @@ class WorkloadLoop:
         none, so its report serializes without the key."""
         return None
 
-    # -- the event loop ------------------------------------------------
+    # -- steps ---------------------------------------------------------
+
+    def offer(
+        self, request: Request, now_ns: Optional[float] = None
+    ) -> Tuple[str, Optional[Request]]:
+        """Offer *request* to the admission queue at *now_ns* (default:
+        its arrival).  A waiter it displaces is recorded as dropped, a
+        refused arrival as rejected, an admission flagged degraded or
+        not.  Returns the queue's ``(verdict, evicted)``."""
+        at = request.arrival_ns if now_ns is None else now_ns
+        verdict, evicted = self.queue.offer(request, at)
+        if evicted is not None:
+            self.degraded.pop(evicted.req_id, None)
+            self.record(evicted, DROPPED, wait_ns=at - evicted.arrival_ns)
+            self.trace(evicted, DROPPED, evicted.policy, start_ns=at)
+        if verdict == REJECTED:
+            self.record(request, REJECTED)
+            self.trace(request, REJECTED, request.policy)
+        else:
+            self.degraded[request.req_id] = verdict == "admitted-degraded"
+        return verdict, evicted
+
+    def serve(
+        self, head: Request, route: Route, est: float, start: float
+    ) -> Optional[Settled]:
+        """Pop the queue *head* at *start* and run it on *route*
+        (planned at *est*) through both deadline checks, prefill and
+        decode; record its outcome and span and tick the adaptive
+        controller.  Returns what settled (see :data:`Settled`), or
+        None when :meth:`interrupted` cut the service short."""
+        self.queue.pop(start)
+        self.clock = start
+        self.last_event = max(self.last_event, start)
+        was_degraded = self.degraded.pop(head.req_id, False)
+        wait_ns = start - head.arrival_ns
+        policy = route.policy
+        outcome: Dict[str, Any] = dict(
+            policy_served=policy, wait_ns=wait_ns, fallbacks=route.fallbacks
+        )
+        # adaptive remapping: price the request's MapID/arena mismatch
+        # on its PIM phases, and let the controller observe every
+        # outcome (possibly migrating between requests on the PIM
+        # timeline).  Without a controller the multiplier is exactly
+        # 1.0 and the tick is a no-op, so the run is unchanged.
+        ada = self.controller
+        k_req = 0
+        if ada is not None:
+            k_req = ada.ideal_map_id(head.prefill_tokens)
+            self.pim_mult = ada.pim_multiplier(k_req)
+
+        # boundary 1: admission -> prefill
+        if start > head.deadline_abs_ns:
+            self.record(head, TIMED_OUT, **outcome)
+            self.trace(head, TIMED_OUT, policy, start_ns=start)
+            self._adaptive_tick(head, route, k_req, False, 0.0, 0.0)
+            return TIMED_OUT, start, start, 0, 0
+
+        shed_reason = self.begin_request(head, start)
+        if shed_reason is not None:
+            outcome["fallbacks"] += (shed_reason,)
+            self.record(head, REJECTED, **outcome)
+            self.trace(head, REJECTED, policy, start_ns=start, reason=shed_reason)
+            self._adaptive_tick(head, route, k_req, False, 0.0, 0.0)
+            return REJECTED, start, start, 0, 0
+
+        prefill_pim = route.prefill_resource == "pim"
+        prefill_ns = route.prefill_ns
+        if prefill_pim:
+            prefill_ns *= self.pim_mult
+        prefill_end, ok, retries, backoff = self.core.run_phase(
+            start,
+            prefill_ns + self.prefill_overhead(head, route, est, start),
+            route.prefill_component,
+            self.rng,
+        )
+        self.free[route.prefill_resource] = prefill_end
+        self.last_event = max(self.last_event, prefill_end)
+        if self.interrupted(prefill_end):
+            return None
+        pim_ns = route.prefill_ns if prefill_pim else 0.0
+        outcome.update(retries=retries, backoff_ns=backoff)
+        phases: Dict[str, Any] = dict(
+            start_ns=start, prefill_end_ns=prefill_end,
+            prefill_resource=route.prefill_resource,
+        )
+        if not ok:
+            self.record(head, ABORTED, **outcome)
+            self.trace(head, ABORTED, policy, **phases, retries=retries)
+            self.abandon(head, prefill_end)
+            self._adaptive_tick(head, route, k_req, False, 0.0, pim_ns)
+            return ABORTED, prefill_end, prefill_end, retries, 0
+        outcome["ttft_ns"] = ttft_ns = prefill_end - head.arrival_ns
+
+        # boundary 2: prefill -> decode (first token must be in budget)
+        if prefill_end > head.deadline_abs_ns:
+            self.record(head, TIMED_OUT, **outcome)
+            self.trace(head, TIMED_OUT, policy, **phases)
+            self.abandon(head, prefill_end)
+            self._adaptive_tick(head, route, k_req, False, 0.0, pim_ns)
+            return TIMED_OUT, prefill_end, prefill_end, retries, 0
+
+        decode_tokens = head.decode_tokens
+        if was_degraded:
+            decode_tokens = max(
+                1, min(decode_tokens, self.degraded_decode_tokens)
+            )
+        result = self.decode(head, route, prefill_end, decode_tokens, self.rng)
+        end = result.end_ns
+        self.last_event = max(self.last_event, end)
+        if self.interrupted(end):
+            return None
+        retries += result.retries
+        outcome.update(
+            retries=retries,
+            backoff_ns=backoff + result.backoff_ns,
+            fallbacks=route.fallbacks + result.fallbacks,
+        )
+        phases.update(
+            decode_start_ns=(
+                result.start_ns if result.start_ns is not None else prefill_end
+            ),
+            end_ns=end,
+            decode_resource=result.resource,
+            context_tokens=head.prefill_tokens,
+        )
+        pim_ns += result.pim_ns
+        if not result.ok:
+            self.record(head, ABORTED, **outcome)
+            self.trace(head, ABORTED, policy, **phases)
+            self.abandon(head, end)
+            self._adaptive_tick(head, route, k_req, False, 0.0, pim_ns)
+            return ABORTED, prefill_end, end, retries, 0
+
+        status = SERVED_DEGRADED if was_degraded else SERVED
+        self.record(
+            head, status, ttlt_ns=end - head.arrival_ns,
+            decode_tokens_served=result.tokens_served, **outcome,
+        )
+        self.finish(head, end)
+        self.trace(head, status, policy, served=result, **phases)
+        self.trace_decode(head, prefill_end, result)
+        # the controller sees *service* TTFT (queue wait excluded):
+        # its canary judges the mapping, not the admission backlog
+        self._adaptive_tick(head, route, k_req, True, ttft_ns - wait_ns, pim_ns)
+        return status, prefill_end, end, retries, result.tokens_served
+
+    def _adaptive_tick(
+        self, head: Request, route: Route, k_req: int, served: bool,
+        ttft_ns: float, pim_base_ns: float,
+    ) -> None:
+        ada = self.controller
+        if ada is None:
+            return
+        migration_ns = ada.tick(
+            head.req_id,
+            self.last_event,
+            k_req,
+            served,
+            ttft_ns,
+            pim_base_ns,
+            pim_obs_ns=pim_base_ns * self.pim_mult,
+            pim_ok=route.pim_allowed,
+            brownout=route.brownout_active,
+        )
+        if migration_ns > 0.0:
+            self.free["pim"] = max(self.free["pim"], self.last_event) + migration_ns
+            self.last_event = self.free["pim"]
+
+    # -- one device, start to finish ----------------------------------
 
     def run(self, requests: Sequence[Request]) -> ServingReport:
+        """Serve *requests* on this one device: offer each arrival,
+        serve the queue head once no arrival precedes its start, and
+        close the report."""
         runtime = self.runtime
-        core = self.core
-        cfg = runtime.config
-        tel = runtime.telemetry
+        tel = self.telemetry
         bar = runtime.barriers
-        ada = runtime.adaptive
         if tel is not None:
             # probe once per bundle: grounds controller/DRAM span
             # durations and the advisor counters without touching the
             # run's RNG or timelines
             tel.ensure_calibrated(runtime.engine)
-        rng = random.Random(cfg.seed)
-        queue = AdmissionQueue(
-            cfg.queue_capacity, cfg.shed_policy, cfg.degrade_watermark
-        )
+        queue = self.queue
         free = self.free
         pending = sorted(requests, key=lambda r: (r.arrival_ns, r.req_id))
         next_arrival = 0
-        degraded: Dict[int, bool] = {}
-        outcomes: List[RequestOutcome] = []
-        clock = 0.0
-        last_event = 0.0
         self.setup()
-
-        def trace(request: Request, status: str, policy: str,
-                  served: Optional[DecodeResult] = None, **phases: Any) -> None:
-            if tel is not None:
-                tel.trace_query(
-                    request.req_id, request.tenant, request.arrival_ns,
-                    status, policy, **phases, **self.span_args(served),
-                )
-
-        def admit(request: Request) -> None:
-            verdict, evicted = queue.offer(request)
-            if evicted is not None:
-                outcomes.append(
-                    RequestOutcome(
-                        req_id=evicted.req_id,
-                        tenant=evicted.tenant,
-                        status=DROPPED,
-                        policy_requested=evicted.policy,
-                        wait_ns=request.arrival_ns - evicted.arrival_ns,
-                    )
-                )
-                degraded.pop(evicted.req_id, None)
-                trace(evicted, DROPPED, evicted.policy,
-                      start_ns=request.arrival_ns)
-            if verdict == "rejected":
-                outcomes.append(
-                    RequestOutcome(
-                        req_id=request.req_id,
-                        tenant=request.tenant,
-                        status=REJECTED,
-                        policy_requested=request.policy,
-                    )
-                )
-                trace(request, REJECTED, request.policy)
-            else:
-                degraded[request.req_id] = verdict == "admitted-degraded"
 
         while next_arrival < len(pending) or len(queue):
             if bar is not None:
-                bar.observe(
-                    len(outcomes), lambda: self.barrier_state(rng, outcomes)
-                )
-            if not len(queue):
-                admit(pending[next_arrival])
-                next_arrival += 1
-                continue
+                bar.observe(len(self.outcomes), self.barrier_state)
+            upcoming = (
+                pending[next_arrival].arrival_ns
+                if next_arrival < len(pending) else float("inf")
+            )
             head = queue.peek()
-            if head is None:  # unreachable: guarded by len(queue) above
-                raise RuntimeError(
-                    "admission queue reported non-empty but has no head"
-                )
-            est = max(head.arrival_ns, clock)
-            # arrivals strictly before the earliest possible service come first
-            if (
-                next_arrival < len(pending)
-                and pending[next_arrival].arrival_ns <= est
-            ):
-                admit(pending[next_arrival])
+            # arrivals strictly before the earliest possible service
+            # come first ...
+            if head is None or upcoming <= max(head.arrival_ns, self.clock):
+                self.offer(pending[next_arrival])
                 next_arrival += 1
                 continue
+            est = max(head.arrival_ns, self.clock)
             route = self.route(head, est, max(0.0, free["pim"] - est))
             start = max(est, free[route.prefill_resource])
             # ... and arrivals while the head waits for its resource may
             # still evict it (drop-oldest) or shed themselves: ingest, redo
-            if (
-                next_arrival < len(pending)
-                and pending[next_arrival].arrival_ns <= start
-            ):
-                admit(pending[next_arrival])
+            if upcoming <= start:
+                self.offer(pending[next_arrival])
                 next_arrival += 1
                 continue
-
-            queue.pop(start)
-            clock = start
-            was_degraded = degraded.pop(head.req_id, False)
-            wait_ns = start - head.arrival_ns
-
-            # adaptive remapping: price the request's MapID/arena mismatch
-            # on its PIM phases, and let the controller observe every
-            # outcome (possibly migrating between requests on the PIM
-            # timeline).  Without a controller the multiplier is exactly
-            # 1.0 and the tick is a no-op, so the run is unchanged.
-            k_req = ada.ideal_map_id(head.prefill_tokens) if ada is not None else 0
-            self.pim_mult = ada.pim_multiplier(k_req) if ada is not None else 1.0
-
-            def record(status: str, **fields: Any) -> None:
-                fields.setdefault("fallbacks", route.fallbacks)
-                outcomes.append(
-                    RequestOutcome(
-                        req_id=head.req_id,
-                        tenant=head.tenant,
-                        status=status,
-                        policy_requested=head.policy,
-                        policy_served=route.policy,
-                        wait_ns=wait_ns,
-                        **fields,
-                    )
-                )
-
-            def adaptive_tick(served: bool, ttft: float, pim_base_ns: float) -> None:
-                nonlocal last_event
-                if ada is None:
-                    return
-                migration_ns = ada.tick(
-                    head.req_id,
-                    last_event,
-                    k_req,
-                    served,
-                    ttft,
-                    pim_base_ns,
-                    pim_obs_ns=pim_base_ns * self.pim_mult,
-                    pim_ok=route.pim_allowed,
-                    brownout=route.brownout_active,
-                )
-                if migration_ns > 0.0:
-                    free["pim"] = max(free["pim"], last_event) + migration_ns
-                    last_event = free["pim"]
-
-            # boundary 1: admission -> prefill
-            if start > head.deadline_abs_ns:
-                record(TIMED_OUT)
-                trace(head, TIMED_OUT, route.policy, start_ns=start)
-                last_event = max(last_event, start)
-                adaptive_tick(False, 0.0, 0.0)
-                continue
-
-            shed_reason = self.begin_request(head, start)
-            if shed_reason is not None:
-                record(REJECTED, fallbacks=route.fallbacks + (shed_reason,))
-                trace(head, REJECTED, route.policy, start_ns=start,
-                      reason=shed_reason)
-                last_event = max(last_event, start)
-                adaptive_tick(False, 0.0, 0.0)
-                continue
-
-            prefill_pim = route.prefill_resource == "pim"
-            prefill_ns = route.prefill_ns
-            if prefill_pim:
-                prefill_ns *= self.pim_mult
-            prefill_end, ok, retries_p, backoff_p = core.run_phase(
-                start,
-                prefill_ns + self.prefill_overhead(head, route, est, start),
-                route.prefill_component,
-                rng,
-            )
-            free[route.prefill_resource] = prefill_end
-            last_event = max(last_event, prefill_end)
-            prefill_pim_ns = route.prefill_ns if prefill_pim else 0.0
-            if not ok:
-                record(ABORTED, retries=retries_p, backoff_ns=backoff_p)
-                trace(head, ABORTED, route.policy,
-                      start_ns=start, prefill_end_ns=prefill_end,
-                      prefill_resource=route.prefill_resource,
-                      retries=retries_p)
-                self.abandon(head, prefill_end)
-                adaptive_tick(False, 0.0, prefill_pim_ns)
-                continue
-            ttft_ns = prefill_end - head.arrival_ns
-
-            # boundary 2: prefill -> decode (first token must be in budget)
-            if prefill_end > head.deadline_abs_ns:
-                record(TIMED_OUT, ttft_ns=ttft_ns, retries=retries_p,
-                       backoff_ns=backoff_p)
-                trace(head, TIMED_OUT, route.policy,
-                      start_ns=start, prefill_end_ns=prefill_end,
-                      prefill_resource=route.prefill_resource)
-                self.abandon(head, prefill_end)
-                adaptive_tick(False, 0.0, prefill_pim_ns)
-                continue
-
-            decode_tokens = head.decode_tokens
-            if was_degraded:
-                decode_tokens = max(
-                    1, min(decode_tokens, cfg.degraded_decode_tokens)
-                )
-            result = self.decode(head, route, prefill_end, decode_tokens, rng)
-            last_event = max(last_event, result.end_ns)
-            decode_start = (
-                result.start_ns if result.start_ns is not None else prefill_end
-            )
-            settled: Dict[str, Any] = dict(
-                ttft_ns=ttft_ns,
-                retries=retries_p + result.retries,
-                backoff_ns=backoff_p + result.backoff_ns,
-                fallbacks=route.fallbacks + result.fallbacks,
-            )
-            phases: Dict[str, Any] = dict(
-                start_ns=start, prefill_end_ns=prefill_end,
-                decode_start_ns=decode_start, end_ns=result.end_ns,
-                prefill_resource=route.prefill_resource,
-                decode_resource=result.resource,
-                context_tokens=head.prefill_tokens,
-            )
-            pim_ns = prefill_pim_ns + result.pim_ns
-            if not result.ok:
-                record(ABORTED, **settled)
-                trace(head, ABORTED, route.policy, **phases)
-                self.abandon(head, result.end_ns)
-                adaptive_tick(False, 0.0, pim_ns)
-                continue
-
-            status = SERVED_DEGRADED if was_degraded else SERVED
-            record(
-                status,
-                ttlt_ns=result.end_ns - head.arrival_ns,
-                decode_tokens_served=result.tokens_served,
-                **settled,
-            )
-            self.finish(head, result.end_ns)
-            trace(head, status, route.policy, served=result, **phases)
-            self.trace_decode(head, prefill_end, result)
-            # the controller sees *service* TTFT (queue wait excluded):
-            # its canary judges the mapping, not the admission backlog
-            adaptive_tick(True, ttft_ns - wait_ns, pim_ns)
+            self.serve(head, route, est, start)
 
         end_ns = max(
-            last_event, pending[-1].arrival_ns if pending else 0.0, clock
+            self.last_event, pending[-1].arrival_ns if pending else 0.0,
+            self.clock,
         )
         self.teardown(end_ns)
         if bar is not None:
-            final = self.barrier_state(rng, outcomes, full=True)
+            final = self.barrier_state(full=True)
             final["duration_ns"] = end_ns
-            bar.snap("final", len(outcomes), final)
+            bar.snap("final", len(self.outcomes), final)
+        ada = self.controller
         return runtime.report(
-            outcomes, queue.stats, end_ns,
+            self.outcomes, queue.stats, end_ns,
             adaptive=ada.report() if ada is not None else None,
             workload=self.section(),
         )
 
     # -- replay barriers -----------------------------------------------
 
-    def barrier_state(
-        self,
-        rng: random.Random,
-        outcomes: List[RequestOutcome],
-        full: bool = False,
-    ) -> Dict[str, object]:
+    def barrier_state(self, full: bool = False) -> Dict[str, object]:
         """State components for one replay-diff barrier: the RNG stream
         position, both resource timelines, outcome progress, the
         adaptive arena (PTEs + journal cursor; whole-arena CRC when
         *full*), and the metrics snapshot hash when telemetry rides
         along.  Reads only — a barrier must never perturb the run."""
-        runtime = self.runtime
+        outcomes = self.outcomes
         state: Dict[str, object] = {
-            "rng": rng.getstate(),
+            "rng": self.rng.getstate(),
             "free_soc": self.free["soc"],
             "free_pim": self.free["pim"],
             "outcomes": len(outcomes),
             "last_outcome": outcomes[-1].req_id if outcomes else -1,
         }
-        if runtime.adaptive is not None:
-            state.update(runtime.adaptive.arena.barrier_state(full=full))
-        if runtime.telemetry is not None:
-            state["metrics"] = runtime.telemetry.metrics.snapshot()
+        if self.controller is not None:
+            state.update(self.controller.arena.barrier_state(full=full))
+        if self.telemetry is not None:
+            state["metrics"] = self.telemetry.metrics.snapshot()
         return state
 
     # -- telemetry -----------------------------------------------------
+
+    def trace(self, request: Request, status: str, policy: str,
+              served: Optional[DecodeResult] = None, **phases: Any) -> None:
+        """Emit *request*'s span tree from the phase boundaries it
+        reached (telemetry only)."""
+        tel = self.telemetry
+        if tel is not None:
+            tel.trace_query(
+                request.req_id, request.tenant, request.arrival_ns,
+                status, policy, **phases, **self.span_args(served),
+            )
 
     def span_args(self, served: Optional[DecodeResult] = None) -> Dict[str, Any]:
         """Extra args on a request's root span.  Workload loops tag every
         span with their name (a served decode also gets its own
         workload-lane span); chat records a served request's decode
         tokens."""
-        if self.spec is not None:
+        if self.name != WorkloadLoop.name:
             return {"workload": self.name}
         return {} if served is None else {"decode_tokens": served.tokens_served}
 
@@ -437,9 +485,11 @@ class WorkloadLoop:
     ) -> None:
         """Emit a workload-lane span for a served request's decode
         (sampled like every other span; simulated time only)."""
-        tel = self.runtime.telemetry
+        tel = self.telemetry
+        if tel is None:
+            return
         args = self.decode_span_args(head)
-        if tel is None or args is None or result.end_ns <= decode_start_ns:
+        if args is None or result.end_ns <= decode_start_ns:
             return
         handle = tel.tracer.begin(
             head.req_id,

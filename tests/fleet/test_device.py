@@ -216,6 +216,68 @@ class TestServePath:
         assert result.request.req_id == 0
         assert len(device.queue) == 0
 
+    @staticmethod
+    def _followup_device(engine):
+        """A device that served conversation 2's opening turn (so the
+        follow-up is a prefix hit) with the follow-up at its queue head."""
+        device = make_device(engine)
+        device.offer(make_request(req_id=0, conversation_id=2,
+                                  prefill_tokens=64), 0.0)
+        device.serve_next()
+        device.offer(
+            make_request(req_id=1, conversation_id=2, prefill_tokens=96,
+                         turn_index=1, context_tokens=64,
+                         arrival_ns=device.clock),
+            device.clock,
+        )
+        return device
+
+    @staticmethod
+    def _residency(device):
+        return (
+            {cid: (list(res.refs), res.tokens, res.last_use_ns)
+             for cid, res in device.resident.items()},
+            device.pool.used,
+        )
+
+    def _assert_burned_without_outcome(self, device, result, residency):
+        assert isinstance(result, Preempted)
+        assert result.request.req_id == 1
+        assert len(device.queue) == 0  # the head was popped
+        # no outcome for the preempted request (the loop keeps none)
+        assert all(o.req_id != 1 for o in getattr(device, "outcomes", []))
+        assert device.served == 1 and device.prefix_hits == 0
+        assert self._residency(device) == residency
+
+    def test_interrupt_mid_prefill_preempts(self, iphone_engine):
+        twin = self._followup_device(iphone_engine)
+        phases = twin.serve_next()
+        assert isinstance(phases, ServedPhases) and phases.prefix_hit
+        device = self._followup_device(iphone_engine)
+        pim_before = device.free["pim"]
+        residency = self._residency(device)
+        result = device.serve_next(
+            interrupt_ns=(phases.start_ns + phases.prefill_end_ns) / 2
+        )
+        self._assert_burned_without_outcome(device, result, residency)
+        # the burned prefill stays on the SoC timeline; decode never ran
+        assert device.free["soc"] == phases.prefill_end_ns
+        assert device.free["pim"] == pim_before
+
+    def test_interrupt_mid_decode_preempts(self, iphone_engine):
+        twin = self._followup_device(iphone_engine)
+        phases = twin.serve_next()
+        assert isinstance(phases, ServedPhases) and phases.prefix_hit
+        device = self._followup_device(iphone_engine)
+        residency = self._residency(device)
+        result = device.serve_next(
+            interrupt_ns=(phases.prefill_end_ns + phases.end_ns) / 2
+        )
+        self._assert_burned_without_outcome(device, result, residency)
+        # prefill and the burned decode both stay on the timelines
+        assert device.free == twin.free
+        assert device.free["pim"] == phases.end_ns
+
     def test_served_outcome_is_conserved(self, iphone_engine):
         device = make_device(iphone_engine)
         device.offer(make_request(req_id=0), 0.0)

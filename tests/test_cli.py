@@ -394,6 +394,12 @@ class TestNumericFlagValidation:
         ["fleet", "--kv-blocks", "0"],
         ["fleet", "--recovery-ms", "-5"],
         ["fleet", "--qps", "0"],
+        ["serve", "--jitter", "1.5"],
+        ["serve", "--jitter", "-0.5"],
+        ["serve", "--pim-fault-rate", "1.0"],
+        ["serve", "--mapping-fault-rate", "1.0"],
+        ["fleet", "--pim-fault-rate", "1.0"],
+        ["fleet", "--mapping-fault-rate", "1.0"],
     ])
     def test_zero_or_negative_counts_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -420,6 +426,17 @@ class TestNumericFlagValidation:
         ])
         assert args.trace_sample == 1 and args.max_retries == 0
         assert args.kv_blocks == 0 and args.pim_fault_rate == 0.0
+
+    @pytest.mark.parametrize("command", ["serve", "fleet"])
+    @pytest.mark.parametrize("value", ["0.0", "0.99"])
+    def test_rates_in_half_open_unit_interval_parse(self, command, value):
+        flags = ["--pim-fault-rate", value, "--mapping-fault-rate", value]
+        if command == "serve":
+            flags += ["--jitter", value]
+        args = build_parser().parse_args([command] + flags)
+        assert args.pim_fault_rate == args.mapping_fault_rate == float(value)
+        if command == "serve":
+            assert args.jitter == float(value)
 
     def test_fleet_flags_parse(self):
         args = build_parser().parse_args([
