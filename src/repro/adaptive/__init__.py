@@ -25,7 +25,7 @@ robustness bar demands:
   budget prevent flapping.
 
 Rule ``AD003`` audits actuation: after every committed migration the new
-mapping must pass the static verifier (MV001–MV011) and the arena's
+mapping must pass the static verifier (MV001–MV012) and the arena's
 CRC/refcount audit.  Unlike AD001/AD002 this rule guards a mapping that
 is actually **live** — a failure means serving traffic is translating
 through a bad mapping, not that advice was questionable.
@@ -54,7 +54,7 @@ __all__ = [
 
 ADAPTIVE_RULES: Dict[str, str] = {
     "AD003": "a committed adaptive migration must leave a live mapping "
-             "that passes the static verifier (MV001-MV011) and the "
+             "that passes the static verifier (MV001-MV012) and the "
              "arena CRC/refcount audit",
 }
 register_rules(ADAPTIVE_RULES)

@@ -9,13 +9,16 @@ a single simulated access:
   duplicated bit is a rank deficiency, exactly how silent locality-loss
   bugs in address mappings manifest;
 * field widths are checked against the :class:`DramOrganization`;
+* the transfer-offset field must be the PA LSBs, in order, which is
+  what lets the controller translate once per transfer and move whole
+  transfers;
 * PIM placements are checked structurally: one chunk row must be
   contiguous inside one bank, a multi-row chunk must keep its rows in one
   DRAM row, and the PU-changing bits must sit above the whole chunk;
 * every selector-reachable MapID must fit the spare PTE bits
   :mod:`repro.os.page_table` encodes it in.
 
-Rule IDs are ``MV001``-``MV009``; see ``docs/ANALYSIS.md``.
+Rule IDs are ``MV001``-``MV012``; see ``docs/ANALYSIS.md``.
 """
 
 from __future__ import annotations
@@ -74,6 +77,8 @@ MAPVERIFY_RULES: Dict[str, str] = {
     "MV011": "a chunk-row window of a KV-cache block straddles a DRAM "
              "row or processing unit (decoded placement is not one "
              "contiguous run in one bank row)",
+    "MV012": "the transfer-offset field is not PA bits [0, offset_bits) "
+             "LSB first",
 }
 register_rules(MAPVERIFY_RULES)
 
@@ -208,6 +213,26 @@ def _linear_findings(mapping: AddressMapping) -> List[Finding]:
     return findings
 
 
+def _offset_findings(mapping: AddressMapping) -> List[Finding]:
+    """MV012: the controller translates one PA per transfer and moves the
+    transfer's bytes in PA order, so the offset field must be the PA LSBs."""
+    offset = mapping.positions(Field.OFFSET)
+    lsbs = tuple(range(len(offset)))
+    if offset == lsbs:
+        return []
+    return [
+        Finding(
+            "MV012",
+            LEVEL_ERROR,
+            "the transfer-offset field is not the PA LSBs in order: bytes "
+            "cannot move as whole transfers",
+            location=mapping.name,
+            detail=f"offset bits at PA positions {list(offset)}, expected "
+                   f"{list(lsbs)}",
+        )
+    ]
+
+
 def _org_findings(mapping: AddressMapping, org: DramOrganization) -> List[Finding]:
     findings: List[Finding] = []
     expected = {
@@ -324,8 +349,9 @@ def verify_mapping(
     mapping: AddressMapping,
     org: Optional[DramOrganization] = None,
 ) -> List[Finding]:
-    """Linear (bijectivity/permutation) and organization checks."""
-    findings = _linear_findings(mapping)
+    """Linear (bijectivity/permutation), transfer-offset and organization
+    checks."""
+    findings = _linear_findings(mapping) + _offset_findings(mapping)
     if org is not None:
         findings.extend(_org_findings(mapping, org))
     return findings

@@ -11,6 +11,9 @@ address bit — selecting which physical-address bit feeds it.
 The controller also owns the functional data path: reads and writes take a
 ``(physical address, MapID)`` pair — as delivered by the page-table walk —
 and move bytes to/from the per-bank arrays of a :class:`PhysicalMemory`.
+Like the hardware, which muxes only the bits above the transfer offset,
+they translate once per 32-byte transfer and move whole transfers: every
+mapping keeps the transfer offset in the PA LSBs (verifier rule MV012).
 """
 
 from __future__ import annotations
@@ -208,6 +211,7 @@ class MemoryController:
         self.memory = memory
         self.ecc = ecc
         self._row_bits_in_page = table.conventional.row_bits
+        self._offset_positions = tuple(range(org.offset_bits))
         for mapping in table.entries():
             if mapping.row_bits != self._row_bits_in_page:
                 raise ValueError(
@@ -278,6 +282,8 @@ class MemoryController:
     def translate(self, pa: int, map_id: int = CONVENTIONAL_MAP_ID) -> DramCoord:
         """Full PA-to-DA translation: in-page mapping per MapID, page frame
         number as the row MSBs."""
+        if pa < 0:
+            raise ValueError(f"pa {pa:#x} is negative")
         mapping = self.table[map_id]
         page_index, page_offset = divmod(pa, self.page_bytes)
         if self.metrics is not None:
@@ -352,6 +358,41 @@ class MemoryController:
             )
         return self.memory
 
+    def _check_range(self, pa: int, nbytes: int) -> None:
+        capacity = self.org.capacity_bytes
+        if pa < 0 or pa + nbytes > capacity:
+            raise ValueError(
+                f"physical range [{pa:#x}, {pa + nbytes:#x}) is outside the "
+                f"DRAM's [0, {capacity:#x})"
+            )
+
+    def _transfers(
+        self, lo: int, hi: int, map_id: int
+    ) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], int, int]:
+        """Translate each transfer covering PA range ``[lo, hi)`` once.
+
+        Returns the transfers' ``(channel, rank, bank, slot)`` arrays,
+        where *slot* indexes the bank viewed as rows of one transfer,
+        plus the bytes of the first transfer before *lo* and of the last
+        transfer after *hi*.  Sound only because the mapping keeps the
+        transfer offset in the PA LSBs (verifier rule MV012), which
+        every builder does and this checks.
+        """
+        if self.table[map_id].positions(Field.OFFSET) != self._offset_positions:
+            raise ValueError(
+                f"MapID {map_id}: the offset field is not PA bits "
+                f"[0, {self.org.offset_bits}) LSB first, so bytes cannot move "
+                "as whole transfers"
+            )
+        step = self.org.transfer_bytes
+        first, last = lo // step, -(-hi // step)
+        fields = self.translate_array(
+            np.arange(first, last, dtype=np.int64) * step, map_id
+        )
+        slot = fields[Field.ROW] * (self.org.row_bytes // step) + fields[Field.COL]
+        coords = (fields[Field.CHANNEL], fields[Field.RANK], fields[Field.BANK], slot)
+        return coords, lo - first * step, last * step - hi
+
     def write(self, pa: int, data: np.ndarray, map_id: int = CONVENTIONAL_MAP_ID) -> None:
         """Store *data* (a byte array) starting at physical address *pa*,
         routed through the MapID's PA-to-DA mapping."""
@@ -359,30 +400,15 @@ class MemoryController:
         data = np.frombuffer(bytes(data), dtype=np.uint8) if isinstance(
             data, (bytes, bytearray)
         ) else np.ascontiguousarray(data).view(np.uint8).reshape(-1)
+        self._check_range(pa, len(data))
         for start in range(0, len(data), _MOVE_CHUNK):
             stop = min(start + _MOVE_CHUNK, len(data))
-            pas = np.arange(pa + start, pa + stop, dtype=np.int64)
-            fields = self.translate_array(pas, map_id)
-            byte_index = (
-                fields[Field.ROW] * self.org.row_bytes
-                + fields[Field.COL] * self.org.transfer_bytes
-                + fields[Field.OFFSET]
-            )
+            coords, head, tail = self._transfers(pa + start, pa + stop, map_id)
             memory.scatter(
-                fields[Field.CHANNEL],
-                fields[Field.RANK],
-                fields[Field.BANK],
-                byte_index,
-                data[start:stop],
+                *coords, data[start:stop], self.org.transfer_bytes, head, tail
             )
             if self.ecc is not None:
-                self.ecc.protect(
-                    memory,
-                    fields[Field.CHANNEL],
-                    fields[Field.RANK],
-                    fields[Field.BANK],
-                    byte_index,
-                )
+                self.ecc.protect(memory, *coords, head, tail)
 
     def read(
         self, pa: int, nbytes: int, map_id: int = CONVENTIONAL_MAP_ID
@@ -390,31 +416,17 @@ class MemoryController:
         """Load *nbytes* starting at physical address *pa* through the
         MapID's mapping; returns a byte array."""
         memory = self._require_memory()
+        self._check_range(pa, nbytes)
         out = np.empty(nbytes, dtype=np.uint8)
         for start in range(0, nbytes, _MOVE_CHUNK):
             stop = min(start + _MOVE_CHUNK, nbytes)
-            pas = np.arange(pa + start, pa + stop, dtype=np.int64)
-            fields = self.translate_array(pas, map_id)
-            byte_index = (
-                fields[Field.ROW] * self.org.row_bytes
-                + fields[Field.COL] * self.org.transfer_bytes
-                + fields[Field.OFFSET]
-            )
+            coords, head, tail = self._transfers(pa + start, pa + stop, map_id)
             if self.ecc is not None:
                 # Scrub + gather in one bank access: the returned bytes
                 # are corrected in flight, as real SECDED read logic is.
-                out[start:stop] = self.ecc.fetch(
-                    memory,
-                    fields[Field.CHANNEL],
-                    fields[Field.RANK],
-                    fields[Field.BANK],
-                    byte_index,
-                )
+                out[start:stop] = self.ecc.fetch(memory, *coords, head, tail)
             else:
                 out[start:stop] = memory.gather(
-                    fields[Field.CHANNEL],
-                    fields[Field.RANK],
-                    fields[Field.BANK],
-                    byte_index,
+                    *coords, self.org.transfer_bytes, head, tail
                 )
         return out

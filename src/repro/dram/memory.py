@@ -94,34 +94,54 @@ class PhysicalMemory:
         channel: np.ndarray,
         rank: np.ndarray,
         bank: np.ndarray,
-        byte_index: np.ndarray,
+        index: np.ndarray,
+        width: int = 1,
+        head: int = 0,
+        tail: int = 0,
     ) -> np.ndarray:
-        """Read one byte per element of the coordinate arrays."""
-        out = np.empty(len(byte_index), dtype=np.uint8)
-        bank_id = self._bank_ids(channel, rank, bank)
-        for key_id in self._present_bank_ids(bank_id):
-            mask = bank_id == key_id
-            key = self._key_from_id(int(key_id))
-            flat = self.bank(*key).reshape(-1)
-            out[mask] = flat[byte_index[mask]]
-        return out
+        """Read one run of *width* bytes per element of the coordinate
+        arrays, at ``index * width`` in its bank (one byte per element by
+        default).  The runs are returned end to end, less the first *head*
+        and the last *tail* bytes."""
+        rows = np.empty((len(index), width), dtype=np.uint8)
+        for key, mask in self.by_bank(channel, rank, bank):
+            rows[mask] = self.bank(*key).reshape(-1, width)[index[mask]]
+        return rows.reshape(-1)[head : rows.size - tail]
 
     def scatter(
         self,
         channel: np.ndarray,
         rank: np.ndarray,
         bank: np.ndarray,
-        byte_index: np.ndarray,
+        index: np.ndarray,
         values: np.ndarray,
+        width: int = 1,
+        head: int = 0,
+        tail: int = 0,
     ) -> None:
-        """Write one byte per element of the coordinate arrays."""
+        """Write *values* over the runs :meth:`gather` reads with the same
+        arguments.  The first *head* bytes of the first run and the last
+        *tail* bytes of the last run keep what the bank holds."""
+        rows = np.empty((len(index), width), dtype=np.uint8)
+        rows.reshape(-1)[head : rows.size - tail] = values
+        for key, mask in self.by_bank(channel, rank, bank):
+            view = self.bank(*key).reshape(-1, width)
+            if head and mask[0]:
+                rows[0, :head] = view[index[0], :head]
+            if tail and mask[-1]:
+                rows[-1, width - tail :] = view[index[-1], width - tail :]
+            view[index[mask]] = rows[mask]
+
+    def by_bank(
+        self, channel: np.ndarray, rank: np.ndarray, bank: np.ndarray
+    ) -> Iterator[Tuple[_BankKey, np.ndarray]]:
+        """Group coordinate arrays by bank: one ``(key, mask)`` pair per
+        bank present, in ascending bank id.  The domain is tiny
+        (total_banks), so one bincount pass beats a sort/hash unique."""
         bank_id = self._bank_ids(channel, rank, bank)
-        values = np.asarray(values, dtype=np.uint8)
-        for key_id in self._present_bank_ids(bank_id):
-            mask = bank_id == key_id
-            key = self._key_from_id(int(key_id))
-            flat = self.bank(*key).reshape(-1)
-            flat[byte_index[mask]] = values[mask]
+        counts = np.bincount(bank_id, minlength=self.org.total_banks)
+        for key_id in np.nonzero(counts)[0]:
+            yield self._key_from_id(int(key_id)), bank_id == key_id
 
     def _bank_ids(
         self, channel: np.ndarray, rank: np.ndarray, bank: np.ndarray
@@ -132,12 +152,6 @@ class PhysicalMemory:
             + rank * org.banks_per_rank
             + bank
         )
-
-    def _present_bank_ids(self, bank_id: np.ndarray) -> np.ndarray:
-        """Distinct bank ids present in *bank_id* — the domain is tiny
-        (total_banks), so one bincount pass beats a sort/hash unique."""
-        counts = np.bincount(bank_id, minlength=self.org.total_banks)
-        return np.nonzero(counts)[0]
 
     def _key_from_id(self, key_id: int) -> _BankKey:
         org = self.org

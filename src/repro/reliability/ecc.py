@@ -27,7 +27,7 @@ numpy passes.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -171,7 +171,9 @@ class EccEngine:
     """Shadow check-byte store plus scrubbing for a :class:`PhysicalMemory`.
 
     One engine serves one memory; the controller calls :meth:`protect`
-    after every functional write and :meth:`scrub` before every read.
+    after every functional write and reads through :meth:`fetch`.  Both
+    take the transfers a chunk of the access covers, so the engine sees
+    exactly the 8-byte words the byte range overlaps.
     """
 
     def __init__(self) -> None:
@@ -204,18 +206,27 @@ class EccEngine:
         return shadow
 
     @staticmethod
-    def _by_bank(
+    def _words_by_bank(
         memory: "PhysicalMemory",
         channel: np.ndarray,
         rank: np.ndarray,
         bank: np.ndarray,
-        byte_index: np.ndarray,
-    ):
-        bank_id = memory._bank_ids(channel, rank, bank)
-        for key_id in np.unique(bank_id):
-            key = memory._key_from_id(int(key_id))
-            words = np.unique(byte_index[bank_id == key_id] >> 3)
-            yield key, words
+        slot: np.ndarray,
+        head: int,
+        tail: int,
+    ) -> Iterator[Tuple[Tuple[int, int, int], np.ndarray, int, np.ndarray]]:
+        """``(key, mask, skipped, words)`` per bank, in ascending bank id:
+        the indices of every word the transfers at *slot* overlap, less
+        the whole words inside the first transfer's first *head* bytes
+        and the last transfer's last *tail* bytes.  ``skipped`` counts
+        the group's leading words left out."""
+        per_transfer = memory.org.transfer_bytes // WORD_BYTES
+        lanes = np.arange(per_transfer, dtype=np.int64)
+        for key, mask in memory.by_bank(channel, rank, bank):
+            words = (slot[mask][:, None] * per_transfer + lanes).reshape(-1)
+            skipped = head // WORD_BYTES if mask[0] else 0
+            dropped = tail // WORD_BYTES if mask[-1] else 0
+            yield key, mask, skipped, words[skipped : words.size - dropped]
 
     # -- controller entry points -------------------------------------------
 
@@ -225,11 +236,20 @@ class EccEngine:
         channel: np.ndarray,
         rank: np.ndarray,
         bank: np.ndarray,
-        byte_index: np.ndarray,
+        slot: np.ndarray,
+        head: int,
+        tail: int,
     ) -> None:
-        """Recompute check bytes for every word the write touched
-        (read-modify-write at word granularity, as real ECC DRAM does)."""
-        for key, words in self._by_bank(memory, channel, rank, bank, byte_index):
+        """Recompute check bytes for every word a write touched
+        (read-modify-write at word granularity, as real ECC DRAM does).
+
+        The write covered the transfers at *slot* of their banks, less the
+        first *head* and last *tail* bytes; a word it covered only partly
+        is re-encoded, a word it did not reach is not.
+        """
+        for key, _, _, words in self._words_by_bank(
+            memory, channel, rank, bank, slot, head, tail
+        ):
             flat = memory.bank(*key).reshape(-1).view(np.uint64)
             self._shadow_for(memory, key)[words] = secded_encode(flat[words])
 
@@ -239,32 +259,34 @@ class EccEngine:
         channel: np.ndarray,
         rank: np.ndarray,
         bank: np.ndarray,
-        byte_index: np.ndarray,
+        slot: np.ndarray,
+        head: int,
+        tail: int,
     ) -> np.ndarray:
-        """Corrected read: verify/correct every word the read touches,
-        then return the requested bytes from the repaired arrays.
+        """Corrected read: verify/correct every word the read touches and
+        return the requested bytes from the decoded words.
 
-        Correcting and gathering in one bank access is what makes the
-        correction *in flight*, as real SECDED logic is: a stuck-at cell
-        (re-asserted by the fault hook on every bank access) still yields
-        correct read data on every read, at one correction per read.
-        Corrections are also written back to the bank array (and the
-        shadow), so later raw-row PIM reads see the repaired data too.
+        The read covers the transfers at *slot* of their banks, less the
+        first *head* and last *tail* bytes; only the words those bytes
+        overlap are decoded.  Correcting and gathering in one bank access
+        is what makes the correction *in flight*, as real SECDED logic
+        is: a stuck-at cell (re-asserted by the fault hook on every bank
+        access) still yields correct read data on every read, at one
+        correction per read.  Corrections are also written back to the
+        bank array (and the shadow), so later raw-row PIM reads see the
+        repaired data too.
 
         Raises:
             UncorrectableEccError: if any touched word carries a
                 double-bit error (after correcting all single-bit ones).
         """
-        out = np.empty(len(byte_index), dtype=np.uint8)
+        per_transfer = memory.org.transfer_bytes // WORD_BYTES
+        decoded = np.empty((len(slot), per_transfer), dtype=np.uint64)
         bad: List[Tuple[Tuple[int, int, int], int]] = []
-        bank_id = memory._bank_ids(channel, rank, bank)
-        for key_id in np.unique(bank_id):
-            key = memory._key_from_id(int(key_id))
-            mask = bank_id == key_id
-            indices = byte_index[mask]
-            words = np.unique(indices >> 3)
-            flat_bytes = memory.bank(*key).reshape(-1)
-            flat = flat_bytes.view(np.uint64)
+        for key, mask, skipped, words in self._words_by_bank(
+            memory, channel, rank, bank, slot, head, tail
+        ):
+            flat = memory.bank(*key).reshape(-1).view(np.uint64)
             shadow = self._shadow_for(memory, key)
             data, check, status = secded_decode(flat[words], shadow[words])
             corrected = status == STATUS_CORRECTED
@@ -280,18 +302,10 @@ class EccEngine:
                     key, 0
                 ) + int(uncorrectable.sum())
                 bad.extend((key, int(w)) for w in words[uncorrectable])
-            out[mask] = flat_bytes[indices]
+            rows = decoded[mask]
+            rows.reshape(-1)[skipped : skipped + data.size] = data
+            decoded[mask] = rows
         if bad:
             raise UncorrectableEccError(sorted(bad))
-        return out
-
-    def scrub(
-        self,
-        memory: "PhysicalMemory",
-        channel: np.ndarray,
-        rank: np.ndarray,
-        bank: np.ndarray,
-        byte_index: np.ndarray,
-    ) -> None:
-        """:meth:`fetch` without consuming the data (a scrub pass)."""
-        self.fetch(memory, channel, rank, bank, byte_index)
+        raw = decoded.reshape(-1).view(np.uint8)
+        return raw[head : raw.size - tail]
