@@ -7,20 +7,41 @@ another bank's data streams — rows for pending misses are opened *in the
 background* so bank preparation overlaps column traffic.  Without that
 overlap a mapping that interleaves banks coarsely (like the PIM-optimized
 layouts) would appear pathologically serial, which hardware is not.
+
+The window is indexed, not rescanned.  A request entering the window joins
+a window FIFO, its bank's FIFO and its row's FIFO (plus its row's tagged
+FIFO when it carries the priority tag), all in arrival order, and leaves
+them when it issues; one issue costs O(banks x row buffers) instead of
+passes over the window.  A request issued from the middle of a FIFO is
+marked done and dropped once it reaches the left end.  Three invariants
+keep every decision identical to scanning the window in arrival order:
+
+* **Preparation order.**  Background activation opens rows only for each
+  bank's head (its oldest in-window request) and prepares the unprepared
+  heads in arrival order: the tRRD/tFAW shift of each ACT and the command
+  log depend on that order.
+* **Victim guard.**  A head whose ACT would evict the LRU open row waits
+  while that row's FIFO is non-empty, i.e. while the window still holds a
+  hit for the row.  The window does not change during a preparation pass.
+* **Pick key.**  Every request of one bank sees the same ``next_col_ns``,
+  so only the oldest in-window request of each open row can win: the
+  oldest priority-tagged one (tier 0), otherwise the oldest one (tier 1).
+  Candidates compare by ``(tier, next_col_ns, arrival order)``; when no
+  open row has one, the oldest in-window request is served.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from typing import DefaultDict, Deque, Dict, List, Optional, Tuple
 
 from repro.dram.address import DramCoord
 from repro.dram.bank import BankState
 from repro.dram.command import DramCommand, Request
 from repro.dram.config import DramConfig
 
-__all__ = ["ChannelScheduler", "ChannelStats"]
+__all__ = ["ChannelScheduler", "ChannelStats", "check_sizes"]
 
 
 @dataclass
@@ -35,14 +56,51 @@ class ChannelStats:
 
 
 class _Entry:
-    """Queue slot: the request plus its hit/miss classification, decided
-    when its row is (pre-)activated so stats count each request once."""
+    """Queue slot: the request and its arrival order, whether its row was
+    (pre-)activated — which decides its hit/miss classification, so stats
+    count each request once — and whether it has been issued."""
 
-    __slots__ = ("request", "prepared")
+    __slots__ = ("request", "seq", "prepared", "done")
 
-    def __init__(self, request: Request):
+    def __init__(self, request: Request, seq: int):
         self.request = request
+        self.seq = seq
         self.prepared = False
+        self.done = False
+
+
+class _BankQueue:
+    """One bank's share of the lookahead window."""
+
+    __slots__ = ("state", "fifo", "rows", "tagged")
+
+    def __init__(self, state: BankState):
+        self.state = state
+        #: in-window requests in arrival order; the head is the one
+        #: request background activation may open
+        self.fifo: Deque[_Entry] = deque()
+        #: row -> its in-window requests, in arrival order
+        self.rows: DefaultDict[int, Deque[_Entry]] = defaultdict(deque)
+        #: row -> its in-window priority-tagged requests, in arrival order
+        self.tagged: DefaultDict[int, Deque[_Entry]] = defaultdict(deque)
+
+
+def _drop_done(fifo: Deque[_Entry]) -> None:
+    """Pop issued requests off the left end, so a non-empty FIFO's head
+    is always in the window."""
+    while fifo and fifo[0].done:
+        fifo.popleft()
+
+
+def _head_seq(queue: _BankQueue) -> int:
+    return queue.fifo[0].seq
+
+
+def check_sizes(window: int, n_row_buffers: int) -> None:
+    """Reject a lookahead window or row-buffer count below one."""
+    for name, value in (("window", window), ("n_row_buffers", n_row_buffers)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 class ChannelScheduler:
@@ -58,6 +116,7 @@ class ChannelScheduler:
         model_refresh: bool = False,
         log_commands: bool = False,
     ):
+        check_sizes(window, n_row_buffers)
         self.config = config
         self.channel = channel
         self.window = window
@@ -71,7 +130,17 @@ class ChannelScheduler:
             for rank in range(org.ranks_per_channel)
             for bank in range(org.banks_per_rank)
         }
-        self._queue: Deque[_Entry] = deque()
+        self._queues: Dict[Tuple[int, int], _BankQueue] = {
+            key: _BankQueue(state) for key, state in self.banks.items()
+        }
+        #: in-window requests in arrival order, and their number
+        self._window: Deque[_Entry] = deque()
+        self._in_window = 0
+        #: enqueued requests waiting for a window slot, in arrival order
+        self._backlog: Deque[_Entry] = deque()
+        #: banks whose head is not prepared yet (dict as an ordered set)
+        self._unprepared: Dict[_BankQueue, None] = {}
+        self._seq = 0
         self._bus_free_ns = 0.0
         self._last_kind_is_write: Optional[bool] = None
         self._act_history: Deque[float] = deque(maxlen=4)  # for tFAW
@@ -95,24 +164,76 @@ class ChannelScheduler:
     # -- public API ---------------------------------------------------------
 
     def enqueue(self, request: Request) -> None:
-        if request.coord.channel != self.channel:
+        coord = request.coord
+        if coord.channel != self.channel:
             raise ValueError(
-                f"request for channel {request.coord.channel} sent to "
+                f"request for channel {coord.channel} sent to "
                 f"scheduler of channel {self.channel}"
             )
-        self._queue.append(_Entry(request))
+        try:
+            queue = self._queues[(coord.rank, coord.bank)]
+        except KeyError:
+            coord.validate(self.config.org)  # names the rank or bank
+            raise
+        entry = _Entry(request, self._seq)
+        self._seq += 1
+        if self._in_window < self.window:
+            self._admit(entry, queue)
+        else:
+            self._backlog.append(entry)
 
     def drain(self) -> float:
         """Serve every queued request; returns the channel-busy end time."""
-        while self._queue:
+        while self._window:
             self._prepare_window()
-            index = self._pick()
-            entry = self._queue[index]
-            del self._queue[index]
+            entry = self._pick()
+            self._retire(entry)
             self._issue(entry)
         return self.stats.busy_until_ns
 
     # -- internals -------------------------------------------------------------
+
+    def _admit(self, entry: _Entry, queue: _BankQueue) -> None:
+        """Enter *entry* into the window and *queue*'s indexes."""
+        self._window.append(entry)
+        self._in_window += 1
+        queue.fifo.append(entry)
+        if len(queue.fifo) == 1:
+            self._unprepared[queue] = None
+        request = entry.request
+        queue.rows[request.coord.row].append(entry)
+        if self.priority_tag is not None and request.tag == self.priority_tag:
+            queue.tagged[request.coord.row].append(entry)
+
+    def _retire(self, entry: _Entry) -> None:
+        """Take the request about to issue out of the window and its
+        indexes, and admit the oldest backlog request in its place."""
+        entry.done = True
+        request = entry.request
+        coord = request.coord
+        queue = self._queues[(coord.rank, coord.bank)]
+        _drop_done(queue.fifo)
+        row = coord.row
+        fifo = queue.rows[row]
+        _drop_done(fifo)
+        if not fifo:
+            del queue.rows[row]
+        if self.priority_tag is not None and request.tag == self.priority_tag:
+            # tagged requests leave their row in arrival order
+            tagged = queue.tagged[row]
+            tagged.popleft()
+            if not tagged:
+                del queue.tagged[row]
+        _drop_done(self._window)
+        self._in_window -= 1
+        if self._backlog:
+            waiting = self._backlog.popleft()
+            coord = waiting.request.coord
+            self._admit(waiting, self._queues[(coord.rank, coord.bank)])
+        if queue.fifo and not queue.fifo[0].prepared:
+            self._unprepared[queue] = None
+        else:
+            self._unprepared.pop(queue, None)
 
     def _bank_of(self, request: Request) -> BankState:
         return self.banks[(request.coord.rank, request.coord.bank)]
@@ -173,59 +294,50 @@ class ChannelScheduler:
                 )
 
     def _prepare_window(self) -> None:
-        """Open rows for the first pending request of each bank in the
-        window (background ACT/PRE on the command bus).
+        """Open rows for the oldest in-window request of each bank
+        (background ACT/PRE on the command bus), in arrival order.
 
         A bank's open row is *not* precharged while the window still holds
         a request hitting it — closing under pending hits would waste the
         row buffer, and real FR-FCFS drains hits first.
         """
-        limit = min(self.window, len(self._queue))
-        pending_rows: Set[Tuple[int, int, int]] = set()
-        for index in range(limit):
-            coord = self._queue[index].request.coord
-            pending_rows.add((coord.rank, coord.bank, coord.row))
-        touched: Set[Tuple[int, int]] = set()
-        for index in range(limit):
-            entry = self._queue[index]
+        for queue in sorted(self._unprepared, key=_head_seq):
+            entry = queue.fifo[0]
             coord = entry.request.coord
-            key = (coord.rank, coord.bank)
-            if key in touched:
-                continue
-            touched.add(key)
-            if entry.prepared:
-                continue
-            bank = self.banks[key]
+            bank = queue.state
             if not bank.is_open(coord.row) and len(bank.open_rows()) >= bank.n_row_buffers:
                 victim = bank.open_rows()[0]  # LRU row the ACT would evict
-                if (coord.rank, coord.bank, victim) in pending_rows:
+                if victim in queue.rows:
                     continue  # drain the victim row's hits first
             self._prepare(bank, coord, entry.request.is_write)
             entry.prepared = True
+            del self._unprepared[queue]
 
-    def _pick(self) -> int:
-        """Among prepared requests in the window, serve the one whose bank
-        accepts a column command soonest (interleaves banks instead of
-        serializing on tCCD); with a priority tag set, that tag's row
+    def _pick(self) -> _Entry:
+        """Among in-window requests whose row is open, serve the one whose
+        bank accepts a column command soonest (interleaves banks instead
+        of serializing on tCCD); with a priority tag set, that tag's row
         hits are considered first.  Falls back to the oldest request."""
-        limit = min(self.window, len(self._queue))
-        best_index = -1
-        best_key = (2, float("inf"))
-        for index in range(limit):
-            entry = self._queue[index]
-            coord = entry.request.coord
-            bank = self.banks[(coord.rank, coord.bank)]
-            if not bank.is_open(coord.row):
+        best = self._window[0]
+        best_key = (2, 0.0, 0)
+        for queue in self._queues.values():
+            rows = queue.rows
+            if not rows:
                 continue
-            tier = 0 if (
-                self.priority_tag is not None
-                and entry.request.tag == self.priority_tag
-            ) else 1
-            key = (tier if self.priority_tag is not None else 1, bank.next_col_ns)
-            if key < best_key:
-                best_index = index
-                best_key = key
-        return best_index if best_index >= 0 else 0
+            bank = queue.state
+            for row in bank.open_rows():
+                tagged = queue.tagged.get(row)
+                if tagged:
+                    candidate, tier = tagged[0], 0
+                else:
+                    fifo = rows.get(row)
+                    if fifo is None:
+                        continue
+                    candidate, tier = fifo[0], 1
+                key = (tier, bank.next_col_ns, candidate.seq)
+                if key < best_key:
+                    best, best_key = candidate, key
+        return best
 
     def _issue(self, entry: _Entry) -> None:
         timings = self.config.timings

@@ -22,7 +22,7 @@ import numpy as np
 from repro.dram.address import DramCoord, Field
 from repro.dram.command import DramCommand, Request
 from repro.dram.config import DramConfig
-from repro.dram.scheduler import ChannelScheduler, ChannelStats
+from repro.dram.scheduler import ChannelScheduler, ChannelStats, check_sizes
 
 __all__ = ["DramTimingSimulator", "SimResult", "requests_from_fields"]
 
@@ -91,6 +91,7 @@ class DramTimingSimulator:
         model_refresh: bool = False,
         log_commands: bool = False,
     ):
+        check_sizes(window, n_row_buffers)
         self.config = config
         self.window = window
         self.n_row_buffers = n_row_buffers

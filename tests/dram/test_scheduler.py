@@ -40,6 +40,39 @@ class TestBasics:
         assert s.row_hits + s.row_misses + s.row_conflicts == 5
 
 
+class TestValidation:
+    @pytest.mark.parametrize(
+        "field, kwargs",
+        [
+            ("window", dict(window=0)),
+            ("window", dict(window=-3)),
+            ("n_row_buffers", dict(n_row_buffers=0)),
+        ],
+    )
+    def test_rejects_sizes_below_one(self, field, kwargs):
+        with pytest.raises(ValueError, match=field):
+            ChannelScheduler(CFG, channel=0, **kwargs)
+
+    @pytest.mark.parametrize(
+        "field, coord, limit",
+        [
+            ("bank", dict(rank=0, bank=9), 4),
+            ("bank", dict(rank=0, bank=-1), 4),
+            ("rank", dict(rank=1, bank=0), 1),
+        ],
+    )
+    def test_rejects_rank_or_bank_outside_the_channel(self, field, coord, limit):
+        sched = ChannelScheduler(CFG, channel=0, log_commands=True)
+        sched.enqueue(_req(col=0))
+        bad = Request(coord=DramCoord(channel=0, row=0, col=1, **coord))
+        with pytest.raises(ValueError, match=f"{field}.*{limit}"):
+            sched.enqueue(bad)
+        # the queue is unchanged: only the valid request is served
+        sched.drain()
+        assert sched.stats.reads == 1
+        assert [c.op for c in sched.command_log] == ["ACT", "RD"]
+
+
 class TestRowPolicy:
     def test_sequential_same_row_is_fast(self):
         sched = ChannelScheduler(CFG, channel=0)

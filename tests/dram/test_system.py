@@ -106,3 +106,12 @@ class TestRefreshModeling:
         ).measure_bandwidth(fields, sample_transfers=16384)
         assert refreshed < 0.95 * base
         assert refreshed > 0.55 * base
+
+
+@pytest.mark.parametrize(
+    "field, kwargs",
+    [("window", dict(window=0)), ("n_row_buffers", dict(n_row_buffers=0))],
+)
+def test_simulator_rejects_sizes_below_one(field, kwargs):
+    with pytest.raises(ValueError, match=field):
+        DramTimingSimulator(CFG, **kwargs)
