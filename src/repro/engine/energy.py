@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.dram.energy import DramEnergyModel, LPDDR5_ENERGY, gemv_energy_pj
-from repro.engine.policies import InferenceEngine
+from repro.engine.policies import InferenceEngine, decode_on_pim
 from repro.llm.inference import decode_step_plan, prefill_plan
 
 __all__ = ["EnergyModel", "QueryEnergy", "query_energy"]
@@ -103,12 +103,15 @@ def query_energy(
     model: Optional[EnergyModel] = None,
 ) -> QueryEnergy:
     """Energy of one query under *policy* (same semantics as
-    :meth:`InferenceEngine.run_query`, with FACIL's prefill on the SoC)."""
+    :meth:`InferenceEngine.run_query`, with every prefill on the SoC)."""
+    on_pim = decode_on_pim(policy)
+    if prefill_len <= 0 or decode_len <= 0:
+        raise ValueError("prefill and decode lengths must be positive")
     model = model if model is not None else EnergyModel()
     pre_plan = prefill_plan(engine.model, prefill_len)
 
-    relayout_pj = 0.0
-    if policy in ("hybrid-static", "hybrid-dynamic"):
+    relayout_pj = 0.0  # the hybrid baselines re-lay out before a SoC prefill
+    if engine.price_prefill(policy, prefill_len, allow_pim=False).relayout_ns > 0.0:
         for cost in engine._costs.values():
             nbytes = cost.spec.bytes_per_instance
             relayout_pj += cost.spec.count * (
@@ -119,7 +122,6 @@ def query_energy(
     prefill_pj = _soc_phase_pj(engine, pre_plan, prefill_len, model)
 
     decode_pj = 0.0
-    on_pim = policy != "soc-only"
     for step in range(1, decode_len):
         plan = decode_step_plan(engine.model, prefill_len + step)
         if on_pim:

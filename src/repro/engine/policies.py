@@ -16,27 +16,35 @@ Four policies are modeled:
 
 All latencies come from the substrate models: the SoC roofline, the PIM
 command-level GEMV model, and the re-layout cost model.
+A prefill is placed on a unit and priced only by
+:meth:`InferenceEngine.price_prefill`; a decode is summed only by
+:meth:`InferenceEngine.decode_total_ns`.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.core.relayout import relayout_cost_ns
 from repro.core.selector import MatrixConfig, select_mapping
 from repro.engine.metrics import QueryLatency
-from repro.llm.inference import AttentionCost, decode_step_plan, prefill_plan
+from repro.llm.inference import AttentionCost, attention_cost, decode_step_plan, prefill_plan
 from repro.llm.layers import LinearSpec, linear_specs
 from repro.llm.model_config import LlmConfig, model_by_name
 from repro.pim.gemv import GemvLatency, gemv_latency
 from repro.platforms.specs import PlatformSpec
 from repro.soc.processor import SocProcessor
 
-__all__ = ["InferenceEngine", "POLICIES", "decode_on_pim"]
+__all__ = ["InferenceEngine", "POLICIES", "PrefillPrice", "decode_on_pim"]
 
 POLICIES = ("soc-only", "hybrid-static", "hybrid-dynamic", "facil")
+#: policies whose weights sit in the PIM layout while their SoC GEMMs
+#: need the conventional one: each prefill on the SoC re-lays out first
+_RELAYOUT_POLICIES = ("hybrid-static", "hybrid-dynamic")
+#: policies that move a prefill to PIM when PIM is allowed and faster
+_OFFLOAD_POLICIES = ("hybrid-dynamic", "facil")
 
 
 def decode_on_pim(policy: str) -> bool:
@@ -48,6 +56,27 @@ def decode_on_pim(policy: str) -> bool:
 
 #: Per-offloaded-op dispatch overhead for PIM command streams.
 PIM_DISPATCH_NS = 2_000.0
+
+
+@dataclass(frozen=True)
+class PrefillPrice:
+    """Where one prefill runs and what it costs
+    (see :meth:`InferenceEngine.price_prefill`)."""
+
+    resource: str  # "soc" or "pim": the unit whose timeline it occupies
+    compute_ns: float
+    #: re-layout paid ahead of a hybrid policy's SoC prefill
+    relayout_ns: float = 0.0
+
+    @property
+    def total_ns(self) -> float:
+        return self.relayout_ns + self.compute_ns
+
+    def breakdown(self) -> Dict[str, float]:
+        """The prefill's share of a :class:`QueryLatency` breakdown."""
+        parts = {"relayout": self.relayout_ns} if self.relayout_ns > 0.0 else {}
+        parts[f"prefill_{self.resource}"] = self.compute_ns
+        return parts
 
 
 @dataclass(frozen=True)
@@ -117,10 +146,14 @@ class InferenceEngine:
         for the final position)."""
         return 1 if spec.name == "lm_head" else batch_tokens
 
-    def soc_prefill_ns(self, prefill_len: int, pim_layout: bool = False) -> float:
-        """Prefill entirely on the SoC.  With ``pim_layout`` the GEMMs run
-        on the PIM-optimized layout (FACIL) and are scaled by the
-        platform's conservative Table III slowdown."""
+    def soc_prefill_ns(
+        self, prefill_len: int, pim_layout: bool = False, context: int = 0
+    ) -> float:
+        """Prefill entirely on the SoC: GEMMs over *prefill_len* new
+        tokens, attention over those plus *context* cached ones.  With
+        ``pim_layout`` the GEMMs run on the PIM-optimized layout (FACIL)
+        and are scaled by the platform's conservative Table III
+        slowdown."""
         plan = prefill_plan(self.model, prefill_len)
         gemm_ns = 0.0
         for spec in plan.linears:
@@ -130,7 +163,8 @@ class InferenceEngine:
             )
         if pim_layout:
             gemm_ns *= 1.0 + self.platform.gemm_layout_slowdown
-        return gemm_ns + self._attention_ns(plan.attention)
+        attention = attention_cost(self.model, prefill_len, context + prefill_len)
+        return gemm_ns + self._attention_ns(attention)
 
     def relayout_total_ns(self) -> float:
         """On-demand re-layout of every weight matrix, paid once per
@@ -174,60 +208,50 @@ class InferenceEngine:
         reduce_ns = self.soc.stream_time_ns(reduce_bytes)
         return gemv_ns + reduce_ns + self._attention_ns(plan.attention)
 
-    def _decode_total_ns(self, prefill_len: int, decode_len: int, on_pim: bool) -> float:
-        """Decode steps 2..D (the first token comes from prefill)."""
-        step = self.pim_decode_step_ns if on_pim else self.soc_decode_step_ns
-        return sum(
-            step(prefill_len + t) for t in range(1, decode_len)
-        )
-
     # ------------------------------------------------------------------
     # phase-level pricing (the serving runtime schedules phases on
     # resources and applies per-phase breaker/brownout decisions)
     # ------------------------------------------------------------------
 
-    def prefill_ns(
+    def price_prefill(
         self,
         policy: str,
         prefill_len: int,
-        dynamic_offload: Optional[bool] = None,
-    ) -> Tuple[float, str]:
-        """Price the prefill phase of *policy* alone.
+        allow_pim: bool = True,
+        context: int = 0,
+    ) -> PrefillPrice:
+        """Place and price the prefill of *policy*: *prefill_len* new
+        tokens attending to *context* cached ones.
 
-        Returns ``(ns, resource)`` where *resource* is ``"soc"`` or
-        ``"pim"`` — the unit whose timeline the phase occupies (the
-        serving runtime serializes work per resource).
+        The SoC path is the re-layout (hybrid policies) followed by the
+        SoC prefill, on the PIM layout under FACIL.  Hybrid-dynamic and
+        FACIL move the prefill to PIM when that is strictly faster and
+        *allow_pim* holds; ties stay on the SoC.  This is the one place
+        a policy decides where its prefill runs and what it pays.
         """
         if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}; known: {POLICIES}")
         if prefill_len <= 0:
             raise ValueError("prefill length must be positive")
-        if policy == "soc-only":
-            return self.soc_prefill_ns(prefill_len), "soc"
-        if policy == "hybrid-static":
-            return self.relayout_total_ns() + self.soc_prefill_ns(prefill_len), "soc"
-        if policy == "hybrid-dynamic":
-            soc_path = self.relayout_total_ns() + self.soc_prefill_ns(prefill_len)
-            pim_path = self.pim_prefill_ns(prefill_len)
-            return (pim_path, "pim") if pim_path < soc_path else (soc_path, "soc")
-        # facil
-        soc_path = self.soc_prefill_ns(prefill_len, pim_layout=True)
-        use_dynamic = True if dynamic_offload is None else dynamic_offload
-        if use_dynamic:
-            pim_path = self.pim_prefill_ns(prefill_len)
-            if pim_path < soc_path:
-                return pim_path, "pim"
-        return soc_path, "soc"
+        relayout = self.relayout_total_ns() if policy in _RELAYOUT_POLICIES else 0.0
+        soc = PrefillPrice(
+            "soc", self.soc_prefill_ns(prefill_len, policy == "facil", context), relayout
+        )
+        if allow_pim and policy in _OFFLOAD_POLICIES:
+            pim_ns = self.pim_prefill_ns(prefill_len)
+            if pim_ns < soc.total_ns:
+                return PrefillPrice("pim", pim_ns)
+        return soc
 
     def decode_total_ns(
         self, prefill_len: int, decode_len: int, on_pim: bool
     ) -> float:
-        """Price the decode phase (steps 2..D) on the given unit — the
-        public face of :meth:`_decode_total_ns` for serving/reliability
-        callers."""
+        """Price the decode phase on the given unit: steps 2..D (the
+        first token comes from prefill)."""
         if prefill_len <= 0 or decode_len <= 0:
             raise ValueError("prefill and decode lengths must be positive")
-        return self._decode_total_ns(prefill_len, decode_len, on_pim)
+        step = self.pim_decode_step_ns if on_pim else self.soc_decode_step_ns
+        return sum(step(prefill_len + t) for t in range(1, decode_len))
 
     # ------------------------------------------------------------------
     # dynamic-offload profiling (paper §VI-C)
@@ -238,21 +262,18 @@ class InferenceEngine:
         path (re-layout + GEMM) beats PIM-executed prefill.  Queries
         shorter than this run their prefill on PIM under the
         hybrid-dynamic baseline."""
-        length = 1
-        while length <= max_len:
-            soc = self.relayout_total_ns() + self.soc_prefill_ns(length)
-            pim = self.pim_prefill_ns(length)
-            if soc <= pim:
-                return length
-            length *= 2
-        return max_len + 1
+        return self._crossover("hybrid-dynamic", max_len)
 
     def facil_crossover(self, max_len: int = 1024) -> int:
         """Same profiling for FACIL (no re-layout on the SoC path)."""
+        return self._crossover("facil", max_len)
+
+    def _crossover(self, policy: str, max_len: int) -> int:
+        """Smallest power-of-two prefill length up to *max_len* that
+        *policy* keeps on the SoC (``max_len + 1`` when none is)."""
         length = 1
         while length <= max_len:
-            soc = self.soc_prefill_ns(length, pim_layout=True)
-            if soc <= self.pim_prefill_ns(length):
+            if self.price_prefill(policy, length).resource == "soc":
                 return length
             length *= 2
         return max_len + 1
@@ -270,63 +291,22 @@ class InferenceEngine:
     ) -> QueryLatency:
         """Price one query under *policy*.
 
-        ``dynamic_offload`` controls whether FACIL also applies the
-        prefill-length-based SoC/PIM choice (defaults to True, matching
-        the paper's dataset experiments).
+        ``dynamic_offload`` is FACIL's prefill-length-based SoC/PIM
+        choice (defaults to True, matching the paper's dataset
+        experiments); ``False`` keeps FACIL's prefill on the SoC.
+        Hybrid-dynamic always makes the choice.
         """
-        if policy not in POLICIES:
-            raise ValueError(f"unknown policy {policy!r}; known: {POLICIES}")
-        if prefill_len <= 0 or decode_len <= 0:
-            raise ValueError("prefill and decode lengths must be positive")
-
-        breakdown: Dict[str, float] = {}
-        if policy == "soc-only":
-            ttft = self.soc_prefill_ns(prefill_len)
-            breakdown["prefill_soc"] = ttft
-            decode = self._decode_total_ns(prefill_len, decode_len, on_pim=False)
-            breakdown["decode_soc"] = decode
-        elif policy == "hybrid-static":
-            relayout = self.relayout_total_ns()
-            gemm = self.soc_prefill_ns(prefill_len)
-            ttft = relayout + gemm
-            breakdown["relayout"] = relayout
-            breakdown["prefill_soc"] = gemm
-            decode = self._decode_total_ns(prefill_len, decode_len, on_pim=True)
-            breakdown["decode_pim"] = decode
-        elif policy == "hybrid-dynamic":
-            soc_path = self.relayout_total_ns() + self.soc_prefill_ns(prefill_len)
-            pim_path = self.pim_prefill_ns(prefill_len)
-            if pim_path < soc_path:
-                ttft = pim_path
-                breakdown["prefill_pim"] = pim_path
-            else:
-                ttft = soc_path
-                breakdown["relayout"] = self.relayout_total_ns()
-                breakdown["prefill_soc"] = ttft - breakdown["relayout"]
-            decode = self._decode_total_ns(prefill_len, decode_len, on_pim=True)
-            breakdown["decode_pim"] = decode
-        else:  # facil
-            use_dynamic = True if dynamic_offload is None else dynamic_offload
-            soc_path = self.soc_prefill_ns(prefill_len, pim_layout=True)
-            if use_dynamic:
-                pim_path = self.pim_prefill_ns(prefill_len)
-                if pim_path < soc_path:
-                    ttft = pim_path
-                    breakdown["prefill_pim"] = pim_path
-                else:
-                    ttft = soc_path
-                    breakdown["prefill_soc"] = soc_path
-            else:
-                ttft = soc_path
-                breakdown["prefill_soc"] = soc_path
-            decode = self._decode_total_ns(prefill_len, decode_len, on_pim=True)
-            breakdown["decode_pim"] = decode
-
+        on_pim = decode_on_pim(policy)
+        decode = self.decode_total_ns(prefill_len, decode_len, on_pim)
+        allow_pim = policy != "facil" or dynamic_offload is None or bool(dynamic_offload)
+        prefill = self.price_prefill(policy, prefill_len, allow_pim=allow_pim)
+        breakdown = prefill.breakdown()
+        breakdown["decode_pim" if on_pim else "decode_soc"] = decode
         return QueryLatency(
             policy=policy,
             prefill_tokens=prefill_len,
             decode_tokens=decode_len,
-            ttft_ns=ttft,
-            ttlt_ns=ttft + decode,
+            ttft_ns=prefill.total_ns,
+            ttlt_ns=prefill.total_ns + decode,
             breakdown=breakdown,
         )

@@ -27,8 +27,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.engine.policies import POLICIES, InferenceEngine, decode_on_pim
-from repro.llm.inference import attention_cost
-from repro.llm.layers import linear_specs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kvcache.manager import KvCacheManager
@@ -95,54 +93,6 @@ class ChatSession:
             raise ValueError(f"unknown policy {policy!r}; known: {POLICIES}")
         self.policy = policy
 
-    # -- pricing helpers ------------------------------------------------------
-
-    def _incremental_prefill_ns(
-        self, n_new: int, pim_layout: bool, context: Optional[int] = None
-    ) -> float:
-        """Prefill over *n_new* tokens attending to the whole context
-        (*context* tokens of reusable KV ahead of them; defaults to the
-        session's committed context)."""
-        engine = self.engine
-        prior = self.context if context is None else context
-        gemm_ns = 0.0
-        for spec in linear_specs(engine.model):
-            n = engine._gemm_batch(spec, n_new)
-            gemm_ns += spec.count * engine.soc.gemm_time_ns(
-                spec.out_features, n, spec.in_features, spec.dtype_bytes
-            )
-        if pim_layout:
-            gemm_ns *= 1.0 + engine.platform.gemm_layout_slowdown
-        attention = attention_cost(engine.model, n_new, prior + n_new)
-        return gemm_ns + engine._attention_ns(attention)
-
-    def _prefill_cost(
-        self, n_new: int, context: Optional[int] = None
-    ) -> "tuple[float, float]":
-        """Price this turn's prefill under the current policy.
-
-        Returns ``(prefill_ns, relayout_ns)`` where the second term is
-        the re-layout share actually paid (contained in the first)."""
-        engine = self.engine
-        if self.policy == "soc-only":
-            return self._incremental_prefill_ns(n_new, False, context), 0.0
-        if self.policy == "hybrid-static":
-            relayout = engine.relayout_total_ns()
-            return (
-                relayout + self._incremental_prefill_ns(n_new, False, context),
-                relayout,
-            )
-        if self.policy == "hybrid-dynamic":
-            relayout = engine.relayout_total_ns()
-            soc_path = relayout + self._incremental_prefill_ns(n_new, False, context)
-            pim_path = engine.pim_prefill_ns(n_new)
-            if pim_path < soc_path:
-                return pim_path, 0.0
-            return soc_path, relayout
-        # facil (dynamic offload on, as in the dataset experiments)
-        soc_path = self._incremental_prefill_ns(n_new, True, context)
-        return min(soc_path, engine.pim_prefill_ns(n_new)), 0.0
-
     # -- public API ------------------------------------------------------------
 
     def turn(self, user_tokens: int, response_tokens: int) -> TurnLatency:
@@ -160,13 +110,11 @@ class ChatSession:
             admission = self.kv.begin(seq_id, self.conversation_id, total, now)
             cached = admission.cached_tokens
             recompute = admission.recompute_tokens
-        ttft, relayout = self._prefill_cost(recompute, context=cached)
-        on_pim = decode_on_pim(self.policy)
-        step = engine.pim_decode_step_ns if on_pim else engine.soc_decode_step_ns
-        decode = 0.0
-        base = total
-        for t in range(1, response_tokens):
-            decode += step(base + t)
+        prefill = engine.price_prefill(self.policy, recompute, context=cached)
+        ttft = prefill.total_ns
+        decode = engine.decode_total_ns(
+            total, response_tokens, decode_on_pim(self.policy)
+        )
         if self.kv is not None and seq_id is not None:
             self.kv.commit(seq_id, recompute, now)
             self.kv.ensure_capacity(seq_id, response_tokens, now)
@@ -179,7 +127,7 @@ class ChatSession:
             response_tokens=response_tokens,
             ttft_ns=ttft,
             ttlt_ns=ttft + decode,
-            relayout_ns=relayout,
+            relayout_ns=prefill.relayout_ns,
             cached_tokens=cached,
             recomputed_tokens=recompute,
         )

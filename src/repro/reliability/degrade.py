@@ -239,25 +239,15 @@ class ResilientEngine:
         self, policy: str, prefill_len: int, decode_len: int
     ) -> QueryLatency:
         """Price *policy* with all PIM work moved to the SoC."""
-        breakdown: Dict[str, float] = {}
-        if policy == "facil":
-            ttft = self.engine.soc_prefill_ns(prefill_len, pim_layout=True)
-            breakdown["prefill_soc"] = ttft
-        else:  # hybrid-*: weights are in the PIM layout, so re-layout first
-            relayout = self.engine.relayout_total_ns()
-            gemm = self.engine.soc_prefill_ns(prefill_len)
-            ttft = relayout + gemm
-            breakdown["relayout"] = relayout
-            breakdown["prefill_soc"] = gemm
-        decode = self.engine._decode_total_ns(prefill_len, decode_len, on_pim=False)
-        breakdown["decode_soc"] = decode
+        prefill = self.engine.price_prefill(policy, prefill_len, allow_pim=False)
+        decode = self.engine.decode_total_ns(prefill_len, decode_len, on_pim=False)
         return QueryLatency(
             policy=policy,
             prefill_tokens=prefill_len,
             decode_tokens=decode_len,
-            ttft_ns=ttft,
-            ttlt_ns=ttft + decode,
-            breakdown=breakdown,
+            ttft_ns=prefill.total_ns,
+            ttlt_ns=prefill.total_ns + decode,
+            breakdown={**prefill.breakdown(), "decode_soc": decode},
         )
 
     def run_query(
@@ -275,6 +265,8 @@ class ResilientEngine:
         the served latency.  More than ``max_retries`` aborts the query
         (``served=False``) — the only way this engine gives up.
         """
+        if transient_faults < 0:
+            raise ValueError("transient_faults must be >= 0")
         healthy = self.engine.run_query(policy, prefill_len, decode_len)
 
         effective, fallbacks = self.effective_policy(policy)

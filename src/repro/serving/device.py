@@ -9,8 +9,9 @@ place that policy is written.  It owns:
 * the :class:`~repro.reliability.degrade.HealthMonitor`, the ``pim``
   and ``mapping`` :class:`~repro.serving.breaker.CircuitBreaker` s and
   the :class:`~repro.serving.breaker.BrownoutController`;
-* routing and prefill pricing (:meth:`DeviceCore.route`,
-  :meth:`DeviceCore.price_prefill`);
+* routing (:meth:`DeviceCore.route`), which decides whether a
+  request's prefill may use PIM and leaves placing and pricing it to
+  :meth:`~repro.engine.policies.InferenceEngine.price_prefill`;
 * retry-priced phases (:meth:`DeviceCore.run_phase`);
 * whole-request decode with brown-out placement
   (:meth:`DeviceCore.decode`);
@@ -141,25 +142,6 @@ class DeviceCore:
 
     # -- routing ---------------------------------------------------------------
 
-    def price_prefill(
-        self,
-        policy: str,
-        prefill_len: int,
-        allow_pim: bool,
-        engine: Optional[InferenceEngine] = None,
-    ) -> Tuple[float, str]:
-        """``(ns, resource)`` of a prefill, kept off PIM unless
-        *allow_pim*.  *engine* overrides the pricing engine."""
-        engine = engine if engine is not None else self.engine
-        if allow_pim:
-            return engine.prefill_ns(policy, prefill_len)
-        if policy == "facil":
-            return engine.prefill_ns(policy, prefill_len, dynamic_offload=False)
-        if policy == "hybrid-dynamic":
-            ns = engine.relayout_total_ns() + engine.soc_prefill_ns(prefill_len)
-            return ns, "soc"
-        return engine.prefill_ns(policy, prefill_len)
-
     def route(
         self,
         request: Request,
@@ -191,17 +173,15 @@ class DeviceCore:
 
         # prefill goes to PIM only when it is both healthy and not
         # saturated; decode placement is settled at the phase boundary
-        prefill_ns, prefill_resource = self.price_prefill(
-            policy,
-            priced_tokens,
-            allow_pim=pim_allowed and not brownout_active,
-            engine=engine,
+        pricing = engine if engine is not None else self.engine
+        prefill = pricing.price_prefill(
+            policy, priced_tokens, allow_pim=pim_allowed and not brownout_active
         )
         return Route(
             policy=policy,
-            prefill_ns=prefill_ns,
-            prefill_resource=prefill_resource,
-            prefill_component=phase_component(policy, prefill_resource),
+            prefill_ns=prefill.total_ns,
+            prefill_resource=prefill.resource,
+            prefill_component=phase_component(policy, prefill.resource),
             pim_allowed=pim_allowed,
             brownout_active=brownout_active,
             fallbacks=tuple(fallbacks),

@@ -559,8 +559,8 @@ def sustainable_qps(
     on_pim = decode_on_pim(tenant.policy)
     for _ in range(n):
         trace = tenant.dataset.sample_one(rng)
-        prefill_ns, resource = engine.prefill_ns(tenant.policy, trace.prefill_tokens)
-        work[resource] += prefill_ns
+        prefill = engine.price_prefill(tenant.policy, trace.prefill_tokens)
+        work[prefill.resource] += prefill.total_ns
         work["pim" if on_pim else "soc"] += engine.decode_total_ns(
             trace.prefill_tokens, trace.decode_tokens, on_pim
         )

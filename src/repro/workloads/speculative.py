@@ -233,11 +233,12 @@ class SpeculativeLoop(WorkloadLoop):
                     self.kv_rejections += 1
                     return fail(t)
                 recompute = max(1, admission.recompute_tokens)
-                re_ns, re_res = core.price_prefill(
+                redo = core.engine.price_prefill(
                     route.policy, recompute, allow_pim=route.pim_allowed
                 )
                 if not phase(
-                    re_ns, re_res, phase_component(route.policy, re_res)
+                    redo.total_ns, redo.resource,
+                    phase_component(route.policy, redo.resource),
                 ):
                     return fail(t)
                 if admission.recompute_tokens:
@@ -254,12 +255,12 @@ class SpeculativeLoop(WorkloadLoop):
                 self.bonus += 1
 
             # -- verify phase: one target-model GEMM over the batch ----
-            verify_ns, verify_res = core.price_prefill(
+            verify = core.engine.price_prefill(
                 route.policy, gamma, allow_pim=route.pim_allowed
             )
             if not phase(
-                verify_ns, verify_res,
-                phase_component(route.policy, verify_res),
+                verify.total_ns, verify.resource,
+                phase_component(route.policy, verify.resource),
             ):
                 kv.release(child, t, retain=False)
                 return fail(t)

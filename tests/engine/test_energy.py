@@ -67,6 +67,17 @@ class TestQueryEnergy:
         soc = query_energy(engine, "soc-only", 16, 64)
         assert pim.decode_mj < 0.8 * soc.decode_mj
 
+    def test_unknown_policy_rejected(self, engine):
+        with pytest.raises(ValueError, match="unknown policy 'quantum'"):
+            query_energy(engine, "quantum", 24, 64)
+
+    @pytest.mark.parametrize("prefill_len, decode_len", [(24, 0), (24, -5), (0, 8)])
+    def test_non_positive_lengths_rejected(self, engine, prefill_len, decode_len):
+        with pytest.raises(ValueError, match="prefill and decode lengths must be positive"):
+            query_energy(engine, "facil", prefill_len, decode_len)
+        with pytest.raises(ValueError, match="prefill and decode lengths must be positive"):
+            engine.run_query("facil", prefill_len, decode_len)
+
     def test_custom_model(self, engine):
         expensive_io = EnergyModel(
             dram=LPDDR5_ENERGY.__class__(io_pj_per_byte=20.0)

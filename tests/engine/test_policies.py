@@ -121,6 +121,62 @@ class TestDynamicOffload:
         assert dynamic.ttft_ns <= fixed.ttft_ns
 
 
+class TestPricePrefill:
+    def test_total_is_relayout_plus_compute(self, engine):
+        for policy in POLICIES:
+            price = engine.price_prefill(policy, 64)
+            assert price.total_ns == price.relayout_ns + price.compute_ns
+            assert engine.run_query(policy, 64, 8).ttft_ns == price.total_ns
+
+    def test_only_hybrid_soc_prefills_pay_relayout(self, engine):
+        relayout = engine.relayout_total_ns()
+        assert engine.price_prefill("hybrid-static", 8).relayout_ns == relayout
+        assert engine.price_prefill("hybrid-dynamic", 512).relayout_ns == relayout
+        assert engine.price_prefill("hybrid-dynamic", 1).resource == "pim"
+        assert engine.price_prefill("hybrid-dynamic", 1).relayout_ns == 0.0
+        for policy in ("soc-only", "facil"):
+            assert engine.price_prefill(policy, 512).relayout_ns == 0.0
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_disallowed_pim_keeps_prefill_on_soc(self, engine, policy):
+        for n in (1, 2, 8, 512):
+            assert engine.price_prefill(policy, n, allow_pim=False).resource == "soc"
+
+    def test_facil_without_pim_is_soc_gemm_on_pim_layout(self, engine):
+        price = engine.price_prefill("facil", 1, allow_pim=False)
+        assert price.compute_ns == engine.soc_prefill_ns(1, pim_layout=True)
+        assert engine.price_prefill("facil", 1).resource == "pim"
+
+    def test_context_lengthens_soc_attention(self, engine):
+        for policy in ("soc-only", "hybrid-static"):
+            fresh = engine.price_prefill(policy, 16)
+            cached = engine.price_prefill(policy, 16, context=512)
+            assert cached.total_ns > fresh.total_ns
+        assert engine.soc_prefill_ns(16, context=0) == engine.soc_prefill_ns(16)
+
+    def test_crossovers_are_where_prefill_leaves_pim(self, engine):
+        for policy, crossover in (
+            ("hybrid-dynamic", engine.prefill_crossover()),
+            ("facil", engine.facil_crossover()),
+        ):
+            assert engine.price_prefill(policy, crossover).resource == "soc"
+            assert engine.price_prefill(policy, crossover // 2).resource == "pim"
+
+    def test_breakdown_names_the_unit(self, engine):
+        assert engine.price_prefill("hybrid-dynamic", 1).breakdown() == {
+            "prefill_pim": engine.pim_prefill_ns(1)
+        }
+        assert list(engine.price_prefill("hybrid-static", 8).breakdown()) == [
+            "relayout", "prefill_soc",
+        ]
+
+    def test_bad_inputs_rejected(self, engine):
+        with pytest.raises(ValueError, match="unknown policy"):
+            engine.price_prefill("quantum", 8)
+        with pytest.raises(ValueError, match="prefill length must be positive"):
+            engine.price_prefill("facil", 0)
+
+
 class TestCrossPlatform:
     def test_macbook_diminishes_faster_than_jetson(self):
         """Fig. 13's mechanism: the lower the ridge point, the faster the

@@ -128,6 +128,10 @@ class TestResilientEngine:
         assert faulty.ttlt_ns > clean.ttlt_ns
         assert "retry" in faulty.latency.breakdown
 
+    def test_negative_transient_faults_rejected(self, iphone_engine):
+        with pytest.raises(ValueError, match="transient_faults"):
+            ResilientEngine(iphone_engine).run_query("facil", 32, 8, transient_faults=-2)
+
     def test_too_many_faults_abort(self, iphone_engine):
         resilient = ResilientEngine(iphone_engine, max_retries=3)
         result = resilient.run_query("facil", 32, 8, transient_faults=4)
