@@ -427,6 +427,15 @@ def _cmd_serve(args: argparse.Namespace) -> None:
                 f"replay-diff check failed at seed {args.seed}: "
                 f"{replay.findings[0].message}"
             )
+    section = report.workload or {}
+    if section.get("conservation_findings", 0) > 0:
+        findings = section.get("findings") or [
+            "the workload section lists no details"
+        ]
+        raise SystemExit(
+            f"{section['conservation_findings']} {section['name']} workload "
+            f"conservation finding(s); first: {findings[0]}"
+        )
     if report.unserved:
         raise SystemExit(
             f"{report.unserved} admitted query(ies) went unserved "

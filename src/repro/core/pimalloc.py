@@ -18,7 +18,7 @@ units (see :mod:`repro.pim.functional`) with no re-layout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -141,6 +141,12 @@ class PimAllocator:
         #: intent and completed steps so :func:`repro.core.journal.recover`
         #: can replay a crash back to a consistent state.
         self.journal: Optional[MapJournal] = None
+        #: selector choice and mapping per matrix shape: both depend only
+        #: on the shape, the org, the PIM config and the page size, and
+        #: the last three are fixed here
+        self._placements: Dict[
+            MatrixConfig, Tuple[MappingSelection, AddressMapping]
+        ] = {}
 
     # -- journal plumbing --------------------------------------------------
 
@@ -167,14 +173,25 @@ class PimAllocator:
             pu_order=pu_order if pu_order is not None else pu_order_for(selection),
         )
 
+    def _placement(
+        self, matrix: MatrixConfig
+    ) -> Tuple[MappingSelection, AddressMapping]:
+        placement = self._placements.get(matrix)
+        if placement is None:
+            selection = select_mapping(
+                matrix, self.org, self.pim, self.huge_page_bytes
+            )
+            placement = (selection, self._build_mapping(selection))
+            self._placements[matrix] = placement
+        return placement
+
     # -- the pimalloc interface ----------------------------------------------
 
     def pimalloc(self, matrix: MatrixConfig) -> PimTensor:
         """Allocate *matrix* with the selector-chosen PIM mapping."""
         if self.fault_hook is not None:
             self.fault_hook.on_pimalloc(matrix)
-        selection = select_mapping(matrix, self.org, self.pim, self.huge_page_bytes)
-        mapping = self._build_mapping(selection)
+        selection, mapping = self._placement(matrix)
         nbytes = matrix.rows * selection.padded_row_bytes
         txn = None
         if self.journal is not None:
@@ -186,7 +203,14 @@ class PimAllocator:
                 nbytes=nbytes,
             )
         self._jcheckpoint("alloc:begin")
-        map_id = self.controller.table.register(mapping)
+        try:
+            map_id = self.controller.table.register(mapping)
+        except Exception:
+            # A rejected registration (a full table) changed nothing,
+            # so the txn is committed as a no-op.
+            if txn is not None and self.journal is not None:
+                self.journal.commit(txn)
+            raise
         self._jstep(txn, "registered", map_id=map_id)
         self._jcheckpoint("alloc:registered")
         try:
@@ -212,7 +236,14 @@ class PimAllocator:
         )
 
     def free(self, tensor: PimTensor) -> None:
-        """Tear down *tensor*: unmap the region, release the mapping."""
+        """Tear down *tensor*: unmap the region, release the mapping.
+
+        Raises:
+            ValueError: when the tensor's area is not mapped (a double
+                free), before anything is journaled.
+        """
+        if tensor.va not in self.space.areas:
+            raise ValueError(f"va {tensor.va:#x} is not the start of a mapped area")
         txn = None
         if self.journal is not None:
             txn = self.journal.begin("free", va=tensor.va, map_id=tensor.map_id)

@@ -7,15 +7,26 @@ fragmentation index* (FMFI) of Gorman & Whitcroft used by the paper's
 Table I, controlled fragmentation injection for experiments, and a
 compaction model that counts how many in-use pages must move to
 reconstitute a high-order block.
+
+Each free set has a lazily invalidated min-heap beside it, so ``alloc``
+pops the lowest free frame in O(log n) instead of scanning the set.
+The sets stay the source of truth, and their iteration order, which
+``fragment_to`` and ``_reserve_range`` depend on, is untouched by the
+heaps.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 __all__ = ["BuddyAllocator", "CompactionResult", "OutOfMemoryError"]
+
+#: stale entries a heap may carry beyond twice its free set's size
+#: before it is rebuilt from the set
+_HEAP_SLACK = 16
 
 
 class OutOfMemoryError(Exception):
@@ -42,9 +53,15 @@ class BuddyAllocator:
     def __init__(self, total_pages: int, max_order: int = 9):
         if total_pages <= 0:
             raise ValueError("total_pages must be positive")
+        if max_order < 0:
+            raise ValueError(f"max_order must be >= 0, got {max_order}")
         self.total_pages = total_pages
         self.max_order = max_order
         self.free_lists: List[Set[int]] = [set() for _ in range(max_order + 1)]
+        #: per-order min-heaps over ``free_lists``: every free frame has
+        #: an entry; entries whose frame left the set are stale and are
+        #: skipped when popped
+        self._heaps: List[List[int]] = [[] for _ in range(max_order + 1)]
         #: frame -> order of the allocation starting at that frame
         self.allocated: Dict[int, int] = {}
         #: pages pinned by fragment_to (model long-lived unmovable pages)
@@ -52,7 +69,7 @@ class BuddyAllocator:
         frame = 0
         block = 1 << max_order
         while frame + block <= total_pages:
-            self.free_lists[max_order].add(frame)
+            self._add(max_order, frame)
             frame += block
         # Tail pages that do not fill a max-order block.
         remaining = total_pages - frame
@@ -60,7 +77,7 @@ class BuddyAllocator:
         while remaining > 0 and order >= 0:
             block = 1 << order
             if remaining >= block:
-                self.free_lists[order].add(frame)
+                self._add(order, frame)
                 frame += block
                 remaining -= block
             else:
@@ -76,7 +93,15 @@ class BuddyAllocator:
         Used by the fragmentation experiments to build arbitrary
         occupancy patterns directly instead of replaying allocation
         histories.
+
+        Raises:
+            ValueError: when a page lies outside ``[0, total_pages)``.
         """
+        outside = [page for page in allocated_pages if not 0 <= page < total_pages]
+        if outside:
+            raise ValueError(
+                f"allocated page {min(outside)} outside [0, {total_pages})"
+            )
         arena = cls(total_pages, max_order)
         for order in range(max_order + 1):
             arena.free_lists[order].clear()
@@ -95,6 +120,8 @@ class BuddyAllocator:
             arena.free_lists[order].update(leftovers)
             level = promoted
         arena.free_lists[max_order].update(level)
+        for order in range(max_order + 1):
+            arena._reindex(order)
         return arena
 
     # -- bookkeeping -------------------------------------------------------
@@ -110,6 +137,29 @@ class BuddyAllocator:
     def free_blocks(self, order: int) -> int:
         return len(self.free_lists[order])
 
+    # -- free-set mutation (keeps the heaps in step) ---------------------------
+
+    def _add(self, order: int, frame: int) -> None:
+        blocks = self.free_lists[order]
+        blocks.add(frame)
+        heap = self._heaps[order]
+        heapq.heappush(heap, frame)
+        if len(heap) > 2 * len(blocks) + _HEAP_SLACK:
+            self._reindex(order)
+
+    def _discard(self, order: int, frame: int) -> None:
+        blocks = self.free_lists[order]
+        blocks.discard(frame)
+        if len(self._heaps[order]) > 2 * len(blocks) + _HEAP_SLACK:
+            self._reindex(order)
+
+    def _reindex(self, order: int) -> None:
+        """Rebuild the heap of *order* from its free set, dropping every
+        stale entry."""
+        heap = list(self.free_lists[order])
+        heapq.heapify(heap)
+        self._heaps[order] = heap
+
     # -- allocation ------------------------------------------------------------
 
     def alloc(self, order: int = 0) -> int:
@@ -121,12 +171,17 @@ class BuddyAllocator:
         if not 0 <= order <= self.max_order:
             raise ValueError(f"order {order} out of range")
         for source in range(order, self.max_order + 1):
-            if self.free_lists[source]:
-                frame = min(self.free_lists[source])
-                self.free_lists[source].discard(frame)
+            blocks = self.free_lists[source]
+            if blocks:
+                # the lowest free frame: pop past stale heap entries
+                heap = self._heaps[source]
+                frame = heapq.heappop(heap)
+                while frame not in blocks:
+                    frame = heapq.heappop(heap)
+                self._discard(source, frame)
                 # Split down to the requested order, freeing the buddies.
                 for split in range(source - 1, order - 1, -1):
-                    self.free_lists[split].add(frame + (1 << split))
+                    self._add(split, frame + (1 << split))
                 self.allocated[frame] = order
                 return frame
         raise OutOfMemoryError(f"no free block of order {order}")
@@ -139,12 +194,12 @@ class BuddyAllocator:
         while order < self.max_order:
             buddy = frame ^ (1 << order)
             if buddy in self.free_lists[order] and buddy + (1 << order) <= self.total_pages:
-                self.free_lists[order].discard(buddy)
+                self._discard(order, buddy)
                 frame = min(frame, buddy)
                 order += 1
             else:
                 break
-        self.free_lists[order].add(frame)
+        self._add(order, frame)
 
     # -- fragmentation -----------------------------------------------------------
 
@@ -193,9 +248,9 @@ class BuddyAllocator:
                 break
             source, frame = rng.choice(candidates)
             # Pin one page in the middle of the block, splitting it.
-            self.free_lists[source].discard(frame)
+            self._discard(source, frame)
             for split in range(source - 1, -1, -1):
-                self.free_lists[split].add(frame + (1 << split))
+                self._add(split, frame + (1 << split))
             self.allocated[frame] = 0
             self.pinned.append(frame)
             guard += 1
@@ -292,15 +347,15 @@ class BuddyAllocator:
                     size = 1 << order
                     if frame + size <= start or frame >= end:
                         continue
-                    self.free_lists[order].discard(frame)
+                    self._discard(order, frame)
                     progress = True
                     if start <= frame and frame + size <= end:
                         remaining -= size  # fully consumed
                     else:
                         # Straddles the range boundary: split and retry.
                         half = size >> 1
-                        self.free_lists[order - 1].add(frame)
-                        self.free_lists[order - 1].add(frame + half)
+                        self._add(order - 1, frame)
+                        self._add(order - 1, frame + half)
                     break
                 if progress:
                     break

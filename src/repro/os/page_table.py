@@ -11,7 +11,7 @@ leaves (level 1) and 2 MB huge leaves (level 2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "PAGE_SHIFT",
@@ -28,6 +28,10 @@ PAGE_SHIFT = 12  # 4 KB base pages
 HUGE_SHIFT = 21  # 2 MB huge pages
 LEVEL_BITS = 9  # 512 entries per level
 N_LEVELS = 4  # 48-bit virtual addresses
+_INDEX_MASK = (1 << LEVEL_BITS) - 1
+#: va shift of each level's index, root first:
+#: ``PAGE_SHIFT + LEVEL_BITS * (N_LEVELS - 1 - level)``
+_LEVEL_SHIFTS = (39, 30, 21, 12)
 
 #: Number of PTE bits freed when the leaf is a huge page (paper: 21-12=9).
 UNUSED_HUGE_BITS = HUGE_SHIFT - PAGE_SHIFT
@@ -132,13 +136,113 @@ class PageTable:
         self.fault_hook = None
 
     @staticmethod
-    def _indices(va: int) -> tuple:
-        indices = []
-        shift = PAGE_SHIFT + LEVEL_BITS * (N_LEVELS - 1)
-        for _ in range(N_LEVELS):
-            indices.append((va >> shift) & ((1 << LEVEL_BITS) - 1))
-            shift -= LEVEL_BITS
-        return tuple(indices)
+    def _indices(va: int) -> Tuple[int, int, int, int]:
+        return (
+            (va >> 39) & _INDEX_MASK,
+            (va >> 30) & _INDEX_MASK,
+            (va >> 21) & _INDEX_MASK,
+            (va >> 12) & _INDEX_MASK,
+        )
+
+    def _table(self, va: int, depth: int, create: bool = False) -> Any:
+        """The table *depth* levels below the root on *va*'s path: the
+        table, the leaf PTE word that ends the path early, or None where
+        a level is missing and *create* is False (with *create*, missing
+        levels are added)."""
+        node: Any = self._root
+        for shift in _LEVEL_SHIFTS[:depth]:
+            index = (va >> shift) & _INDEX_MASK
+            child = node.get(index)
+            if child is None and create:
+                child = node[index] = {}
+            if not isinstance(child, dict):
+                return child
+            node = child
+        return node
+
+    def map_pages(
+        self,
+        va: int,
+        pas: Sequence[int],
+        huge: bool = False,
+        map_id: int = 0,
+        flags: int = PteFlags.PRESENT | PteFlags.WRITABLE,
+    ) -> None:
+        """Install a run of leaves: page *i* maps
+        ``va + i * page_bytes -> pas[i]``.
+
+        The whole run is checked before the tree changes, so a failure
+        installs nothing.  The path to each parent table is walked once
+        to check it, and once more to create it if it is missing.
+
+        Raises:
+            ValueError: naming the first page that is misaligned, cannot
+                be encoded, overlaps an existing huge mapping or is
+                already mapped.
+        """
+        shift = HUGE_SHIFT if huge else PAGE_SHIFT
+        page_bytes = 1 << shift
+        depth = N_LEVELS - 2 if huge else N_LEVELS - 1
+        full_flags = flags | PteFlags.PRESENT | (PteFlags.HUGE if huge else 0)
+        # per parent table on the run: a va on its path, the table (None
+        # while it does not exist) and the leaves it gains
+        runs: List[Tuple[int, Optional[Dict[int, Any]], Dict[int, int]]] = []
+        parent = -1
+        table: Any = None
+        leaves: Dict[int, int] = {}
+        for index, pa in enumerate(pas):
+            page_va = va + index * page_bytes
+            if page_va & (page_bytes - 1) or pa & (page_bytes - 1):
+                raise ValueError(
+                    f"va {page_va:#x} / pa {pa:#x} not aligned to {page_bytes} bytes"
+                )
+            pte = pack_pte(pa >> PAGE_SHIFT, full_flags, map_id)
+            if page_va >> (shift + LEVEL_BITS) != parent:
+                parent = page_va >> (shift + LEVEL_BITS)
+                table = self._table(page_va, depth)
+                if isinstance(table, int):
+                    raise ValueError(
+                        f"va {page_va:#x} overlaps an existing huge mapping"
+                    )
+                leaves = {}
+                runs.append((page_va, table, leaves))
+            slot = (page_va >> shift) & _INDEX_MASK
+            if table is not None and slot in table:
+                raise ValueError(f"va {page_va:#x} is already mapped")
+            leaves[slot] = pte
+        for page_va, known, new_leaves in runs:
+            if known is None:
+                known = self._table(page_va, depth, create=True)
+            known.update(new_leaves)
+
+    def unmap_pages(self, va: int, n: int, huge: bool = False) -> None:
+        """Remove *n* consecutive leaves starting at *va*.
+
+        Every page is checked before any is removed, so a failure
+        removes nothing.  The path to each parent table is walked once.
+
+        Raises:
+            PageFaultError: naming the first page that is not mapped.
+        """
+        shift = HUGE_SHIFT if huge else PAGE_SHIFT
+        depth = N_LEVELS - 2 if huge else N_LEVELS - 1
+        runs: List[Tuple[Dict[int, Any], List[int]]] = []
+        parent = -1
+        table: Any = None
+        for index in range(n):
+            page_va = va + (index << shift)
+            if page_va >> (shift + LEVEL_BITS) != parent:
+                parent = page_va >> (shift + LEVEL_BITS)
+                table = self._table(page_va, depth)
+                if isinstance(table, dict):
+                    runs.append((table, []))
+            slot = (page_va >> shift) & _INDEX_MASK
+            if not isinstance(table, dict) or slot not in table:
+                raise PageFaultError(f"va {page_va:#x} not mapped")
+            runs[-1][1].append(slot)
+        for known, slots in runs:
+            for slot in slots:
+                del known[slot]
 
     def map_page(
         self,
@@ -148,45 +252,17 @@ class PageTable:
         map_id: int = 0,
         flags: int = PteFlags.PRESENT | PteFlags.WRITABLE,
     ) -> None:
-        """Install one leaf mapping va -> pa.
+        """Install one leaf mapping va -> pa (a one-page
+        :meth:`map_pages`).
 
         Raises:
             ValueError: on misalignment or an already-mapped address.
         """
-        shift = HUGE_SHIFT if huge else PAGE_SHIFT
-        if va & ((1 << shift) - 1) or pa & ((1 << shift) - 1):
-            raise ValueError(
-                f"va {va:#x} / pa {pa:#x} not aligned to {1 << shift} bytes"
-            )
-        full_flags = flags | PteFlags.PRESENT | (PteFlags.HUGE if huge else 0)
-        pte = pack_pte(pa >> PAGE_SHIFT, full_flags, map_id)
-        indices = self._indices(va)
-        depth = N_LEVELS - 2 if huge else N_LEVELS - 1
-        node = self._root
-        for level in range(depth):
-            child = node.get(indices[level])
-            if child is None:
-                child = {}
-                node[indices[level]] = child
-            if not isinstance(child, dict):
-                raise ValueError(f"va {va:#x} overlaps an existing huge mapping")
-            node = child
-        if indices[depth] in node:
-            raise ValueError(f"va {va:#x} is already mapped")
-        node[indices[depth]] = pte
+        self.map_pages(va, (pa,), huge, map_id, flags)
 
     def unmap_page(self, va: int, huge: bool = False) -> None:
-        indices = self._indices(va)
-        depth = N_LEVELS - 2 if huge else N_LEVELS - 1
-        node = self._root
-        for level in range(depth):
-            child = node.get(indices[level])
-            if not isinstance(child, dict):
-                raise PageFaultError(f"va {va:#x} not mapped")
-            node = child
-        if indices[depth] not in node:
-            raise PageFaultError(f"va {va:#x} not mapped")
-        del node[indices[depth]]
+        """Remove the leaf at *va* (a one-page :meth:`unmap_pages`)."""
+        self.unmap_pages(va, 1, huge)
 
     def walk(self, va: int) -> WalkResult:
         """Walk the tree; returns the leaf for *va*.

@@ -86,6 +86,10 @@ class AddressSpace:
         With ``compact=True`` huge-page allocation falls back to buddy
         compaction (counting moved pages in :attr:`compaction_moves`)
         instead of failing when free memory is fragmented.
+
+        The area's frames are allocated first and its PTEs installed in
+        one page-table call.  A failure in either step frees every frame
+        taken, in allocation order, and maps nothing.
         """
         if length <= 0:
             raise ValueError("length must be positive")
@@ -101,53 +105,50 @@ class AddressSpace:
         flags = PteFlags.PRESENT | (PteFlags.WRITABLE if writable else 0)
         if map_id != 0:
             flags |= PteFlags.PIM
-        area = VmArea(
-            va=va, length=length, page_shift=page_shift, map_id=map_id, flags=flags
-        )
         order = _HUGE_ORDER if huge else 0
+        frames: List[int] = []
         try:
-            for index in range(area.n_pages):
+            for _ in range(length >> page_shift):
                 if huge and compact:
                     result = self.buddy.alloc_with_compaction(order)
-                    frame = result.frame
+                    frames.append(result.frame)
                     self.compaction_moves += result.pages_moved
                 else:
-                    frame = self.buddy.alloc(order)
-                try:
-                    self.page_table.map_page(
-                        va + index * page_bytes,
-                        frame << PAGE_SHIFT,
-                        huge=huge,
-                        map_id=map_id,
-                        flags=flags,
-                    )
-                except Exception:
-                    self.buddy.free(frame)
-                    raise
-                area.frames.append(frame)
+                    frames.append(self.buddy.alloc(order))
+            self.page_table.map_pages(
+                va,
+                [frame << PAGE_SHIFT for frame in frames],
+                huge=huge,
+                map_id=map_id,
+                flags=flags,
+            )
         except Exception:
-            self._rollback(area)
+            for frame in frames:
+                self.buddy.free(frame)
             raise
-        self.areas[va] = area
+        self.areas[va] = VmArea(
+            va=va,
+            length=length,
+            page_shift=page_shift,
+            map_id=map_id,
+            flags=flags,
+            frames=frames,
+        )
         return va
 
-    def _rollback(self, area: VmArea) -> None:
-        for index, frame in enumerate(area.frames):
-            self.page_table.unmap_page(
-                area.va + index * area.page_bytes,
-                huge=area.page_shift == HUGE_SHIFT,
-            )
-            self.buddy.free(frame)
-
     def munmap(self, va: int) -> None:
-        """Tear down the region starting at *va* and free its frames."""
+        """Tear down the region starting at *va* and free its frames.
+
+        The PTEs go in one call; each page's TLB shootdown and buddy free
+        then follow in page order."""
         area = self.areas.pop(va, None)
         if area is None:
             raise ValueError(f"va {va:#x} is not the start of a mapped area")
+        self.page_table.unmap_pages(
+            va, len(area.frames), huge=area.page_shift == HUGE_SHIFT
+        )
         for index, frame in enumerate(area.frames):
-            page_va = va + index * area.page_bytes
-            self.page_table.unmap_page(page_va, huge=area.page_shift == HUGE_SHIFT)
-            self.mmu.tlb.invalidate(page_va, area.page_shift)
+            self.mmu.tlb.invalidate(va + index * area.page_bytes, area.page_shift)
             self.buddy.free(frame)
 
     def set_area_map_id(self, va: int, page_index: int, map_id: int) -> None:

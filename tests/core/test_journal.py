@@ -11,6 +11,7 @@ pins down each mechanism on hand-built states.
 import pytest
 
 from repro.core.journal import CRASH_SITES, InjectedCrash, MapJournal, recover
+from repro.core.mapping import Field, pim_optimized_mapping
 from repro.core.pimalloc import PimSystem
 from repro.core.selector import MatrixConfig
 from repro.pim.config import aim_config_for
@@ -182,3 +183,43 @@ class TestIdempotence:
         report = system.recover()
         assert report.actions == []
         assert system.journal.uncommitted() == []
+
+
+class TestRejectedCallsLeaveTheJournalClean:
+    def test_double_free_journals_nothing(self, system):
+        tensor = system.pimalloc(MATRIX)
+        tensor.free()
+        before = len(system.journal)
+        with pytest.raises(ValueError, match="not the start of a mapped area"):
+            tensor.free()
+        assert len(system.journal) == before
+        assert system.journal.uncommitted() == []
+        assert system.recover().actions == []
+        assert len(system.controller.table) == 1
+
+    def test_pimalloc_into_a_full_table_commits_a_noop(self, system):
+        wanted = system.pimalloc(MATRIX)
+        target = wanted.mapping.fields
+        wanted.free()
+        table = system.controller.table
+        # fill every slot with PIM mappings the matrix does not use
+        for map_id in range(1, 11):
+            for pu_order in (
+                (Field.BANK, Field.RANK, Field.CHANNEL),
+                (Field.CHANNEL, Field.RANK, Field.BANK),
+            ):
+                mapping = pim_optimized_mapping(
+                    system.org, system.pim.chunk_rows, system.pim.chunk_cols,
+                    system.pim.dtype_bytes, map_id, 21, pu_order=pu_order,
+                )
+                if len(table) < 16 and mapping.fields != target:
+                    table.register(mapping)
+        assert len(table) == 16
+        live = list(table.entries())
+        with pytest.raises(ValueError, match="mapping table full"):
+            system.pimalloc(MATRIX)
+        last = system.journal.transactions()[-1]
+        assert (last.op, last.steps, last.committed) == ("alloc", [], True)
+        assert system.journal.uncommitted() == []
+        assert list(table.entries()) == live
+        assert system.recover().actions == []

@@ -24,6 +24,10 @@ class TestInitialState:
         with pytest.raises(ValueError):
             BuddyAllocator(0)
 
+    def test_rejects_negative_max_order(self):
+        with pytest.raises(ValueError, match="max_order"):
+            BuddyAllocator(16, max_order=-1)
+
 
 class TestAllocFree:
     def test_alloc_splits(self):
@@ -253,3 +257,8 @@ class TestFromAllocated:
         direct = BuddyAllocator.from_allocated(256, taken, max_order=4)
         for order in range(5):
             assert direct.free_blocks(order) == incremental.free_blocks(order)
+
+    @pytest.mark.parametrize("page", [99, 16, -1])
+    def test_rejects_pages_outside_the_arena(self, page):
+        with pytest.raises(ValueError, match=rf"page {page} outside \[0, 16\)"):
+            BuddyAllocator.from_allocated(16, {3, page}, max_order=4)

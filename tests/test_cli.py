@@ -181,6 +181,34 @@ class TestServeCommand:
             capsys.readouterr().out
         )
 
+    @pytest.mark.parametrize("workload", ["moe", "coresident"])
+    def test_serve_workload_clean_run_exits_zero(self, tmp_path, workload):
+        # the nightly workloads job's command line
+        assert main([
+            "serve", "--workload", workload, "--qps", "2",
+            "--duration-ms", "1000", "--seed", "7",
+            "--out", str(tmp_path / "serve.json"),
+        ]) == 0
+
+    def test_serve_workload_conservation_finding_fails(
+            self, tmp_path, monkeypatch):
+        from repro.workloads.moe import ExpertPool
+
+        leak = "mapping table holds 2 entries (want conventional only)"
+        monkeypatch.setattr(
+            ExpertPool, "conservation_findings", lambda self: [leak, "another"]
+        )
+        out = tmp_path / "serve.json"
+        with pytest.raises(SystemExit) as exc_info:
+            main([
+                "serve", "--workload", "moe", "--qps", "2",
+                "--duration-ms", "1000", "--seed", "7", "--out", str(out),
+            ])
+        message = str(exc_info.value.code)
+        assert message.startswith("2 moe workload conservation finding(s)")
+        assert message.endswith(f"first: {leak}")
+        assert out.exists()  # the report is still written for triage
+
     def test_serve_replay_check_rejects_telemetry_flags(self, tmp_path):
         with pytest.raises(SystemExit, match="replay-check"):
             main([
