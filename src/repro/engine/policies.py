@@ -18,19 +18,22 @@ All latencies come from the substrate models: the SoC roofline, the PIM
 command-level GEMV model, and the re-layout cost model.
 A prefill is placed on a unit and priced only by
 :meth:`InferenceEngine.price_prefill`; a decode is summed only by
-:meth:`InferenceEngine.decode_total_ns`.
+:meth:`InferenceEngine.decode_total_ns`, over the engine's per-unit table
+of decode-step prices.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+import operator
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.core.relayout import relayout_cost_ns
 from repro.core.selector import MatrixConfig, select_mapping
 from repro.engine.metrics import QueryLatency
-from repro.llm.inference import AttentionCost, attention_cost, decode_step_plan, prefill_plan
+from repro.llm.inference import AttentionCost, attention_cost
 from repro.llm.layers import LinearSpec, linear_specs
 from repro.llm.model_config import LlmConfig, model_by_name
 from repro.pim.gemv import GemvLatency, gemv_latency
@@ -56,6 +59,15 @@ def decode_on_pim(policy: str) -> bool:
 
 #: Per-offloaded-op dispatch overhead for PIM command streams.
 PIM_DISPATCH_NS = 2_000.0
+
+
+def _length(name: str, value: int) -> int:
+    """*value* as an ``int`` (numpy integers included); a float or any
+    other non-integer raises a ``TypeError`` naming *name*."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -122,16 +134,30 @@ class InferenceEngine:
             self._costs[spec.name] = _SpecCosts(
                 spec=spec, pim_gemv=pim, relayout_ns=relayout.total_ns
             )
-        # Decode steps repeat the same context lengths across queries and
-        # sweeps; memoize the pure pricing functions per engine instance.
+        # The context-free part of one decode step, summed in
+        # ``linear_specs`` order: the linear GEMVs, plus dispatch and the
+        # partial-sum reduction on PIM.
+        soc_gemv_ns = 0.0
+        pim_gemv_ns = 0.0
+        reduce_bytes = 0.0
+        for cost in self._costs.values():
+            spec = cost.spec
+            soc_gemv_ns += spec.count * self.soc.gemv_time_ns(
+                spec.out_features, spec.in_features, spec.dtype_bytes
+            )
+            pim_gemv_ns += spec.count * (cost.pim_gemv.total_ns + PIM_DISPATCH_NS)
+            reduce_bytes += spec.count * cost.pim_gemv.soc_reduce_bytes
+        self._soc_step_linear_ns = soc_gemv_ns
+        self._pim_step_linear_ns = pim_gemv_ns + self.soc.stream_time_ns(reduce_bytes)
+        # Per unit, entry ``c`` prices one decode step over ``c`` cached
+        # tokens (entry 0 is never read), grown on demand.  These tables
+        # are the only decode-step memo: steps and whole decodes read them.
+        self._soc_steps: List[float] = [math.nan]
+        self._pim_steps: List[float] = [math.nan]
+        # Prefills repeat the same lengths across queries and sweeps;
+        # memoize the pure pricing functions per engine instance.
         self.soc_prefill_ns = functools.lru_cache(maxsize=None)(self.soc_prefill_ns)
         self.pim_prefill_ns = functools.lru_cache(maxsize=None)(self.pim_prefill_ns)
-        self.soc_decode_step_ns = functools.lru_cache(maxsize=None)(
-            self.soc_decode_step_ns
-        )
-        self.pim_decode_step_ns = functools.lru_cache(maxsize=None)(
-            self.pim_decode_step_ns
-        )
 
     # ------------------------------------------------------------------
     # phase primitives
@@ -154,10 +180,14 @@ class InferenceEngine:
         ``pim_layout`` the GEMMs run on the PIM-optimized layout (FACIL)
         and are scaled by the platform's conservative Table III
         slowdown."""
-        plan = prefill_plan(self.model, prefill_len)
+        if prefill_len <= 0:
+            raise ValueError("prefill length must be positive")
+        if context < 0:
+            raise ValueError(f"context must be non-negative, got {context}")
         gemm_ns = 0.0
-        for spec in plan.linears:
-            n = self._gemm_batch(spec, plan.batch_tokens)
+        for cost in self._costs.values():
+            spec = cost.spec
+            n = self._gemm_batch(spec, prefill_len)
             gemm_ns += spec.count * self.soc.gemm_time_ns(
                 spec.out_features, n, spec.in_features, spec.dtype_bytes
             )
@@ -175,38 +205,59 @@ class InferenceEngine:
         """Prefill on PIM: the tall-and-skinny GEMM as L back-to-back
         GEMV passes (AiM holds one input vector at a time), attention and
         glue on the SoC."""
-        plan = prefill_plan(self.model, prefill_len)
+        if prefill_len <= 0:
+            raise ValueError("prefill length must be positive")
         gemv_ns = 0.0
         reduce_bytes = 0.0
-        for spec in plan.linears:
-            cost = self._costs[spec.name]
-            n = self._gemm_batch(spec, plan.batch_tokens)
+        for cost in self._costs.values():
+            spec = cost.spec
+            n = self._gemm_batch(spec, prefill_len)
             gemv_ns += spec.count * (n * cost.pim_gemv.total_ns + PIM_DISPATCH_NS)
             reduce_bytes += spec.count * n * cost.pim_gemv.soc_reduce_bytes
         reduce_ns = self.soc.stream_time_ns(reduce_bytes)
-        return gemv_ns + reduce_ns + self._attention_ns(plan.attention)
+        attention = attention_cost(self.model, prefill_len, prefill_len)
+        return gemv_ns + reduce_ns + self._attention_ns(attention)
 
-    def soc_decode_step_ns(self, context_len: int) -> float:
-        plan = decode_step_plan(self.model, context_len)
-        gemv_ns = 0.0
-        for spec in plan.linears:
-            gemv_ns += spec.count * self.soc.gemv_time_ns(
-                spec.out_features, spec.in_features, spec.dtype_bytes
+    def _step_table(self, on_pim: bool, last_context: int) -> List[float]:
+        """The decode-step table of one unit, grown to cover
+        *last_context*: each new entry is the unit's linear constant plus
+        the attention over that many cached tokens."""
+        if on_pim:
+            table, linear_ns = self._pim_steps, self._pim_step_linear_ns
+        else:
+            table, linear_ns = self._soc_steps, self._soc_step_linear_ns
+        if len(table) <= last_context:
+            table.extend(
+                linear_ns + self._attention_ns(attention_cost(self.model, 1, context))
+                for context in range(len(table), last_context + 1)
             )
-        return gemv_ns + self._attention_ns(plan.attention)
+        return table
+
+    def _decode_step_ns(self, context_len: int, on_pim: bool) -> float:
+        """A step the table may not cover yet: validate *context_len*,
+        grow the table, read one entry."""
+        context_len = _length("context_len", context_len)
+        if context_len <= 0:
+            raise ValueError("context length must be positive")
+        return self._step_table(on_pim, context_len)[context_len]
+
+    # The step methods read a covered entry inline: batched decode looks
+    # up one step per sequence per round.
+    def soc_decode_step_ns(self, context_len: int) -> float:
+        """One decode step entirely on the SoC, *context_len* tokens
+        already in the KV cache."""
+        steps = self._soc_steps
+        if type(context_len) is int and 0 < context_len < len(steps):
+            return steps[context_len]
+        return self._decode_step_ns(context_len, False)
 
     def pim_decode_step_ns(self, context_len: int) -> float:
         """One decode step with linear GEMVs on PIM; attention, glue, and
         partial-sum reduction on the SoC."""
-        plan = decode_step_plan(self.model, context_len)
-        gemv_ns = 0.0
-        reduce_bytes = 0.0
-        for spec in plan.linears:
-            cost = self._costs[spec.name]
-            gemv_ns += spec.count * (cost.pim_gemv.total_ns + PIM_DISPATCH_NS)
-            reduce_bytes += spec.count * cost.pim_gemv.soc_reduce_bytes
-        reduce_ns = self.soc.stream_time_ns(reduce_bytes)
-        return gemv_ns + reduce_ns + self._attention_ns(plan.attention)
+        steps = self._pim_steps
+        if type(context_len) is int and 0 < context_len < len(steps):
+            return steps[context_len]
+        return self._decode_step_ns(context_len, True)
 
     # ------------------------------------------------------------------
     # phase-level pricing (the serving runtime schedules phases on
@@ -247,11 +298,14 @@ class InferenceEngine:
         self, prefill_len: int, decode_len: int, on_pim: bool
     ) -> float:
         """Price the decode phase on the given unit: steps 2..D (the
-        first token comes from prefill)."""
+        first token comes from prefill), over contexts ``prefill_len + 1``
+        to ``prefill_len + decode_len - 1``, summed in context order."""
+        prefill_len = _length("prefill_len", prefill_len)
+        decode_len = _length("decode_len", decode_len)
         if prefill_len <= 0 or decode_len <= 0:
             raise ValueError("prefill and decode lengths must be positive")
-        step = self.pim_decode_step_ns if on_pim else self.soc_decode_step_ns
-        return sum(step(prefill_len + t) for t in range(1, decode_len))
+        end = prefill_len + decode_len
+        return sum(self._step_table(on_pim, end - 1)[prefill_len + 1 : end])
 
     # ------------------------------------------------------------------
     # dynamic-offload profiling (paper §VI-C)
@@ -271,6 +325,8 @@ class InferenceEngine:
     def _crossover(self, policy: str, max_len: int) -> int:
         """Smallest power-of-two prefill length up to *max_len* that
         *policy* keeps on the SoC (``max_len + 1`` when none is)."""
+        if max_len < 1:
+            raise ValueError(f"max_len must be at least 1, got {max_len}")
         length = 1
         while length <= max_len:
             if self.price_prefill(policy, length).resource == "soc":

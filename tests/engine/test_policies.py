@@ -120,6 +120,12 @@ class TestDynamicOffload:
         dynamic = engine.run_query("facil", 1, 8, dynamic_offload=True)
         assert dynamic.ttft_ns <= fixed.ttft_ns
 
+    @pytest.mark.parametrize("max_len", [0, -5])
+    def test_crossovers_reject_an_empty_range(self, engine, max_len):
+        for crossover in (engine.prefill_crossover, engine.facil_crossover):
+            with pytest.raises(ValueError, match="max_len"):
+                crossover(max_len)
+
 
 class TestPricePrefill:
     def test_total_is_relayout_plus_compute(self, engine):
@@ -175,6 +181,14 @@ class TestPricePrefill:
             engine.price_prefill("quantum", 8)
         with pytest.raises(ValueError, match="prefill length must be positive"):
             engine.price_prefill("facil", 0)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_negative_context_rejected(self, engine, policy):
+        for context in (-1, -20, -10**6):
+            with pytest.raises(ValueError, match="context"):
+                engine.price_prefill(policy, 10, context=context)
+            with pytest.raises(ValueError, match="context"):
+                engine.soc_prefill_ns(10, policy == "facil", context)
 
 
 class TestCrossPlatform:
