@@ -15,15 +15,37 @@ it by hand and diff the JSON against that commit to find the first
 diverging field.  Print fresh digests with
 ``python -m tests.serving.test_golden_reports`` only when a change is
 *meant* to move simulated results.
+
+The ``KV_BRANCH_CASES`` pin the paged-KV loop's rarer branches, which
+the multi-turn cases above never reach: SoC decode (served, clipped to
+the pool, preempted when it cannot grow one token, aborted by a fault),
+both deadline boundaries under drop-oldest and degrade shedding, and
+the demand reject on a small pool.  Each has a report, barrier, trace
+and metrics digest, captured at commit
+ee90c2d2da6f7ec86c924626e3217606b88971b6, and
+:func:`test_kv_branch_reached` checks from the run's counters,
+outcomes and request spans that its branches really ran.  Three
+branches of that loop cannot run, so no case pins them:
+
+* the shed when ``KvCacheManager.begin`` fails with nothing in flight
+  or running: with no sequence live, every block is free or evictable,
+  and the demand pre-check plus the admission clip keep any one
+  sequence within the pool;
+* a prefill that completes with no decode budget left: every budget is
+  at least one token, and a preempted sequence re-enters with its
+  unserved tokens;
+* a decode round with no preemption victim: the sequence that cannot
+  grow is itself running, so it is always a candidate.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import random
 from dataclasses import replace
-from typing import Callable, Dict
+from typing import Callable, Dict, List, Set, Tuple
 
 import pytest
 
@@ -31,8 +53,15 @@ from repro.analysis.replay import BarrierRecorder
 from repro.engine.policies import InferenceEngine
 from repro.llm.datasets import CHAT_TO_LONG_CONTEXT_DRIFT
 from repro.platforms.specs import IPHONE_15_PRO, JETSON_ORIN
-from repro.serving.runtime import ServingConfig, ServingRuntime
-from repro.serving.workload import TenantSpec, poisson_workload
+from repro.serving.runtime import (
+    ABORTED,
+    SERVED_DEGRADED,
+    TIMED_OUT,
+    ServingConfig,
+    ServingReport,
+    ServingRuntime,
+)
+from repro.serving.workload import Request, TenantSpec, poisson_workload
 from repro.telemetry import Telemetry
 
 SHED_POLICIES = ("reject", "degrade", "drop-oldest")
@@ -45,6 +74,9 @@ HARSH_FAULTS = dict(
     pim_fault_rate=0.5, mapping_fault_rate=0.35, soc_fault_rate=0.1,
     jitter=0.2, max_retries=1, breaker_threshold=0.3,
 )
+#: harsh faults with SoC faults frequent enough that a SoC decode
+#: exhausts its one retry
+SOC_FAULTS = dict(HARSH_FAULTS, soc_fault_rate=0.4)
 
 
 def _sha(text: str) -> str:
@@ -208,6 +240,159 @@ def _kv_barriers() -> str:
     )
 
 
+def _kv_tenant(policy: str, qps: float, deadline_ms: float) -> TenantSpec:
+    return TenantSpec(
+        name=policy, policy=policy, qps=qps, deadline_ms=deadline_ms,
+        mean_turns=3.0, think_time_ms=500.0,
+    )
+
+
+#: paged-KV runs that reach the loop's rarer branches (see the module
+#: docstring): name -> (tenants, pool blocks, shed policy, faults, seed,
+#: duration in ms)
+KV_BRANCH_CASES: Dict[str, Tuple] = {
+    # SoC decode alone: served, aborted by a SoC fault, and the demand
+    # reject plus both deadline boundaries on a 12-block pool
+    "kv-soc-only": (
+        (_kv_tenant("soc-only", 1.0, 15_000.0),),
+        12, "reject", SOC_FAULTS, 5, 30_000.0,
+    ),
+    # SoC decodes beside batched PIM rounds on a 6-block pool: clipped
+    # to what the rounds leave, preempted when not one token fits, and
+    # rounds preempting their youngest member
+    "kv-hybrid-soc": (
+        (_kv_tenant("hybrid-dynamic", 2.0, 15_000.0),
+         _kv_tenant("soc-only", 1.0, 15_000.0)),
+        6, "drop-oldest", SOC_FAULTS, 7, 20_000.0,
+    ),
+    # tight deadlines: requests time out before and after their prefill
+    "kv-deadline-drop-oldest": (
+        (_kv_tenant("facil", 1.0, 2_000.0), _kv_tenant("soc-only", 0.5, 2_000.0)),
+        12, "drop-oldest", {}, 3, 20_000.0,
+    ),
+    "kv-deadline-degrade": (
+        (_kv_tenant("hybrid-dynamic", 1.0, 2_000.0),
+         _kv_tenant("soc-only", 0.5, 2_000.0)),
+        12, "degrade", {}, 5, 20_000.0,
+    ),
+}
+
+#: what each case must prove it ran (see :func:`_kv_branches_reached`)
+KV_BRANCHES: Dict[str, Set[str]] = {
+    "kv-soc-only": {
+        "soc-decode-served", "soc-decode-aborted", "prefill-aborted",
+        "demand-rejected", "timed-out-before-prefill",
+        "timed-out-after-prefill",
+    },
+    "kv-hybrid-soc": {
+        "soc-decode-served", "soc-decode-clipped", "soc-decode-preempted",
+        "round-preempted", "soc-decode-aborted", "dropped",
+    },
+    "kv-deadline-drop-oldest": {
+        "timed-out-before-prefill", "timed-out-after-prefill", "dropped",
+    },
+    "kv-deadline-degrade": {
+        "timed-out-before-prefill", "timed-out-after-prefill",
+        "served-degraded", "kv-degraded",
+    },
+}
+
+
+def _kv_branch_inputs(name: str) -> Tuple[ServingConfig, List[Request]]:
+    tenants, blocks, shed, faults, seed, duration_ms = KV_BRANCH_CASES[name]
+    knobs: Dict = dict(
+        seed=seed, queue_capacity=8, shed_policy=shed, kv_blocks=blocks,
+        block_tokens=16, **faults,
+    )
+    if shed == "degrade":
+        knobs["degrade_watermark"] = 2
+    requests = poisson_workload(list(tenants), duration_ms=duration_ms, seed=seed)
+    return ServingConfig(**knobs), requests
+
+
+def _kv_branch_report(name: str) -> str:
+    config, requests = _kv_branch_inputs(name)
+    return ServingRuntime(_iphone(), config).run(requests).to_json()
+
+
+def _kv_branch_barriers(name: str) -> str:
+    config, requests = _kv_branch_inputs(name)
+    return _barrier_hashes(
+        lambda rec: ServingRuntime(_iphone(), config, barriers=rec), requests
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _kv_branch_traced(name: str) -> Tuple[ServingReport, Telemetry]:
+    config, requests = _kv_branch_inputs(name)
+    telemetry = Telemetry(sample_every=1)
+    report = ServingRuntime(_iphone(), config, telemetry=telemetry).run(requests)
+    return report, telemetry
+
+
+def _kv_branch_trace(name: str) -> str:
+    _, telemetry = _kv_branch_traced(name)
+    return json.dumps(telemetry.tracer.chrome_trace(), indent=1)
+
+
+def _kv_branch_metrics(name: str) -> str:
+    _, telemetry = _kv_branch_traced(name)
+    return json.dumps(telemetry.metrics.snapshot(), indent=1)
+
+
+def _kv_branches_reached(name: str) -> Set[str]:
+    """The branches *name*'s traced run shows it ran.  A soc-only
+    request never joins a PIM round, so its decode, its clip and its
+    recompute all come from the SoC decode path."""
+    config, requests = _kv_branch_inputs(name)
+    report, telemetry = _kv_branch_traced(name)
+    cap_tokens = config.kv_blocks * config.block_tokens
+    by_id = {r.req_id: r for r in requests}
+    recomputes = {
+        span.trace_id: span.args.get("recomputes", 0)
+        for span in telemetry.tracer.spans if span.name == "request"
+    }
+    reached: Set[str] = set()
+    kv = report.kv
+    assert kv is not None
+    if kv["kv_rejections"]:
+        reached.add("demand-rejected")
+    if kv["kv_degraded"]:
+        reached.add("kv-degraded")
+    if report.dropped:
+        reached.add("dropped")
+    if report.served_degraded:
+        reached.add("served-degraded")
+    for outcome in report.outcomes:
+        request = by_id[outcome.req_id]
+        soc_only = request.policy == "soc-only"
+        recomputed = recomputes.get(outcome.req_id, 0) > 0
+        first_token = outcome.ttft_ns > 0.0
+        if outcome.status == TIMED_OUT:
+            reached.add(
+                "timed-out-after-prefill" if first_token
+                else "timed-out-before-prefill"
+            )
+        if outcome.status == ABORTED and not first_token:
+            reached.add("prefill-aborted")
+        if recomputed:
+            reached.add("soc-decode-preempted" if soc_only else "round-preempted")
+        if not soc_only:
+            continue
+        if outcome.status == ABORTED and first_token and not recomputed:
+            reached.add("soc-decode-aborted")
+        if outcome.served:
+            reached.add("soc-decode-served")
+            budget = request.decode_tokens
+            if outcome.status == SERVED_DEGRADED:
+                budget = max(1, min(budget, config.degraded_decode_tokens))
+            if request.prefill_tokens + budget > cap_tokens:
+                budget = max(1, cap_tokens - request.prefill_tokens)
+            if outcome.decode_tokens_served < budget:
+                reached.add("soc-decode-clipped")
+    return reached
+
+
 def _trace(config: ServingConfig, requests) -> str:
     telemetry = Telemetry(sample_every=1)
     ServingRuntime(_iphone(), config, telemetry=telemetry).run(requests)
@@ -242,6 +427,11 @@ def _cases() -> Dict[str, Callable[[], str]]:
     cases["trace-kv"] = lambda: _trace(
         _kv_config(HARSH_FAULTS), _kv_requests()
     )
+    for name in KV_BRANCH_CASES:
+        cases[f"{name}-report"] = lambda n=name: _kv_branch_report(n)
+        cases[f"{name}-barriers"] = lambda n=name: _kv_branch_barriers(n)
+        cases[f"{name}-trace"] = lambda n=name: _kv_branch_trace(n)
+        cases[f"{name}-metrics"] = lambda n=name: _kv_branch_metrics(n)
     return cases
 
 
@@ -278,8 +468,24 @@ GOLDEN: Dict[str, str] = {
     "chat-reject-nofault-static": "b068a3351bb625263cd244bc98066c27fae96cea75bfad34c178fd76b4ae837b",
     "fleet-healthy": "c7b5c2320ab52dcce1df5aca2576dafd20e03216af047dabc7f4a8d8137445e0",
     "fleet-kill-k": "4d938a4b0eac40c99acb0b2f48c172c7780e2c8e38cb78d7bfd039c860ac8866",
+    "kv-deadline-degrade-barriers": "864e5b155e699f269fb66815311921524b2a3e1aef2f5634187a22582a913516",
+    "kv-deadline-degrade-metrics": "d3a916024870343d9cf959572ebbc20e0e9277fb4fff32add6ce7f76fd9fed31",
+    "kv-deadline-degrade-report": "5dc79002f4fe30b299695a51a29b1ea0f030d96594c2a006c078f9bf4a3f4318",
+    "kv-deadline-degrade-trace": "8618ffaeb6dbc7e094a94642424446575e6eba9305ecc2198517bf74d5a5f240",
+    "kv-deadline-drop-oldest-barriers": "64841f2ea25d555c97fa66c5defc1ee22a9d8402e5422958ccf6537d67452aa3",
+    "kv-deadline-drop-oldest-metrics": "737a9fcc49a5dbb8059a000cfd7534badb94b7159d71f805d5eec033c3dc0e42",
+    "kv-deadline-drop-oldest-report": "a40784e220268ea22efa0a1fe46417446ee92f51960b20874fb7a5496fa9173d",
+    "kv-deadline-drop-oldest-trace": "fdc50bb26debf45b27e7a0ce2409347e671e11782add8271b745ddab4c822105",
+    "kv-hybrid-soc-barriers": "6fca8e49c455f797448c905053574cb1c8e269427a92770a8d6ccd5fa4a25364",
+    "kv-hybrid-soc-metrics": "96a434225bf749c68e54e73a99021c8c11b1576e871aa7e3f3216639ceb55a0b",
+    "kv-hybrid-soc-report": "5dc65eeb3957d9079d29219fbd988f369eb34281583c89ddbdd961d21bdb8473",
+    "kv-hybrid-soc-trace": "86fa10a4b1bbde778bb868d7b7a7e9711a6c3cbbde936b35e8b28a929ffd9cbb",
     "kv-multiturn-faults": "111d00b6e23dd0aecc455bd351477e667912dc72fa7d46b769836f9fb67ce79c",
     "kv-multiturn-harsh": "af1965740640d346ade289cf5bdad4796fac721bfc63c28e7c4e5cb86e45a714",
+    "kv-soc-only-barriers": "2c710357d3a760c2129a15b71b6e7466edaa0b48dfc87d98c2b28a6d9ae7f58c",
+    "kv-soc-only-metrics": "017d4b9d91b0db0e0b8e718d22020b3f3c2360bbdbe2098434f75c093bfab32c",
+    "kv-soc-only-report": "fac42819913d2ee4598a08f5648d6221fb1d8d9485f93481103c7d47597f681f",
+    "kv-soc-only-trace": "d16487c364dbadbaa02591e0cce677378f7cbcd7aed972baafb6e6de25c726b8",
     "trace-chat": "aae2e11a197c928b0fd3c02e2ebbe21dbae93940cdef97d2885a0778edf13105",
     "trace-kv": "e9db52678619011a7cb5cf4926a4b17c778bdc1303c6c09bdeabd679681e3997",
     "workload-coresident-faults": "420413783ac814ca4174661c62e3c4354547523da9479ba94df2c155243d8bdd",
@@ -298,6 +504,11 @@ def test_golden_digest(case):
 
 def test_every_case_is_pinned():
     assert sorted(GOLDEN) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(KV_BRANCH_CASES))
+def test_kv_branch_reached(name):
+    assert KV_BRANCHES[name] <= _kv_branches_reached(name)
 
 
 if __name__ == "__main__":  # pragma: no cover - digest regeneration aid
