@@ -1,9 +1,11 @@
 """Continuous-batching serving loop over a bounded KV block pool.
 
-:class:`~repro.serving.runtime.ServingRuntime` delegates here when
-``ServingConfig.kv_blocks > 0``.  The whole-request loop prices requests
-on two serialized timelines; this one makes the KV cache a first-class
-resource:
+:class:`KvServingLoop` is the :class:`~repro.workloads.runtime.WorkloadLoop`
+that :class:`~repro.serving.runtime.ServingRuntime` runs when
+``ServingConfig.kv_blocks > 0``.  It keeps the base loop's run
+lifecycle, admission step, outcome list and span emission, and replaces
+whole-request stepping (:meth:`KvServingLoop.drive`) with an event loop
+that makes the KV cache a first-class resource:
 
 * **admission** is gated on real block-pool state: a request whose
   solo KV demand exceeds the pool is rejected outright (it could never
@@ -27,14 +29,15 @@ resource:
   cached, and it re-enters through a priority recompute queue whose
   prefill hits that cached prefix.
 
-Every outcome is a standard :class:`RequestOutcome`, kept in that
-loop's outcome list; the KV-side counters land in ``ServingReport.kv``.
+Every outcome is a standard :class:`RequestOutcome`, kept in the loop's
+outcome list; the KV-side counters land in ``ServingReport.kv``.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.kvcache.block import KvPoolExhausted
 from repro.kvcache.manager import KvCacheManager, SeqAdmission
@@ -50,39 +53,18 @@ from repro.serving.runtime import (
     ServingRuntime,
 )
 from repro.serving.workload import Request
-from repro.workloads.runtime import WorkloadLoop
+from repro.workloads.runtime import WorkloadLoop, next_arrival_ns
 
-__all__ = ["run_kv_serving"]
-
-
-class _KvAdmission(WorkloadLoop):
-    """The paged-KV loop's admission queue, RNG, timelines and outcome
-    list: :meth:`WorkloadLoop.offer` and :meth:`WorkloadLoop.record`,
-    with every span tagged as the KV loop's.  The continuous-batching
-    core in :func:`run_kv_serving` is its own."""
-
-    def span_args(self, served: Any = None) -> Dict[str, Any]:
-        return {"kv_loop": True}
+__all__ = ["KvServingLoop", "run_kv_serving"]
 
 
 class _Seq:
     """Mutable per-request serving state (one per admitted request)."""
 
     __slots__ = (
-        "request",
-        "degraded",
-        "decode_budget",
-        "admission",
-        "wait_ns",
-        "ttft_ns",
-        "retries",
-        "backoff_ns",
-        "fallbacks",
-        "ctx",
-        "remaining",
-        "served_tokens",
-        "recomputes",
-        "policy_served",
+        "request", "degraded", "decode_budget", "admission", "wait_ns",
+        "ttft_ns", "retries", "backoff_ns", "fallbacks", "ctx", "remaining",
+        "served_tokens", "recomputes", "policy_served",
     )
 
     def __init__(self, request: Request, degraded: bool, decode_budget: int) -> None:
@@ -102,110 +84,163 @@ class _Seq:
         self.policy_served = ""
 
     @property
-    def conv_key(self) -> Optional[int]:
-        return self.request.conversation_id
-
-    @property
     def prefill_total(self) -> int:
         """Tokens the next prefill must cover: the original prompt on
         first admission, the full regrown context on recompute."""
         return self.ctx if self.recomputes else self.request.prefill_tokens
 
 
-def run_kv_serving(
-    runtime: ServingRuntime, requests: List[Request]
-) -> ServingReport:
-    """Run *requests* through *runtime* with paged-KV continuous batching."""
-    cfg = runtime.config
-    engine = runtime.engine
-    core = runtime.core
-    tel = runtime.telemetry
-    if tel is not None:
-        tel.ensure_calibrated(engine)
-    loop = _KvAdmission(runtime)
-    rng = loop.rng
-    queue = loop.queue
-    free = loop.free
-    outcomes = loop.outcomes
-    B = cfg.block_tokens
-    pool = BlockPool(cfg.kv_blocks, KvSpec(block_tokens=B))
-    kv = KvCacheManager(pool, prefix_sharing=cfg.prefix_sharing)
-    governor = BrownoutController(cfg.kv_pressure_high, cfg.kv_pressure_low)
+def _age(seq: _Seq) -> Tuple[float, int]:
+    return seq.request.arrival_ns, seq.request.req_id
 
-    pending = sorted(requests, key=lambda r: (r.arrival_ns, r.req_id))
-    next_arrival = 0
-    seqs: Dict[int, _Seq] = {}  # req_id -> state, set at admission
-    recompute: Deque[_Seq] = deque()
-    running: List[_Seq] = []
-    prefill_inflight: Optional[Tuple[float, _Seq, bool, int, float]] = None
-    round_inflight: Optional[Tuple[float, List[_Seq]]] = None
-    soc_jobs: List[Tuple[float, _Seq, bool, int, float]] = []
-    clock = 0.0
-    last_event = 0.0
-    stalled = False  # KV-exhausted with work in flight: wait for a completion
-    kv_rejections = 0
-    kv_clipped = 0
-    kv_degraded = 0
 
-    cap_tokens = cfg.kv_blocks * B
+class KvServingLoop(WorkloadLoop):
+    """Paged-KV continuous batching (see the module docstring)."""
 
-    def finish(seq: _Seq, status: str, now: float, ttlt: bool = False) -> None:
-        loop.record(
-            seq.request,
-            status,
-            policy_served=seq.policy_served,
-            wait_ns=seq.wait_ns,
-            ttft_ns=seq.ttft_ns,
-            ttlt_ns=(now - seq.request.arrival_ns) if ttlt else 0.0,
-            decode_tokens_served=seq.served_tokens,
-            retries=seq.retries,
-            backoff_ns=seq.backoff_ns,
-            fallbacks=seq.fallbacks,
-        )
-        if tel is not None:
-            # Reconstruct the phase boundaries from the per-sequence
-            # timing fields the outcome already carries — the span tree
-            # is derived data, never an extra clock.
-            request = seq.request
-            arrival = request.arrival_ns
-            start = arrival + seq.wait_ns if seq.policy_served else None
-            if seq.ttft_ns > 0.0:
-                prefill_end: Optional[float] = arrival + seq.ttft_ns
-            elif status == ABORTED and start is not None:
-                prefill_end = now  # the failed prefill itself
+    def __init__(self, runtime: ServingRuntime) -> None:
+        super().__init__(runtime)
+        cfg = runtime.config
+        self.block_tokens = cfg.block_tokens
+        #: the most tokens one sequence may ever hold: the whole pool
+        self.cap_tokens = cfg.kv_blocks * cfg.block_tokens
+        self.pool = BlockPool(cfg.kv_blocks, KvSpec(block_tokens=cfg.block_tokens))
+        self.kv = KvCacheManager(self.pool, prefix_sharing=cfg.prefix_sharing)
+        self.governor = BrownoutController(cfg.kv_pressure_high, cfg.kv_pressure_low)
+        self.seqs: Dict[int, _Seq] = {}  # req_id -> state, set at admission
+        self.recompute: Deque[_Seq] = deque()
+        self.running: List[_Seq] = []
+        #: ``(end_ns, seq, ok, pim_decode)`` of the prefill in flight
+        self.prefill_inflight: Optional[Tuple[float, _Seq, bool, bool]] = None
+        #: ``(end_ns, participants)`` of the PIM decode round in flight
+        self.round_inflight: Optional[Tuple[float, List[_Seq]]] = None
+        #: ``(end_ns, seq, ok)`` of every SoC decode in flight
+        self.soc_jobs: List[Tuple[float, _Seq, bool]] = []
+        #: KV-exhausted with work in flight: wait for a completion
+        self.stalled = False
+        self.counts = {"kv_rejections": 0, "kv_clipped": 0, "kv_degraded": 0}
+
+    # -- lifecycle -----------------------------------------------------
+
+    def drive(self, pending: Sequence[Request]) -> None:
+        """The continuous-batching event loop: dispatch rounds and
+        prefills until quiescent, then take the earliest event
+        (arrival, prefill end, round end, SoC decode end; ties in that
+        order)."""
+        bar = self.runtime.barriers
+        outcomes = self.outcomes
+        queue = self.queue
+        recompute = self.recompute
+        running = self.running
+        soc_jobs = self.soc_jobs
+        inf = math.inf
+        next_arrival = 0
+        while True:
+            if bar is not None:
+                bar.observe(len(outcomes), self.barrier_state)
+            upcoming = next_arrival_ns(pending, next_arrival)
+            # dispatch until quiescent: rounds and prefills may unblock
+            # each other (a timed-out head pops, a preemption frees
+            # blocks, ...)
+            progressed = True
+            while progressed:
+                progressed = False
+                if self.round_inflight is None and running:
+                    progressed |= self.start_round(self.clock)
+                if self.prefill_inflight is None:
+                    progressed |= self.start_prefill(self.clock, upcoming)
+
+            prefill = self.prefill_inflight
+            rnd = self.round_inflight
+            t, kind = min(
+                (upcoming, 0),
+                (inf if prefill is None else prefill[0], 1),
+                (inf if rnd is None else rnd[0], 2),
+                (min(j[0] for j in soc_jobs) if soc_jobs else inf, 3),
+            )
+            if t == inf:
+                if len(queue) or recompute:
+                    raise RuntimeError(
+                        "scheduler wedged: waiting work with nothing in flight"
+                    )
+                return
+            self.clock = max(self.clock, t)
+            self.last_event = max(self.last_event, t)
+            if kind == 0:
+                self.admit(pending[next_arrival], t)
+                next_arrival += 1
+                continue
+            self.stalled = False
+            if prefill is not None and kind == 1:
+                self.prefill_inflight = None
+                _, seq, ok, pim_ok = prefill
+                self.on_prefill_end(t, seq, ok, pim_ok)
+            elif rnd is not None and kind == 2:
+                self.round_inflight = None
+                self.on_round_end(t, rnd[1])
             else:
-                prefill_end = None
-            decode_start = (
-                prefill_end
-                if prefill_end is not None and now > prefill_end
-                else None
-            )
-            tel.trace_query(
-                request.req_id,
-                request.tenant,
-                arrival,
-                status,
-                request.policy,
-                start_ns=start,
-                prefill_end_ns=prefill_end,
-                decode_start_ns=decode_start,
-                end_ns=now if decode_start is not None else None,
-                prefill_resource=seq.policy_served,
-                decode_resource=seq.policy_served,
-                context_tokens=seq.ctx,
-                decode_tokens=seq.served_tokens,
-                retries=seq.retries,
-                recomputes=seq.recomputes,
-                kv_loop=True,
-            )
+                soc_jobs.sort(key=lambda j: j[0])
+                _, seq, ok = soc_jobs.pop(0)
+                self.on_soc_end(t, seq, ok)
 
-    def admit(request: Request, now: float) -> None:
-        nonlocal kv_rejections, kv_clipped, kv_degraded
+    def teardown(self, end_ns: float) -> None:
+        self.governor.finish(end_ns)
+
+    def sections(self) -> Dict[str, Optional[Dict]]:
+        """The report's ``kv`` section: the manager's counters, the
+        loop's admission counters and the audit; the manager's metrics
+        go to telemetry."""
+        kv = self.kv
+        governor = self.governor
+        audit_failures = kv.audit()
+        stats = kv.stats()
+        stats.update(self.counts)
+        stats.update(
+            {
+                "prefill_tokens_saved": kv.prefix_hit_tokens,
+                "pressure_windows": len(governor.intervals),
+                "pressure_total_ms": sum(e - s for s, e in governor.intervals) / 1e6,
+                "audit_failures": list(audit_failures),
+            }
+        )
+        if self.telemetry is not None:
+            kv.publish_metrics(self.telemetry.metrics)
+        return {"kv": stats}
+
+    def barrier_state(self, full: bool = False) -> Dict[str, object]:
+        """State components for one replay-diff barrier: RNG stream
+        position, both resource timelines, pool occupancy + free-list
+        order + journal cursor, and outcome progress."""
+        pool = self.pool
+        state: Dict[str, object] = {
+            "rng": self.rng.getstate(),
+            "free_soc": self.free["soc"],
+            "free_pim": self.free["pim"],
+            "outcomes": len(self.outcomes),
+            "pool": (pool.used, pool.allocs, pool.frees, tuple(pool._free)),
+            "pool_journal": None if pool.journal is None
+            else pool.journal.cursor(),
+        }
+        if self.telemetry is not None:
+            state["metrics"] = self.telemetry.metrics.snapshot()
+        return state
+
+    def span_args(self, served: Any = None) -> Dict[str, Any]:
+        return {"kv_loop": True}
+
+    # -- admission -----------------------------------------------------
+
+    def admit(self, request: Request, now: float) -> None:
+        """Offer one arrival: shed it when it could never fit the pool
+        alone, else queue it with its decode budget degraded under KV
+        pressure and clipped to the pool."""
+        cap_tokens = self.cap_tokens
+        counts = self.counts
         # a request that could never fit the pool alone is shed here,
         # before it burns queue capacity or compute
         if request.prefill_tokens + 1 > cap_tokens:
-            kv_rejections += 1
-            loop.record(request, REJECTED)
+            counts["kv_rejections"] += 1
+            self.record(request, REJECTED)
+            tel = self.telemetry
             if tel is not None:
                 tel.trace_query(
                     request.req_id, request.tenant, request.arrival_ns,
@@ -213,40 +248,32 @@ def run_kv_serving(
                     reason="kv-demand-exceeds-pool",
                 )
             return
-        verdict, evicted = loop.offer(request)
+        verdict, evicted = self.offer(request)
         if evicted is not None:
-            seqs.pop(evicted.req_id, None)
+            self.seqs.pop(evicted.req_id, None)
         if verdict == REJECTED:
             return
-        degraded = loop.degraded.pop(request.req_id)
-        if governor.observe(kv.pressure(), now) and not degraded:
+        degraded = self.degraded.pop(request.req_id)
+        if self.governor.observe(self.kv.pressure(), now) and not degraded:
             degraded = True
-            kv_degraded += 1
+            counts["kv_degraded"] += 1
         budget = request.decode_tokens
         if degraded:
-            budget = max(1, min(budget, cfg.degraded_decode_tokens))
+            budget = max(1, min(budget, self.degraded_decode_tokens))
         if request.prefill_tokens + budget > cap_tokens:
             budget = max(1, cap_tokens - request.prefill_tokens)
-            kv_clipped += 1
-        seqs[request.req_id] = _Seq(request, degraded, budget)
+            counts["kv_clipped"] += 1
+        self.seqs[request.req_id] = _Seq(request, degraded, budget)
 
-    def youngest_running(exclude: Optional[_Seq] = None) -> Optional[_Seq]:
-        candidates = [s for s in running if s is not exclude]
-        if not candidates:
-            return None
-        return max(candidates, key=lambda s: (s.request.arrival_ns, s.request.req_id))
+    # -- PIM decode rounds ---------------------------------------------
 
-    def preempt(seq: _Seq, now: float) -> None:
-        nonlocal stalled
-        kv.preempt(seq.request.req_id, now)
-        running.remove(seq)
-        seq.remaining = seq.decode_budget - seq.served_tokens
-        seq.recomputes += 1
-        recompute.append(seq)
-        stalled = False  # preemption freed blocks: a deferred begin may fit now
-
-    def start_round(now: float) -> bool:
-        nonlocal round_inflight, last_event
+    def start_round(self, now: float) -> bool:
+        """Put one batched PIM decode round in flight: every running
+        sequence grows by one token, the youngest running sequence
+        preempted while the pool cannot provide."""
+        kv = self.kv
+        running = self.running
+        free = self.free
         rstart = max(now, free["pim"])
         acted = False
         participants: List[_Seq] = []
@@ -259,82 +286,98 @@ def run_kv_serving(
                     participants.append(seq)
                     break
                 except KvPoolExhausted:
-                    victim = youngest_running()
-                    if victim is None:
-                        return acted
-                    preempt(victim, rstart)
+                    # seq itself is running, so a victim always exists
+                    victim = max(running, key=_age)
+                    running.remove(victim)
+                    self.preempt(victim, rstart)
                     acted = True
                     if victim is seq:
                         break
         participants = [s for s in participants if s in running]
         if not participants:
             return acted
-        round_ns = sum(engine.pim_decode_step_ns(s.ctx) for s in participants)
-        end = rstart + round_ns
+        step_ns = self.core.engine.pim_decode_step_ns
+        end = rstart + sum(step_ns(s.ctx) for s in participants)
         free["pim"] = end
-        last_event = max(last_event, end)
+        self.last_event = max(self.last_event, end)
         # batched rounds are modeled fault-free; keep the breaker warm
-        core.pim_breaker.record_success(end)
-        round_inflight = (end, participants)
+        self.core.pim_breaker.record_success(end)
+        self.round_inflight = (end, participants)
         return True
 
-    def start_prefill(now: float) -> bool:
-        """Try to put one prefill in flight (recompute queue first)."""
-        nonlocal prefill_inflight, stalled, kv_rejections, clock, last_event
-        if stalled:
+    def on_round_end(self, now: float, participants: List[_Seq]) -> None:
+        commit = self.kv.commit
+        running = self.running
+        for seq in participants:
+            commit(seq.request.req_id, 1, now)
+            seq.ctx += 1
+            seq.served_tokens += 1
+            seq.remaining -= 1
+            if seq.remaining <= 0:
+                running.remove(seq)
+                self._settle(seq, now)
+
+    def preempt(self, seq: _Seq, now: float) -> None:
+        """Free *seq*'s blocks (its published prefix stays cached) and
+        queue it to recompute its context."""
+        self.kv.preempt(seq.request.req_id, now)
+        seq.remaining = seq.decode_budget - seq.served_tokens
+        seq.recomputes += 1
+        self.recompute.append(seq)
+        self.stalled = False  # preemption freed blocks: a deferred begin may fit now
+
+    # -- prefill -------------------------------------------------------
+
+    def start_prefill(self, now: float, upcoming: float) -> bool:
+        """Try to put one prefill in flight (recompute queue first);
+        *upcoming* is when the next pending request arrives."""
+        if self.stalled:
             return False
+        queue = self.queue
+        recompute = self.recompute
+        free = self.free
+        kv = self.kv
         is_recompute = bool(recompute)
         if is_recompute:
             seq = recompute[0]
             request = seq.request
             est = max(now, request.arrival_ns)
         else:
-            if not len(queue):
+            head = queue.peek()
+            if head is None:
                 return False
-            request = queue.peek()
-            if request is None:  # unreachable: guarded by len(queue)
-                raise RuntimeError("admission queue non-empty but has no head")
-            seq = seqs[request.req_id]
+            request = head
+            seq = self.seqs[request.req_id]
             est = max(now, request.arrival_ns)
-            # arrivals strictly before the earliest possible service come
-            # first (they may evict this head under drop-oldest)
-            if (
-                next_arrival < len(pending)
-                and pending[next_arrival].arrival_ns <= est
-            ):
+            if upcoming <= est:
                 return False
+        conv_key = request.conversation_id
         total = seq.prefill_total
-        cached = kv.peek_cached(seq.conv_key, total)
+        cached = kv.peek_cached(conv_key, total)
         priced = max(1, total - cached)
-        route = core.route(
+        route = self.core.route(
             request, est, max(0.0, free["pim"] - est), prefill_tokens=priced
         )
         start = max(est, free[route.prefill_resource])
-        if (
-            not is_recompute
-            and next_arrival < len(pending)
-            and pending[next_arrival].arrival_ns <= start
-        ):
-            return False
-
         if not is_recompute:
+            if upcoming <= start:
+                return False
             # boundary 1: admission -> prefill
             if start > request.deadline_abs_ns:
                 queue.pop(start)
                 seq.wait_ns = start - request.arrival_ns
                 seq.policy_served = route.policy
                 seq.fallbacks = route.fallbacks
-                finish(seq, TIMED_OUT, start)
-                seqs.pop(request.req_id, None)
-                clock = start
-                last_event = max(last_event, start)
+                self._settle(seq, start, TIMED_OUT)
+                self.clock = start
+                self.last_event = max(self.last_event, start)
                 return True
 
         try:
-            seq.admission = kv.begin(request.req_id, seq.conv_key, total, start)
+            seq.admission = kv.begin(request.req_id, conv_key, total, start)
         except KvPoolExhausted:
-            if prefill_inflight or round_inflight or soc_jobs or running:
-                stalled = True  # a completion will free blocks; retry then
+            if self.round_inflight or self.soc_jobs or self.running:
+                self.stalled = True  # a completion will free blocks; retry then
                 return False
             # nothing in flight and still no room: the pool is too small
             # even after evicting every cached block — shed, do not hang
@@ -342,65 +385,64 @@ def run_kv_serving(
                 recompute.popleft()
             else:
                 queue.pop(start)
-            kv_rejections += 1
+            self.counts["kv_rejections"] += 1
             seq.policy_served = route.policy
-            finish(seq, REJECTED, start)
-            seqs.pop(request.req_id, None)
-            clock = start
+            self._settle(seq, start, REJECTED)
+            self.clock = start
             return True
 
-        if not is_recompute:
+        if is_recompute:
+            recompute.popleft()
+        else:
             queue.pop(start)
             seq.wait_ns = start - request.arrival_ns
-        else:
-            recompute.popleft()
         seq.policy_served = route.policy
         seq.fallbacks = seq.fallbacks + tuple(
             f for f in route.fallbacks if f not in seq.fallbacks
         )
-        clock = start
-        end, ok, retries, backoff = core.run_phase(
-            start, route.prefill_ns, route.prefill_component, rng
+        self.clock = start
+        end, ok, retries, backoff = self.core.run_phase(
+            start, route.prefill_ns, route.prefill_component, self.rng
         )
         free[route.prefill_resource] = end
-        last_event = max(last_event, end)
+        self.last_event = max(self.last_event, end)
         seq.retries += retries
         seq.backoff_ns += backoff
-        prefill_inflight = (end, seq, ok, route.pim_decode, route.brownout_active)
+        self.prefill_inflight = (end, seq, ok, route.pim_decode)
         return True
 
-    def on_prefill_end(now: float, seq: _Seq, ok: bool, pim_ok: bool, brownout: bool) -> None:
-        nonlocal kv_clipped
-        req_id = seq.request.req_id
+    def on_prefill_end(self, now: float, seq: _Seq, ok: bool, pim_ok: bool) -> None:
         if not ok:
-            kv.release(req_id, now)
-            finish(seq, ABORTED, now)
-            seqs.pop(req_id, None)
+            self._settle(seq, now, ABORTED)
             return
+        request = seq.request
         if seq.admission is None:
-            raise RuntimeError(f"request {req_id} finished prefill unadmitted")
-        kv.commit(req_id, seq.admission.recompute_tokens, now)
-        seq.ctx = seq.prefill_total if seq.recomputes else seq.request.prefill_tokens
-        first_token = seq.ttft_ns == 0.0
-        if first_token:
-            seq.ttft_ns = now - seq.request.arrival_ns
+            raise RuntimeError(f"request {request.req_id} finished prefill unadmitted")
+        self.kv.commit(request.req_id, seq.admission.recompute_tokens, now)
+        seq.ctx = seq.prefill_total
+        if seq.ttft_ns == 0.0:
+            seq.ttft_ns = now - request.arrival_ns
             # boundary 2: the first token must land inside the budget
-            if now > seq.request.deadline_abs_ns:
-                kv.release(req_id, now)
-                finish(seq, TIMED_OUT, now)
-                seqs.pop(req_id, None)
+            if now > request.deadline_abs_ns:
+                self._settle(seq, now, TIMED_OUT)
                 return
         if seq.remaining <= 0:
-            kv.release(req_id, now)
-            finish(seq, SERVED_DEGRADED if seq.degraded else SERVED, now, ttlt=True)
-            seqs.pop(req_id, None)
-            return
-        if pim_ok:
-            running.append(seq)
-            return
-        # SoC decode: blocking, capacity reserved up front; when the pool
-        # cannot cover the full budget, grow as far as it will go and
-        # clip (demand pre-check guarantees a solo sequence fits)
+            self._settle(seq, now)
+        elif pim_ok:
+            self.running.append(seq)
+        else:
+            self.decode_on_soc(seq, now)
+
+    # -- SoC decode ----------------------------------------------------
+
+    def decode_on_soc(self, seq: _Seq, now: float) -> None:
+        """Blocking SoC decode with its capacity reserved up front: when
+        the pool cannot cover the full budget, grow as far as it will
+        go and clip (the demand pre-check guarantees a solo sequence
+        fits); when not one token fits, recompute later from the cache."""
+        kv = self.kv
+        B = self.block_tokens
+        req_id = seq.request.req_id
         state = kv._seqs[req_id]
         fit = state.capacity(B) - state.tokens
         while fit < seq.remaining:
@@ -410,147 +452,93 @@ def run_kv_serving(
                 break
             fit = state.capacity(B) - state.tokens
         if fit <= 0:
-            # cannot even grow one token: recompute later from the cache
-            kv.preempt(req_id, now)
-            seq.remaining = seq.decode_budget - seq.served_tokens
-            seq.recomputes += 1
-            recompute.append(seq)
+            self.preempt(seq, now)
             return
         if fit < seq.remaining:
             seq.remaining = fit
-            kv_clipped += 1
-        decode_ns = engine.decode_total_ns(seq.ctx, seq.remaining, False)
-        start = max(now, free["soc"])
-        end, ok_d, retries, backoff = core.run_phase(start, decode_ns, "soc", rng)
-        free["soc"] = end
-        seq.retries += retries
-        seq.backoff_ns += backoff
-        soc_jobs.append((end, seq, ok_d, retries, backoff))
+            self.counts["kv_clipped"] += 1
+        core = self.core
+        result = core.decode_phase(
+            now, core.engine.decode_total_ns(seq.ctx, seq.remaining, False),
+            "soc", seq.remaining, self.free, self.rng,
+        )
+        seq.retries += result.retries
+        seq.backoff_ns += result.backoff_ns
+        self.soc_jobs.append((result.end_ns, seq, result.ok))
 
-    def on_round_end(now: float, participants: List[_Seq]) -> None:
-        for seq in participants:
-            req_id = seq.request.req_id
-            kv.commit(req_id, 1, now)
-            seq.ctx += 1
-            seq.served_tokens += 1
-            seq.remaining -= 1
-            if seq.remaining <= 0:
-                kv.release(req_id, now)
-                running.remove(seq)
-                finish(
-                    seq, SERVED_DEGRADED if seq.degraded else SERVED, now, ttlt=True
-                )
-                seqs.pop(req_id, None)
-
-    def on_soc_end(now: float, seq: _Seq, ok: bool) -> None:
-        req_id = seq.request.req_id
+    def on_soc_end(self, now: float, seq: _Seq, ok: bool) -> None:
         if not ok:
-            kv.release(req_id, now)
-            finish(seq, ABORTED, now)
-            seqs.pop(req_id, None)
+            self._settle(seq, now, ABORTED)
             return
-        kv.commit(req_id, seq.remaining, now)
+        self.kv.commit(seq.request.req_id, seq.remaining, now)
         seq.ctx += seq.remaining
         seq.served_tokens += seq.remaining
         seq.remaining = 0
-        kv.release(req_id, now)
-        finish(seq, SERVED_DEGRADED if seq.degraded else SERVED, now, ttlt=True)
-        seqs.pop(req_id, None)
+        self._settle(seq, now)
 
-    # -- replay barriers ---------------------------------------------------
+    # -- outcomes ------------------------------------------------------
 
-    def barrier_state() -> Dict[str, object]:
-        """State components for one replay-diff barrier on the kv loop:
-        RNG stream position, both resource timelines, pool occupancy +
-        free-list order + journal cursor, and outcome progress."""
-        state: Dict[str, object] = {
-            "rng": rng.getstate(),
-            "free_soc": free["soc"],
-            "free_pim": free["pim"],
-            "outcomes": len(outcomes),
-            "pool": (pool.used, pool.allocs, pool.frees, tuple(pool._free)),
-            "pool_journal": None if pool.journal is None
-            else pool.journal.cursor(),
-        }
-        if tel is not None:
-            state["metrics"] = tel.metrics.snapshot()
-        return state
+    def _settle(self, seq: _Seq, now: float, status: Optional[str] = None) -> None:
+        """Close *seq* at *now*: release the KV blocks it holds, record
+        its outcome (served, degraded or not, when *status* is None)
+        and its span, and forget it."""
+        request = seq.request
+        req_id = request.req_id
+        kv = self.kv
+        if kv.contains(req_id):
+            kv.release(req_id, now)
+        served = status is None
+        if status is None:
+            status = SERVED_DEGRADED if seq.degraded else SERVED
+        arrival = request.arrival_ns
+        self.record(
+            request,
+            status,
+            policy_served=seq.policy_served,
+            wait_ns=seq.wait_ns,
+            ttft_ns=seq.ttft_ns,
+            ttlt_ns=(now - arrival) if served else 0.0,
+            decode_tokens_served=seq.served_tokens,
+            retries=seq.retries,
+            backoff_ns=seq.backoff_ns,
+            fallbacks=seq.fallbacks,
+        )
+        if self.telemetry is not None:
+            # Reconstruct the phase boundaries from the per-sequence
+            # timing fields the outcome already carries — the span tree
+            # is derived data, never an extra clock.
+            start = arrival + seq.wait_ns if seq.policy_served else None
+            if seq.ttft_ns > 0.0:
+                prefill_end: Optional[float] = arrival + seq.ttft_ns
+            elif status == ABORTED and start is not None:
+                prefill_end = now  # the failed prefill itself
+            else:
+                prefill_end = None
+            decode_start = (
+                prefill_end
+                if prefill_end is not None and now > prefill_end
+                else None
+            )
+            self.trace(
+                request,
+                status,
+                request.policy,
+                start_ns=start,
+                prefill_end_ns=prefill_end,
+                decode_start_ns=decode_start,
+                end_ns=now if decode_start is not None else None,
+                prefill_resource=seq.policy_served,
+                decode_resource=seq.policy_served,
+                context_tokens=seq.ctx,
+                decode_tokens=seq.served_tokens,
+                retries=seq.retries,
+                recomputes=seq.recomputes,
+            )
+        self.seqs.pop(req_id, None)
 
-    bar = runtime.barriers
 
-    # -- the event loop ----------------------------------------------------
-
-    while True:
-        if bar is not None:
-            bar.observe(len(outcomes), barrier_state)
-        # dispatch until quiescent: rounds and prefills may unblock each
-        # other (a timed-out head pops, a preemption frees blocks, ...)
-        progressed = True
-        while progressed:
-            progressed = False
-            if round_inflight is None and running:
-                progressed |= start_round(clock)
-            if prefill_inflight is None:
-                progressed |= start_prefill(clock)
-
-        events: List[Tuple[float, int, str]] = []
-        if next_arrival < len(pending):
-            events.append((pending[next_arrival].arrival_ns, 0, "arrival"))
-        if prefill_inflight is not None:
-            events.append((prefill_inflight[0], 1, "prefill"))
-        if round_inflight is not None:
-            events.append((round_inflight[0], 2, "round"))
-        if soc_jobs:
-            events.append((min(j[0] for j in soc_jobs), 3, "soc"))
-        if not events:
-            if len(queue) or recompute:
-                raise RuntimeError(
-                    "scheduler wedged: waiting work with nothing in flight"
-                )
-            break
-
-        t, _, kind = min(events)
-        clock = max(clock, t)
-        last_event = max(last_event, t)
-        if kind == "arrival":
-            admit(pending[next_arrival], t)
-            next_arrival += 1
-        elif kind == "prefill" and prefill_inflight is not None:
-            _, seq, ok, pim_ok, brownout = prefill_inflight
-            prefill_inflight = None
-            stalled = False
-            on_prefill_end(t, seq, ok, pim_ok, brownout)
-        elif kind == "round" and round_inflight is not None:
-            _, participants = round_inflight
-            round_inflight = None
-            stalled = False
-            on_round_end(t, participants)
-        else:  # soc
-            soc_jobs.sort(key=lambda j: j[0])
-            _, seq, ok_d, _, _ = soc_jobs.pop(0)
-            stalled = False
-            on_soc_end(t, seq, ok_d)
-
-    end_ns = max(last_event, pending[-1].arrival_ns if pending else 0.0, clock)
-    governor.finish(end_ns)
-    if bar is not None:
-        final = barrier_state()
-        final["duration_ns"] = end_ns
-        bar.snap("final", len(outcomes), final)
-    audit_failures = kv.audit()
-
-    kv_stats = kv.stats()
-    kv_stats.update(
-        {
-            "kv_rejections": kv_rejections,
-            "kv_clipped": kv_clipped,
-            "kv_degraded": kv_degraded,
-            "prefill_tokens_saved": kv.prefix_hit_tokens,
-            "pressure_windows": len(governor.intervals),
-            "pressure_total_ms": sum(e - s for s, e in governor.intervals) / 1e6,
-            "audit_failures": list(audit_failures),
-        }
-    )
-    if tel is not None:
-        kv.publish_metrics(tel.metrics)
-    return runtime.report(outcomes, queue.stats, end_ns, kv=kv_stats)
+def run_kv_serving(
+    runtime: ServingRuntime, requests: Sequence[Request]
+) -> ServingReport:
+    """Run *requests* through *runtime* with paged-KV continuous batching."""
+    return KvServingLoop(runtime).run(requests)

@@ -23,11 +23,13 @@ controller watches the PIM backlog and migrates decode to the SoC while
 saturated (and back under the low watermark).  Routing, retry pricing
 and brown-out placement live in :class:`~repro.serving.device.DeviceCore`.
 
-:meth:`ServingRuntime.run` only dispatches: the paged-KV
-continuous-batching loop (:mod:`repro.kvcache.scheduler`) when
-``kv_blocks > 0``, else the whole-request loop
-(:class:`repro.workloads.runtime.WorkloadLoop`) with chat decode or the
-workload spec's decode.
+:meth:`ServingRuntime.run` hands the requests to
+:func:`repro.workloads.runtime.run_workload_serving`, which picks the
+loop class: :class:`~repro.kvcache.scheduler.KvServingLoop` (paged-KV
+continuous batching) when ``kv_blocks > 0``, else
+:class:`~repro.workloads.runtime.WorkloadLoop` with chat decode or the
+workload spec's decode.  Every loop shares ``WorkloadLoop.run``'s
+lifecycle and report assembly (:meth:`ServingRuntime.report`).
 
 The :class:`ServingReport` aggregates the run: per-status counts, TTFT /
 TTLT percentiles of served requests, goodput, shed rate, SLO attainment,
@@ -440,7 +442,8 @@ class ServingRuntime:
 
     The runtime owns the device's :class:`~repro.serving.device.DeviceCore`
     (breakers, brown-out, health, routing, retry pricing) and the
-    optional adaptive controller; :meth:`run` only picks the loop.
+    optional adaptive controller; :meth:`run` hands the requests to
+    the loop class the config and workload spec select.
     """
 
     def __init__(
@@ -533,16 +536,12 @@ class ServingRuntime:
         return report
 
     def run(self, requests: Sequence[Request]) -> ServingReport:
-        """Serve *requests*: paged-KV continuous batching when
-        ``kv_blocks > 0``, else the whole-request loop with chat decode
-        or the workload spec's decode."""
-        if self.config.kv_blocks > 0:
-            from repro.kvcache.scheduler import run_kv_serving
-
-            return run_kv_serving(self, list(requests))
+        """Serve *requests* on the loop
+        :func:`~repro.workloads.runtime.run_workload_serving` picks for
+        this runtime."""
         from repro.workloads.runtime import run_workload_serving
 
-        return run_workload_serving(self, list(requests))
+        return run_workload_serving(self, requests)
 
 
 def sustainable_qps(

@@ -208,12 +208,12 @@ class CoResidencyLoop(WorkloadLoop):
     def decode_span_args(self, head: Request) -> Dict:
         return {"model": self._model_key(head)}
 
-    def section(self) -> Dict:
+    def sections(self) -> Dict[str, Optional[Dict]]:
         shared = sorted(
             set(self.map_ids.get("primary", ()))
             & set(self.map_ids.get("secondary", ()))
         )
-        return {
+        section = {
             "name": self.name,
             "primary_model": self.runtime.engine.model.name,
             "secondary_model": self.spec.secondary_model,
@@ -232,3 +232,4 @@ class CoResidencyLoop(WorkloadLoop):
             "conservation_findings": len(self.findings),
             "findings": list(self.findings),
         }
+        return {"workload": section}

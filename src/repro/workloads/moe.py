@@ -260,10 +260,10 @@ class ExpertPlacementLoop(WorkloadLoop):
     def decode_span_args(self, head: Request) -> Dict:
         return {"experts_per_token": self.spec.experts_per_token}
 
-    def section(self) -> Dict:
+    def sections(self) -> Dict[str, Optional[Dict]]:
         pool = require_placed(self.pool, "expert pool")
         accesses = pool.hits + pool.misses
-        return {
+        section = {
             "name": self.name,
             "n_experts": self.spec.n_experts,
             "experts_per_token": self.spec.experts_per_token,
@@ -285,3 +285,4 @@ class ExpertPlacementLoop(WorkloadLoop):
             "conservation_findings": len(self.findings),
             "findings": list(self.findings),
         }
+        return {"workload": section}

@@ -1,16 +1,22 @@
-"""The whole-request serving loop and the dispatch entry point.
+"""The single-device serving loop and the loop dispatch.
 
-Every request in this loop runs to completion before the next one
-starts its prefill: admission queue, deadline boundaries at
-admission->prefill and prefill->decode, and retry-priced phases on the
-two-resource (SoC / PIM) timeline, all through the loop's
+:meth:`WorkloadLoop.run` is the run lifecycle of every single-device
+loop: calibrate telemetry, order the arrivals, ``setup``, ``drive``,
+``teardown``, snap the final replay barrier and close the report with
+the loop's ``sections``; :func:`run_workload_serving` picks the loop
+class.  The default ``drive`` steps whole requests: each runs to
+completion before the next one starts its prefill, through the
+admission queue, deadline boundaries at admission->prefill and
+prefill->decode, and retry-priced phases on the two-resource (SoC /
+PIM) timeline, all through the loop's
 :class:`~repro.serving.device.DeviceCore`.  The loop owns its per-run
 state (RNG, queue, degraded map, outcomes, timelines, clock) and is
-steppable: :meth:`WorkloadLoop.offer` admits one arrival,
-:meth:`WorkloadLoop.serve` runs one popped request to its outcome, and
-:meth:`WorkloadLoop.run` drives a single device over a request list.
+steppable: :meth:`WorkloadLoop.offer` admits one arrival and
+:meth:`WorkloadLoop.serve` runs one popped request to its outcome.
 Fleet devices (:class:`~repro.fleet.device.FleetDevice`) are chat loops
-the fleet runtime steps; the paged-KV loop admits through ``offer``.
+the fleet runtime steps; the paged-KV loop
+(:class:`~repro.kvcache.scheduler.KvServingLoop`) drives continuous
+batching instead.
 
 Chat serving is the default decode; each workload in
 :mod:`repro.workloads` subclasses :class:`WorkloadLoop` and differs
@@ -28,8 +34,8 @@ only in how it **prices and executes decode**, through these hooks:
 * :meth:`WorkloadLoop.abandon` / :meth:`WorkloadLoop.finish` — cleanup
   on failure / success;
 * :meth:`WorkloadLoop.record` — keep one terminal outcome;
-* :meth:`WorkloadLoop.teardown` + :meth:`WorkloadLoop.section` — end of
-  run: release placed state and summarize into the report's
+* :meth:`WorkloadLoop.teardown` + :meth:`WorkloadLoop.sections` — end
+  of run: release placed state and summarize into the report's
   ``workload`` section.
 
 The runtime's adaptive remapping controller, when configured, is an
@@ -47,6 +53,7 @@ byte-identical with telemetry on or off.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, TypeVar
 
@@ -73,6 +80,7 @@ __all__ = [
     "DecodeResult",
     "Settled",
     "WorkloadLoop",
+    "next_arrival_ns",
     "require_placed",
     "run_workload_serving",
 ]
@@ -82,6 +90,13 @@ _T = TypeVar("_T")
 #: what :meth:`WorkloadLoop.serve` reports of a settled request:
 #: ``(status, prefill_end_ns, end_ns, retries, decode_tokens_served)``
 Settled = Tuple[str, float, float, int, int]
+
+
+def next_arrival_ns(pending: Sequence[Request], index: int) -> float:
+    """When *pending*'s arrival at *index* lands (inf past the end).  A
+    loop offers that arrival before any service that would start at or
+    after it: it may evict the queue head (drop-oldest) or shed itself."""
+    return pending[index].arrival_ns if index < len(pending) else math.inf
 
 
 def require_placed(value: Optional[_T], what: str) -> _T:
@@ -202,10 +217,13 @@ class WorkloadLoop:
     def teardown(self, end_ns: float) -> None:
         """Release everything placed in :meth:`setup`."""
 
-    def section(self) -> Optional[Dict]:
-        """The report's ``workload`` section (JSON-stable); chat has
-        none, so its report serializes without the key."""
-        return None
+    def sections(self) -> Dict[str, Optional[Dict]]:
+        """The report's optional sections (``adaptive``, ``kv``,
+        ``workload``; JSON-stable).  Chat reports the adaptive
+        controller's summary when it has one; a workload reports its
+        ``workload`` section."""
+        ada = self.controller
+        return {} if ada is None else {"adaptive": ada.report()}
 
     # -- steps ---------------------------------------------------------
 
@@ -378,33 +396,47 @@ class WorkloadLoop:
     # -- one device, start to finish ----------------------------------
 
     def run(self, requests: Sequence[Request]) -> ServingReport:
-        """Serve *requests* on this one device: offer each arrival,
-        serve the queue head once no arrival precedes its start, and
-        close the report."""
+        """Serve *requests* on this one device: calibrate telemetry,
+        order the arrivals, :meth:`setup`, :meth:`drive`, :meth:`teardown`
+        at the run's end, snap the final barrier and close the report
+        with the loop's :meth:`sections`."""
         runtime = self.runtime
         tel = self.telemetry
-        bar = runtime.barriers
         if tel is not None:
             # probe once per bundle: grounds controller/DRAM span
             # durations and the advisor counters without touching the
             # run's RNG or timelines
             tel.ensure_calibrated(runtime.engine)
+        pending = sorted(requests, key=lambda r: (r.arrival_ns, r.req_id))
+        self.setup()
+        self.drive(pending)
+        end_ns = max(
+            self.last_event, pending[-1].arrival_ns if pending else 0.0,
+            self.clock,
+        )
+        self.teardown(end_ns)
+        bar = runtime.barriers
+        if bar is not None:
+            final = self.barrier_state(full=True)
+            final["duration_ns"] = end_ns
+            bar.snap("final", len(self.outcomes), final)
+        return runtime.report(
+            self.outcomes, self.queue.stats, end_ns, **self.sections()
+        )
+
+    def drive(self, pending: Sequence[Request]) -> None:
+        """Whole-request stepping over *pending* (in arrival order):
+        offer each arrival, and serve the queue head once no arrival
+        precedes its start."""
+        bar = self.runtime.barriers
         queue = self.queue
         free = self.free
-        pending = sorted(requests, key=lambda r: (r.arrival_ns, r.req_id))
         next_arrival = 0
-        self.setup()
-
         while next_arrival < len(pending) or len(queue):
             if bar is not None:
                 bar.observe(len(self.outcomes), self.barrier_state)
-            upcoming = (
-                pending[next_arrival].arrival_ns
-                if next_arrival < len(pending) else float("inf")
-            )
+            upcoming = next_arrival_ns(pending, next_arrival)
             head = queue.peek()
-            # arrivals strictly before the earliest possible service
-            # come first ...
             if head is None or upcoming <= max(head.arrival_ns, self.clock):
                 self.offer(pending[next_arrival])
                 next_arrival += 1
@@ -412,29 +444,13 @@ class WorkloadLoop:
             est = max(head.arrival_ns, self.clock)
             route = self.route(head, est, max(0.0, free["pim"] - est))
             start = max(est, free[route.prefill_resource])
-            # ... and arrivals while the head waits for its resource may
-            # still evict it (drop-oldest) or shed themselves: ingest, redo
+            # arrivals while the head waits for its resource may still
+            # evict it (drop-oldest) or shed themselves: ingest, redo
             if upcoming <= start:
                 self.offer(pending[next_arrival])
                 next_arrival += 1
                 continue
             self.serve(head, route, est, start)
-
-        end_ns = max(
-            self.last_event, pending[-1].arrival_ns if pending else 0.0,
-            self.clock,
-        )
-        self.teardown(end_ns)
-        if bar is not None:
-            final = self.barrier_state(full=True)
-            final["duration_ns"] = end_ns
-            bar.snap("final", len(self.outcomes), final)
-        ada = self.controller
-        return runtime.report(
-            self.outcomes, queue.stats, end_ns,
-            adaptive=ada.report() if ada is not None else None,
-            workload=self.section(),
-        )
 
     # -- replay barriers -----------------------------------------------
 
@@ -509,10 +525,13 @@ class WorkloadLoop:
 
 
 def run_workload_serving(
-    runtime: ServingRuntime, requests: List[Request]
+    runtime: ServingRuntime, requests: Sequence[Request]
 ) -> ServingReport:
-    """Run *requests* through the whole-request loop whose decode
-    matches ``runtime.workload`` (chat when it is None)."""
+    """Run *requests* on the loop class *runtime* selects: paged-KV
+    continuous batching when ``kv_blocks > 0``, else the whole-request
+    loop whose decode matches ``runtime.workload`` (chat when it is
+    None)."""
+    from repro.kvcache.scheduler import KvServingLoop
     from repro.workloads.coresident import CoResidencyLoop
     from repro.workloads.moe import ExpertPlacementLoop
     from repro.workloads.specs import (
@@ -524,13 +543,15 @@ def run_workload_serving(
 
     spec = runtime.workload
     if spec is None:
-        return WorkloadLoop(runtime).run(requests)
-    if isinstance(spec, SpeculativeSpec):
-        return SpeculativeLoop(runtime, spec).run(requests)
-    if isinstance(spec, ExpertPlacementSpec):
-        return ExpertPlacementLoop(runtime, spec).run(requests)
-    if isinstance(spec, CoResidencySpec):
-        return CoResidencyLoop(runtime, spec).run(requests)
+        chat = KvServingLoop if runtime.config.kv_blocks > 0 else WorkloadLoop
+        return chat(runtime).run(requests)
+    for spec_type, loop in (
+        (SpeculativeSpec, SpeculativeLoop),
+        (ExpertPlacementSpec, ExpertPlacementLoop),
+        (CoResidencySpec, CoResidencyLoop),
+    ):
+        if isinstance(spec, spec_type):
+            return loop(runtime, spec).run(requests)
     raise TypeError(
         f"runtime.workload must be a SpeculativeSpec, ExpertPlacementSpec, "
         f"or CoResidencySpec, got {type(spec).__name__}"

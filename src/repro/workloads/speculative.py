@@ -296,10 +296,10 @@ class SpeculativeLoop(WorkloadLoop):
     def decode_span_args(self, head: Request) -> Dict:
         return {"gamma": self.spec.gamma}
 
-    def section(self) -> Dict:
+    def sections(self) -> Dict[str, Optional[Dict]]:
         kv = require_placed(self.kv, "kv pool")
         drafted = self.drafted
-        return {
+        section = {
             "name": self.name,
             "draft_model": self.spec.draft_model,
             "gamma": self.spec.gamma,
@@ -322,3 +322,4 @@ class SpeculativeLoop(WorkloadLoop):
                 0 if self.accepted + self.rejected == drafted else 1
             ) + self.audit_findings,
         }
+        return {"workload": section}
