@@ -64,7 +64,8 @@ class _Seq:
     __slots__ = (
         "request", "degraded", "decode_budget", "admission", "wait_ns",
         "ttft_ns", "retries", "backoff_ns", "fallbacks", "ctx", "remaining",
-        "served_tokens", "recomputes", "policy_served",
+        "served_tokens", "recomputes", "policy_served", "prefill_resource",
+        "decode_resource",
     )
 
     def __init__(self, request: Request, degraded: bool, decode_budget: int) -> None:
@@ -82,6 +83,9 @@ class _Seq:
         self.served_tokens = 0
         self.recomputes = 0
         self.policy_served = ""
+        #: the units that ran its first prefill and its decode, for spans
+        self.prefill_resource = ""
+        self.decode_resource = ""
 
     @property
     def prefill_total(self) -> int:
@@ -240,13 +244,9 @@ class KvServingLoop(WorkloadLoop):
         if request.prefill_tokens + 1 > cap_tokens:
             counts["kv_rejections"] += 1
             self.record(request, REJECTED)
-            tel = self.telemetry
-            if tel is not None:
-                tel.trace_query(
-                    request.req_id, request.tenant, request.arrival_ns,
-                    REJECTED, request.policy, kv_loop=True,
-                    reason="kv-demand-exceeds-pool",
-                )
+            self.trace(
+                request, REJECTED, request.policy, reason="kv-demand-exceeds-pool"
+            )
             return
         verdict, evicted = self.offer(request)
         if evicted is not None:
@@ -396,6 +396,7 @@ class KvServingLoop(WorkloadLoop):
         else:
             queue.pop(start)
             seq.wait_ns = start - request.arrival_ns
+            seq.prefill_resource = route.prefill_resource
         seq.policy_served = route.policy
         seq.fallbacks = seq.fallbacks + tuple(
             f for f in route.fallbacks if f not in seq.fallbacks
@@ -429,8 +430,10 @@ class KvServingLoop(WorkloadLoop):
         if seq.remaining <= 0:
             self._settle(seq, now)
         elif pim_ok:
+            seq.decode_resource = "pim"
             self.running.append(seq)
         else:
+            seq.decode_resource = "soc"
             self.decode_on_soc(seq, now)
 
     # -- SoC decode ----------------------------------------------------
@@ -527,8 +530,8 @@ class KvServingLoop(WorkloadLoop):
                 prefill_end_ns=prefill_end,
                 decode_start_ns=decode_start,
                 end_ns=now if decode_start is not None else None,
-                prefill_resource=seq.policy_served,
-                decode_resource=seq.policy_served,
+                prefill_resource=seq.prefill_resource,
+                decode_resource=seq.decode_resource,
                 context_tokens=seq.ctx,
                 decode_tokens=seq.served_tokens,
                 retries=seq.retries,

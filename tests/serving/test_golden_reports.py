@@ -14,7 +14,11 @@ code was replaced by ``DeviceCore``.  A mismatch names the case; rerun
 it by hand and diff the JSON against that commit to find the first
 diverging field.  Print fresh digests with
 ``python -m tests.serving.test_golden_reports`` only when a change is
-*meant* to move simulated results.
+*meant* to move simulated results.  The paged-KV trace digests were
+re-pinned once on purpose, when that loop's prefill and decode spans
+started to name the unit that ran the phase (``soc`` / ``pim``) instead
+of the policy, and its demand-reject span to carry ``reason`` before
+the loop tag, as every loop's shed span does.
 
 The ``KV_BRANCH_CASES`` pin the paged-KV loop's rarer branches, which
 the multi-turn cases above never reach: SoC decode (served, clipped to
@@ -471,23 +475,23 @@ GOLDEN: Dict[str, str] = {
     "kv-deadline-degrade-barriers": "864e5b155e699f269fb66815311921524b2a3e1aef2f5634187a22582a913516",
     "kv-deadline-degrade-metrics": "d3a916024870343d9cf959572ebbc20e0e9277fb4fff32add6ce7f76fd9fed31",
     "kv-deadline-degrade-report": "5dc79002f4fe30b299695a51a29b1ea0f030d96594c2a006c078f9bf4a3f4318",
-    "kv-deadline-degrade-trace": "8618ffaeb6dbc7e094a94642424446575e6eba9305ecc2198517bf74d5a5f240",
+    "kv-deadline-degrade-trace": "e51a6f42fdddffd43510e12ff4eb32e1bcb2cfe548621d64cd04306068e322f8",
     "kv-deadline-drop-oldest-barriers": "64841f2ea25d555c97fa66c5defc1ee22a9d8402e5422958ccf6537d67452aa3",
     "kv-deadline-drop-oldest-metrics": "737a9fcc49a5dbb8059a000cfd7534badb94b7159d71f805d5eec033c3dc0e42",
     "kv-deadline-drop-oldest-report": "a40784e220268ea22efa0a1fe46417446ee92f51960b20874fb7a5496fa9173d",
-    "kv-deadline-drop-oldest-trace": "fdc50bb26debf45b27e7a0ce2409347e671e11782add8271b745ddab4c822105",
+    "kv-deadline-drop-oldest-trace": "1418563d8e63a287565a8fbcc37502c6284f4c7f728298393caa3c3d241602ed",
     "kv-hybrid-soc-barriers": "6fca8e49c455f797448c905053574cb1c8e269427a92770a8d6ccd5fa4a25364",
     "kv-hybrid-soc-metrics": "96a434225bf749c68e54e73a99021c8c11b1576e871aa7e3f3216639ceb55a0b",
     "kv-hybrid-soc-report": "5dc65eeb3957d9079d29219fbd988f369eb34281583c89ddbdd961d21bdb8473",
-    "kv-hybrid-soc-trace": "86fa10a4b1bbde778bb868d7b7a7e9711a6c3cbbde936b35e8b28a929ffd9cbb",
+    "kv-hybrid-soc-trace": "f01caad86ce42de93706d58d9c52fe8f899d03386c600f2b113b93f937c2b363",
     "kv-multiturn-faults": "111d00b6e23dd0aecc455bd351477e667912dc72fa7d46b769836f9fb67ce79c",
     "kv-multiturn-harsh": "af1965740640d346ade289cf5bdad4796fac721bfc63c28e7c4e5cb86e45a714",
     "kv-soc-only-barriers": "2c710357d3a760c2129a15b71b6e7466edaa0b48dfc87d98c2b28a6d9ae7f58c",
     "kv-soc-only-metrics": "017d4b9d91b0db0e0b8e718d22020b3f3c2360bbdbe2098434f75c093bfab32c",
     "kv-soc-only-report": "fac42819913d2ee4598a08f5648d6221fb1d8d9485f93481103c7d47597f681f",
-    "kv-soc-only-trace": "d16487c364dbadbaa02591e0cce677378f7cbcd7aed972baafb6e6de25c726b8",
+    "kv-soc-only-trace": "98b121a7f7a23a5041dcfebb8fc98786ef70652bfdbc4b5bd26b04f07209f097",
     "trace-chat": "aae2e11a197c928b0fd3c02e2ebbe21dbae93940cdef97d2885a0778edf13105",
-    "trace-kv": "e9db52678619011a7cb5cf4926a4b17c778bdc1303c6c09bdeabd679681e3997",
+    "trace-kv": "611aadb89d5636bb5440b53553afff143cb15a6076da0d1586077ad1db5243b4",
     "workload-coresident-faults": "420413783ac814ca4174661c62e3c4354547523da9479ba94df2c155243d8bdd",
     "workload-coresident-shed": "6470bcbaed27d51734c8233eed2acc41a4127c2adcaf16d24d612723eb624f6b",
     "workload-moe-faults": "b74d21630deb61f05b001f3904771d0edd305dd18ad2b418b4f49269f3cf04f7",

@@ -129,3 +129,65 @@ class TestWrite:
             == set(LAYERS) - {"workload"}
         snapshot = json.loads(metrics_path.read_text())
         assert snapshot["schema_version"] == 1
+
+
+def _phase_resources(runtime, requests):
+    """The ``resource`` of every prefill and decode span of one run."""
+    runtime.run(requests)
+    return {
+        (span.name, span.args.get("resource"))
+        for span in runtime.telemetry.tracer.spans
+        if span.name in ("prefill", "decode")
+    }
+
+
+class TestPhaseSpansNameTheUnit:
+    """Every loop's prefill and decode spans say which unit ran the
+    phase (``soc`` or ``pim``), never the policy that chose it."""
+
+    @pytest.mark.parametrize("kv_blocks", [0, 256, 12], ids=["chat", "kv", "kv-tight"])
+    def test_chat_and_paged_kv(self, engine, kv_blocks):
+        # a soc-only tenant beside facil puts SoC decodes next to PIM
+        # decodes (batched rounds with paged KV)
+        tenants = [
+            TenantSpec(name=policy, policy=policy, qps=qps,
+                       deadline_ms=15_000.0, mean_turns=3.0,
+                       think_time_ms=500.0)
+            for policy, qps in (("facil", 2.0), ("soc-only", 1.0))
+        ]
+        requests = poisson_workload(tenants, duration_ms=10_000.0, seed=7)
+        runtime = ServingRuntime(
+            engine, _config(kv_blocks), telemetry=Telemetry(sample_every=1)
+        )
+        resources = _phase_resources(runtime, requests)
+        assert {name for name, _ in resources} == {"prefill", "decode"}
+        assert {unit for _, unit in resources} <= {"soc", "pim"}
+        assert ("decode", "soc") in resources and ("decode", "pim") in resources
+
+    @pytest.mark.parametrize("workload", ["speculative", "moe", "coresident"])
+    def test_workload_loops(self, workload):
+        from repro.platforms.specs import JETSON_ORIN
+        from repro.workloads import (
+            CoResidencySpec,
+            ExpertPlacementSpec,
+            SpeculativeSpec,
+        )
+
+        spec = {
+            "speculative": SpeculativeSpec(),
+            "moe": ExpertPlacementSpec(expert_rows=1024, expert_cols=1024),
+            "coresident": CoResidencySpec(),
+        }[workload]
+        tenants = [TenantSpec(name="chat", policy="facil", qps=20.0,
+                              deadline_ms=120_000.0)]
+        if workload == "coresident":
+            tenants.append(TenantSpec(name="secondary", policy="facil",
+                                      qps=20.0, deadline_ms=120_000.0))
+        requests = poisson_workload(tenants, duration_ms=1_000.0, seed=7)
+        runtime = ServingRuntime(
+            InferenceEngine(JETSON_ORIN), ServingConfig(seed=7),
+            telemetry=Telemetry(sample_every=1), workload=spec,
+        )
+        resources = _phase_resources(runtime, requests)
+        assert {name for name, _ in resources} == {"prefill", "decode"}
+        assert {unit for _, unit in resources} <= {"soc", "pim"}
