@@ -22,10 +22,14 @@ Rules:
 The oracle is deliberately generic: :func:`replay_diff` takes a
 callable that runs the workload against a fresh
 :class:`BarrierRecorder` and returns the run's result.  The serving
-loops wire themselves in behind ``repro-facil serve --replay-check``
-(see :meth:`repro.workloads.runtime.WorkloadLoop.barrier_state` for
-chat and the workloads, and ``barrier_state`` inside
-:func:`repro.kvcache.scheduler.run_kv_serving` for paged KV).
+loops wire themselves in behind ``repro-facil serve --replay-check``:
+every loop's ``drive`` observes a barrier per step,
+:meth:`repro.workloads.runtime.WorkloadLoop.run` snaps the final one,
+and each loop's ``barrier_state`` names the components (see
+:meth:`repro.workloads.runtime.WorkloadLoop.barrier_state` for chat and
+the workloads, and
+:meth:`repro.kvcache.scheduler.KvServingLoop.barrier_state` for paged
+KV).
 """
 
 from __future__ import annotations

@@ -19,8 +19,10 @@ selector and PIM attention reads stay chunk-aligned:
 * :mod:`repro.kvcache.manager` — :class:`KvCacheManager`, the
   sequence-facing API (admit, grow, fork, preempt, release) exposing
   KV pressure as a first-class signal;
-* :mod:`repro.kvcache.scheduler` — the continuous-batching serving
-  loop the runtime delegates to when ``ServingConfig.kv_blocks > 0``.
+* :mod:`repro.kvcache.scheduler` —
+  :class:`~repro.kvcache.scheduler.KvServingLoop`, the
+  continuous-batching serving loop the runtime runs when
+  ``ServingConfig.kv_blocks > 0``.
 
 See docs/KVCACHE.md for the block/page/MapID layout and the eviction
 and copy-on-write invariants.

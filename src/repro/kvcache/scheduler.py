@@ -40,7 +40,7 @@ from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.kvcache.block import KvPoolExhausted
-from repro.kvcache.manager import KvCacheManager, SeqAdmission
+from repro.kvcache.manager import KvCacheManager
 from repro.kvcache.pool import BlockPool, KvSpec
 from repro.serving.breaker import BrownoutController
 from repro.serving.runtime import (
@@ -62,24 +62,35 @@ class _Seq:
     """Mutable per-request serving state (one per admitted request)."""
 
     __slots__ = (
-        "request", "degraded", "decode_budget", "admission", "wait_ns",
-        "ttft_ns", "retries", "backoff_ns", "fallbacks", "ctx", "remaining",
-        "served_tokens", "recomputes", "policy_served", "prefill_resource",
+        "request",
+        "degraded",
+        "recompute_tokens",
+        "wait_ns",
+        "ttft_ns",
+        "retries",
+        "backoff_ns",
+        "fallbacks",
+        "ctx",
+        "remaining",
+        "served_tokens",
+        "recomputes",
+        "policy_served",
+        "prefill_resource",
         "decode_resource",
     )
 
     def __init__(self, request: Request, degraded: bool, decode_budget: int) -> None:
         self.request = request
         self.degraded = degraded
-        self.decode_budget = decode_budget
-        self.admission: Optional[SeqAdmission] = None
+        #: tokens the prefill in flight computes (its prefix-cache miss)
+        self.recompute_tokens = 0
         self.wait_ns = 0.0
         self.ttft_ns = 0.0
         self.retries = 0
         self.backoff_ns = 0.0
         self.fallbacks: Tuple[str, ...] = ()
         self.ctx = 0  # tokens committed to KV (context so far)
-        self.remaining = decode_budget
+        self.remaining = decode_budget  # tokens still to decode
         self.served_tokens = 0
         self.recomputes = 0
         self.policy_served = ""
@@ -94,17 +105,12 @@ class _Seq:
         return self.ctx if self.recomputes else self.request.prefill_tokens
 
 
-def _age(seq: _Seq) -> Tuple[float, int]:
-    return seq.request.arrival_ns, seq.request.req_id
-
-
 class KvServingLoop(WorkloadLoop):
     """Paged-KV continuous batching (see the module docstring)."""
 
     def __init__(self, runtime: ServingRuntime) -> None:
         super().__init__(runtime)
         cfg = runtime.config
-        self.block_tokens = cfg.block_tokens
         #: the most tokens one sequence may ever hold: the whole pool
         self.cap_tokens = cfg.kv_blocks * cfg.block_tokens
         self.pool = BlockPool(cfg.kv_blocks, KvSpec(block_tokens=cfg.block_tokens))
@@ -194,17 +200,15 @@ class KvServingLoop(WorkloadLoop):
         loop's admission counters and the audit; the manager's metrics
         go to telemetry."""
         kv = self.kv
-        governor = self.governor
+        intervals = self.governor.intervals
         audit_failures = kv.audit()
         stats = kv.stats()
         stats.update(self.counts)
         stats.update(
-            {
-                "prefill_tokens_saved": kv.prefix_hit_tokens,
-                "pressure_windows": len(governor.intervals),
-                "pressure_total_ms": sum(e - s for s, e in governor.intervals) / 1e6,
-                "audit_failures": list(audit_failures),
-            }
+            prefill_tokens_saved=kv.prefix_hit_tokens,
+            pressure_windows=len(intervals),
+            pressure_total_ms=sum(e - s for s, e in intervals) / 1e6,
+            audit_failures=list(audit_failures),
         )
         if self.telemetry is not None:
             kv.publish_metrics(self.telemetry.metrics)
@@ -213,7 +217,8 @@ class KvServingLoop(WorkloadLoop):
     def barrier_state(self, full: bool = False) -> Dict[str, object]:
         """State components for one replay-diff barrier: RNG stream
         position, both resource timelines, pool occupancy + free-list
-        order + journal cursor, and outcome progress."""
+        order + journal cursor, and outcome progress (the same whether
+        *full* or not)."""
         pool = self.pool
         state: Dict[str, object] = {
             "rng": self.rng.getstate(),
@@ -235,12 +240,11 @@ class KvServingLoop(WorkloadLoop):
 
     def admit(self, request: Request, now: float) -> None:
         """Offer one arrival: shed it when it could never fit the pool
-        alone, else queue it with its decode budget degraded under KV
-        pressure and clipped to the pool."""
+        alone (before it burns queue capacity or compute), else queue it
+        with its decode budget degraded under KV pressure and clipped to
+        the pool."""
         cap_tokens = self.cap_tokens
         counts = self.counts
-        # a request that could never fit the pool alone is shed here,
-        # before it burns queue capacity or compute
         if request.prefill_tokens + 1 > cap_tokens:
             counts["kv_rejections"] += 1
             self.record(request, REJECTED)
@@ -287,7 +291,9 @@ class KvServingLoop(WorkloadLoop):
                     break
                 except KvPoolExhausted:
                     # seq itself is running, so a victim always exists
-                    victim = max(running, key=_age)
+                    victim = max(
+                        running, key=lambda s: (s.request.arrival_ns, s.request.req_id)
+                    )
                     running.remove(victim)
                     self.preempt(victim, rstart)
                     acted = True
@@ -319,9 +325,8 @@ class KvServingLoop(WorkloadLoop):
 
     def preempt(self, seq: _Seq, now: float) -> None:
         """Free *seq*'s blocks (its published prefix stays cached) and
-        queue it to recompute its context."""
+        queue it to recompute its context; it keeps its unserved tokens."""
         self.kv.preempt(seq.request.req_id, now)
-        seq.remaining = seq.decode_budget - seq.served_tokens
         seq.recomputes += 1
         self.recompute.append(seq)
         self.stalled = False  # preemption freed blocks: a deferred begin may fit now
@@ -340,17 +345,17 @@ class KvServingLoop(WorkloadLoop):
         is_recompute = bool(recompute)
         if is_recompute:
             seq = recompute[0]
-            request = seq.request
-            est = max(now, request.arrival_ns)
         else:
             head = queue.peek()
             if head is None:
                 return False
-            request = head
-            seq = self.seqs[request.req_id]
-            est = max(now, request.arrival_ns)
-            if upcoming <= est:
-                return False
+            seq = self.seqs[head.req_id]
+        request = seq.request
+        est = max(now, request.arrival_ns)
+        # arrivals up to the earliest possible service come first (they
+        # may evict this head under drop-oldest)
+        if not is_recompute and upcoming <= est:
+            return False
         conv_key = request.conversation_id
         total = seq.prefill_total
         cached = kv.peek_cached(conv_key, total)
@@ -374,7 +379,9 @@ class KvServingLoop(WorkloadLoop):
                 return True
 
         try:
-            seq.admission = kv.begin(request.req_id, conv_key, total, start)
+            seq.recompute_tokens = kv.begin(
+                request.req_id, conv_key, total, start
+            ).recompute_tokens
         except KvPoolExhausted:
             if self.round_inflight or self.soc_jobs or self.running:
                 self.stalled = True  # a completion will free blocks; retry then
@@ -417,9 +424,7 @@ class KvServingLoop(WorkloadLoop):
             self._settle(seq, now, ABORTED)
             return
         request = seq.request
-        if seq.admission is None:
-            raise RuntimeError(f"request {request.req_id} finished prefill unadmitted")
-        self.kv.commit(request.req_id, seq.admission.recompute_tokens, now)
+        self.kv.commit(request.req_id, seq.recompute_tokens, now)
         seq.ctx = seq.prefill_total
         if seq.ttft_ns == 0.0:
             seq.ttft_ns = now - request.arrival_ns
@@ -444,7 +449,7 @@ class KvServingLoop(WorkloadLoop):
         go and clip (the demand pre-check guarantees a solo sequence
         fits); when not one token fits, recompute later from the cache."""
         kv = self.kv
-        B = self.block_tokens
+        B = kv.block_tokens
         req_id = seq.request.req_id
         state = kv._seqs[req_id]
         fit = state.capacity(B) - state.tokens

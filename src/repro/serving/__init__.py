@@ -19,10 +19,10 @@ failures.  This package adds a discrete-event serving runtime over the
   the write-ahead MapID journal (and, with ``kv_injections``, the KV
   block pool's journal).
 
-With ``ServingConfig.kv_blocks > 0`` the runtime delegates to the
-KV-aware continuous-batching scheduler in
-:mod:`repro.kvcache.scheduler`, which admits against a bounded paged
-KV block pool with prefix sharing (see docs/KVCACHE.md).
+With ``ServingConfig.kv_blocks > 0`` the runtime runs the KV-aware
+continuous-batching loop in :mod:`repro.kvcache.scheduler`, which
+admits against a bounded paged KV block pool with prefix sharing (see
+docs/KVCACHE.md).
 
 See docs/SERVING.md for the queueing model and the recovery protocol.
 """

@@ -1,14 +1,11 @@
 """The single-device serving loop and the loop dispatch.
 
 :meth:`WorkloadLoop.run` is the run lifecycle of every single-device
-loop: calibrate telemetry, order the arrivals, ``setup``, ``drive``,
-``teardown``, snap the final replay barrier and close the report with
-the loop's ``sections``; :func:`run_workload_serving` picks the loop
-class.  The default ``drive`` steps whole requests: each runs to
-completion before the next one starts its prefill, through the
-admission queue, deadline boundaries at admission->prefill and
-prefill->decode, and retry-priced phases on the two-resource (SoC /
-PIM) timeline, all through the loop's
+loop; :func:`run_workload_serving` picks the loop class.  The default
+:meth:`WorkloadLoop.drive` runs every request to completion before the
+next one starts its prefill: admission queue, deadline boundaries at
+admission->prefill and prefill->decode, and retry-priced phases on the
+two-resource (SoC / PIM) timeline, all through the loop's
 :class:`~repro.serving.device.DeviceCore`.  The loop owns its per-run
 state (RNG, queue, degraded map, outcomes, timelines, clock) and is
 steppable: :meth:`WorkloadLoop.offer` admits one arrival and
@@ -218,10 +215,8 @@ class WorkloadLoop:
         """Release everything placed in :meth:`setup`."""
 
     def sections(self) -> Dict[str, Optional[Dict]]:
-        """The report's optional sections (``adaptive``, ``kv``,
-        ``workload``; JSON-stable).  Chat reports the adaptive
-        controller's summary when it has one; a workload reports its
-        ``workload`` section."""
+        """The report's optional sections (JSON-stable): the adaptive
+        controller's summary, a workload's or the KV loop's counters."""
         ada = self.controller
         return {} if ada is None else {"adaptive": ada.report()}
 
@@ -437,6 +432,8 @@ class WorkloadLoop:
                 bar.observe(len(self.outcomes), self.barrier_state)
             upcoming = next_arrival_ns(pending, next_arrival)
             head = queue.peek()
+            # arrivals strictly before the earliest possible service
+            # come first ...
             if head is None or upcoming <= max(head.arrival_ns, self.clock):
                 self.offer(pending[next_arrival])
                 next_arrival += 1
@@ -444,8 +441,8 @@ class WorkloadLoop:
             est = max(head.arrival_ns, self.clock)
             route = self.route(head, est, max(0.0, free["pim"] - est))
             start = max(est, free[route.prefill_resource])
-            # arrivals while the head waits for its resource may still
-            # evict it (drop-oldest) or shed themselves: ingest, redo
+            # ... and arrivals while the head waits for its resource may
+            # still evict it (drop-oldest) or shed themselves: ingest, redo
             if upcoming <= start:
                 self.offer(pending[next_arrival])
                 next_arrival += 1
@@ -542,17 +539,19 @@ def run_workload_serving(
     from repro.workloads.speculative import SpeculativeLoop
 
     spec = runtime.workload
+    loop: WorkloadLoop
     if spec is None:
-        chat = KvServingLoop if runtime.config.kv_blocks > 0 else WorkloadLoop
-        return chat(runtime).run(requests)
-    for spec_type, loop in (
-        (SpeculativeSpec, SpeculativeLoop),
-        (ExpertPlacementSpec, ExpertPlacementLoop),
-        (CoResidencySpec, CoResidencyLoop),
-    ):
-        if isinstance(spec, spec_type):
-            return loop(runtime, spec).run(requests)
-    raise TypeError(
-        f"runtime.workload must be a SpeculativeSpec, ExpertPlacementSpec, "
-        f"or CoResidencySpec, got {type(spec).__name__}"
-    )
+        paged = runtime.config.kv_blocks > 0
+        loop = KvServingLoop(runtime) if paged else WorkloadLoop(runtime)
+    elif isinstance(spec, SpeculativeSpec):
+        loop = SpeculativeLoop(runtime, spec)
+    elif isinstance(spec, ExpertPlacementSpec):
+        loop = ExpertPlacementLoop(runtime, spec)
+    elif isinstance(spec, CoResidencySpec):
+        loop = CoResidencyLoop(runtime, spec)
+    else:
+        raise TypeError(
+            f"runtime.workload must be a SpeculativeSpec, ExpertPlacementSpec, "
+            f"or CoResidencySpec, got {type(spec).__name__}"
+        )
+    return loop.run(requests)

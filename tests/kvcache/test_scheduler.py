@@ -1,7 +1,7 @@
 """KV-aware continuous batching through the serving runtime.
 
-``ServingConfig.kv_blocks > 0`` routes :meth:`ServingRuntime.run` to
-:func:`repro.kvcache.scheduler.run_kv_serving`; these tests exercise the
+``ServingConfig.kv_blocks > 0`` runs :meth:`ServingRuntime.run` on
+:class:`repro.kvcache.scheduler.KvServingLoop`; these tests exercise the
 integration: bounded pools, prefix-sharing savings, determinism, and the
 report plumbing.
 """

@@ -28,7 +28,7 @@ the demand reject on a small pool.  Each has a report, barrier, trace
 and metrics digest, captured at commit
 ee90c2d2da6f7ec86c924626e3217606b88971b6, and
 :func:`test_kv_branch_reached` checks from the run's counters,
-outcomes and request spans that its branches really ran.  Three
+outcomes and request spans that its branches really ran.  Two
 branches of that loop cannot run, so no case pins them:
 
 * the shed when ``KvCacheManager.begin`` fails with nothing in flight
@@ -37,9 +37,11 @@ branches of that loop cannot run, so no case pins them:
   sequence within the pool;
 * a prefill that completes with no decode budget left: every budget is
   at least one token, and a preempted sequence re-enters with its
-  unserved tokens;
-* a decode round with no preemption victim: the sequence that cannot
-  grow is itself running, so it is always a candidate.
+  unserved tokens.
+
+A third, a decode round with no preemption victim, was deleted: the
+sequence that cannot grow is itself running, so it is always a
+candidate.
 """
 
 from __future__ import annotations
