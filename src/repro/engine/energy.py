@@ -16,11 +16,11 @@ are end-to-end comparable, but the interesting deltas are DRAM-side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.dram.energy import DramEnergyModel, LPDDR5_ENERGY, gemv_energy_pj
 from repro.engine.policies import InferenceEngine, decode_on_pim
-from repro.llm.inference import decode_step_plan, prefill_plan
+from repro.llm.inference import AttentionCost, attention_cost
 
 __all__ = ["EnergyModel", "QueryEnergy", "query_energy"]
 
@@ -61,38 +61,42 @@ class QueryEnergy:
         return self.prefill_mj + self.relayout_mj + self.decode_mj
 
 
-def _soc_phase_pj(engine: InferenceEngine, plan, batch, model: EnergyModel) -> float:
-    total = 0.0
-    for spec in plan.linears:
-        n = engine._gemm_batch(spec, batch)
-        weight = spec.bytes_per_instance
-        act_bytes = (spec.in_features + spec.out_features) * n * spec.dtype_bytes
-        flops = 2.0 * spec.out_features * n * spec.in_features
-        total += spec.count * (
-            model.soc_stream_pj(weight + act_bytes)
-            + flops * model.soc_pj_per_flop
-        )
-    total += model.soc_stream_pj(plan.attention.bytes_moved)
-    total += plan.attention.flops * model.soc_pj_per_flop
-    return total
-
-
-def _pim_phase_pj(
-    engine: InferenceEngine, plan, batch, model: EnergyModel
+def _linear_pj(
+    engine: InferenceEngine, batch: int, on_pim: bool, model: EnergyModel
 ) -> float:
+    """The linear ops of one phase over *batch* tokens, summed in
+    ``linear_specs`` order: SoC GEMMs stream weights and activations;
+    PIM GEMVs keep the weights in the die."""
     org = engine.platform.dram.org
     total = 0.0
-    for spec in plan.linears:
-        cost = engine._costs[spec.name]
+    for cost in engine._costs.values():
+        spec = cost.spec
         n = engine._gemm_batch(spec, batch)
-        input_bytes = spec.in_features * spec.dtype_bytes
-        output_bytes = spec.out_features * 4  # FP32 partials
-        total += spec.count * n * gemv_energy_pj(
-            cost.pim_gemv, org.total_banks, input_bytes, output_bytes, model.dram
-        )
-    total += model.soc_stream_pj(plan.attention.bytes_moved)
-    total += plan.attention.flops * model.soc_pj_per_flop
+        if on_pim:
+            input_bytes = spec.in_features * spec.dtype_bytes
+            output_bytes = spec.out_features * 4  # FP32 partials
+            total += spec.count * n * gemv_energy_pj(
+                cost.pim_gemv, org.total_banks, input_bytes, output_bytes,
+                model.dram,
+            )
+        else:
+            weight = spec.bytes_per_instance
+            act_bytes = (spec.in_features + spec.out_features) * n * spec.dtype_bytes
+            flops = 2.0 * spec.out_features * n * spec.in_features
+            total += spec.count * (
+                model.soc_stream_pj(weight + act_bytes)
+                + flops * model.soc_pj_per_flop
+            )
     return total
+
+
+def _phase_pj(linear_pj: float, attention: AttentionCost, model: EnergyModel) -> float:
+    """A phase: its linear ops plus attention, which runs on the SoC."""
+    return (
+        linear_pj
+        + model.soc_stream_pj(attention.bytes_moved)
+        + attention.flops * model.soc_pj_per_flop
+    )
 
 
 def query_energy(
@@ -108,7 +112,6 @@ def query_energy(
     if prefill_len <= 0 or decode_len <= 0:
         raise ValueError("prefill and decode lengths must be positive")
     model = model if model is not None else EnergyModel()
-    pre_plan = prefill_plan(engine.model, prefill_len)
 
     relayout_pj = 0.0  # the hybrid baselines re-lay out before a SoC prefill
     if engine.price_prefill(policy, prefill_len, allow_pim=False).relayout_ns > 0.0:
@@ -119,15 +122,16 @@ def query_energy(
                 + model.soc_stream_pj(nbytes, write_fraction=1.0)  # write copy
             )
 
-    prefill_pj = _soc_phase_pj(engine, pre_plan, prefill_len, model)
+    prefill_pj = _phase_pj(
+        _linear_pj(engine, prefill_len, False, model),
+        attention_cost(engine.model, prefill_len, prefill_len), model,
+    )
 
+    # a decode step's linear ops are context-free: price them once
+    step_pj = _linear_pj(engine, 1, on_pim, model)
     decode_pj = 0.0
-    for step in range(1, decode_len):
-        plan = decode_step_plan(engine.model, prefill_len + step)
-        if on_pim:
-            decode_pj += _pim_phase_pj(engine, plan, 1, model)
-        else:
-            decode_pj += _soc_phase_pj(engine, plan, 1, model)
+    for context in range(prefill_len + 1, prefill_len + decode_len):
+        decode_pj += _phase_pj(step_pj, attention_cost(engine.model, 1, context), model)
 
     return QueryEnergy(
         policy=policy,

@@ -4,8 +4,8 @@ import pytest
 
 from repro.dram.energy import LPDDR5_ENERGY, gemv_energy_pj, sim_energy_pj
 from repro.engine.energy import EnergyModel, query_energy
-from repro.engine.policies import InferenceEngine
-from repro.platforms.specs import JETSON_ORIN
+from repro.engine.policies import POLICIES, InferenceEngine, decode_on_pim
+from repro.platforms.specs import ALL_PLATFORMS, JETSON_ORIN
 
 
 @pytest.fixture(scope="module")
@@ -85,3 +85,54 @@ class TestQueryEnergy:
         base = query_energy(engine, "soc-only", 8, 8)
         costly = query_energy(engine, "soc-only", 8, 8, model=expensive_io)
         assert costly.total_mj > base.total_mj
+
+
+def _reference_phase_pj(engine, plan, batch, on_pim, model):
+    """One phase priced from its plan, the way ``query_energy`` did
+    before a decode step's linear ops were priced once."""
+    org = engine.platform.dram.org
+    total = 0.0
+    for spec in plan.linears:
+        n = engine._gemm_batch(spec, batch)
+        if on_pim:
+            total += spec.count * n * gemv_energy_pj(
+                engine._costs[spec.name].pim_gemv, org.total_banks,
+                spec.in_features * spec.dtype_bytes, spec.out_features * 4,
+                model.dram,
+            )
+        else:
+            act_bytes = (spec.in_features + spec.out_features) * n * spec.dtype_bytes
+            flops = 2.0 * spec.out_features * n * spec.in_features
+            total += spec.count * (
+                model.soc_stream_pj(spec.bytes_per_instance + act_bytes)
+                + flops * model.soc_pj_per_flop
+            )
+    total += model.soc_stream_pj(plan.attention.bytes_moved)
+    total += plan.attention.flops * model.soc_pj_per_flop
+    return total
+
+
+class TestDecodeStepsPricedFromOneLinearTerm:
+    """``query_energy`` must match the per-step plan rebuild exactly
+    (``==`` on every field) on every Table II platform and policy."""
+
+    @pytest.mark.parametrize("platform", ALL_PLATFORMS, ids=lambda p: p.name)
+    def test_matches_plan_per_step(self, platform):
+        from repro.llm.inference import decode_step_plan, prefill_plan
+
+        engine = InferenceEngine(platform)
+        model = EnergyModel()
+        for policy in POLICIES:
+            on_pim = decode_on_pim(policy)
+            for prefill_len, decode_len in ((1, 1), (7, 2), (128, 65), (513, 300)):
+                got = query_energy(engine, policy, prefill_len, decode_len)
+                prefill = _reference_phase_pj(
+                    engine, prefill_plan(engine.model, prefill_len),
+                    prefill_len, False, model,
+                )
+                decode = 0.0
+                for step in range(1, decode_len):
+                    plan = decode_step_plan(engine.model, prefill_len + step)
+                    decode += _reference_phase_pj(engine, plan, 1, on_pim, model)
+                assert got.prefill_mj == prefill / 1e9
+                assert got.decode_mj == decode / 1e9
