@@ -198,12 +198,6 @@ class RecoveryReport:
     def rolled_forward(self) -> int:
         return sum(1 for a in self.actions if a.resolution == "rolled-forward")
 
-    def action_for(self, txn_id: int) -> Optional[RecoveryAction]:
-        for action in self.actions:
-            if action.txn_id == txn_id:
-                return action
-        return None
-
 
 def _undo_alloc(allocator: "PimAllocator", txn: JournalTxn) -> Dict[str, Any]:
     """Roll an interrupted allocation back to nothing."""

@@ -22,7 +22,6 @@ from typing import Dict, List
 import numpy as np
 
 from repro.core.controller import CONVENTIONAL_MAP_ID, MemoryController
-from repro.dram.address import Field
 from repro.dram.command import Request
 from repro.dram.config import DramConfig
 from repro.dram.system import DramTimingSimulator, SimResult, requests_from_fields
@@ -44,15 +43,6 @@ class ContentionResult:
     soc_mean_latency_ns: float = 0.0
     pim_mean_latency_ns: float = 0.0
 
-    @property
-    def soc_retained(self) -> float:
-        """Fraction of the SoC's solo bandwidth that survives sharing."""
-        return self.soc_shared_gbps / self.soc_alone_gbps
-
-    @property
-    def pim_retained(self) -> float:
-        return self.pim_shared_gbps / self.pim_alone_gbps
-
 
 def _tagged(
     fields: Dict[str, np.ndarray], tag: str, uses_bus: bool = True
@@ -62,19 +52,6 @@ def _tagged(
         Request(coord=r.coord, is_write=r.is_write, tag=tag, uses_bus=uses_bus)
         for r in requests
     ]
-
-
-def _merge(a: List[Request], b: List[Request], seed: int = 7) -> List[Request]:
-    """Random-rate merge preserving each stream's internal order."""
-    rng = np.random.default_rng(seed)
-    keys_a = np.cumsum(rng.exponential(1.0, len(a)))
-    keys_b = np.cumsum(rng.exponential(1.0, len(b)))
-    merged = [(k, 0, i) for i, k in enumerate(keys_a)] + [
-        (k, 1, i) for i, k in enumerate(keys_b)
-    ]
-    merged.sort()
-    streams = (a, b)
-    return [streams[which][idx] for _, which, idx in merged]
 
 
 def _stream_bandwidth(result: SimResult, tag: str, transfer_bytes: int) -> float:
