@@ -215,10 +215,9 @@ class KvServingLoop(WorkloadLoop):
         return {"kv": stats}
 
     def barrier_state(self, full: bool = False) -> Dict[str, object]:
-        """State components for one replay-diff barrier: RNG stream
-        position, both resource timelines, pool occupancy + free-list
-        order + journal cursor, and outcome progress (the same whether
-        *full* or not)."""
+        """State components for one replay-diff barrier, *full* or not:
+        RNG stream position, both resource timelines, pool occupancy +
+        free-list order + journal cursor, and outcome progress."""
         pool = self.pool
         state: Dict[str, object] = {
             "rng": self.rng.getstate(),
