@@ -51,7 +51,7 @@ import hashlib
 import json
 import random
 from dataclasses import replace
-from typing import Callable, Dict, List, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Set, Tuple
 
 import pytest
 
@@ -69,6 +69,9 @@ from repro.serving.runtime import (
 )
 from repro.serving.workload import Request, TenantSpec, poisson_workload
 from repro.telemetry import Telemetry
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.fleet.runtime import FleetReport
 
 SHED_POLICIES = ("reject", "degrade", "drop-oldest")
 ADAPTIVE_MODES = ("off", "static", "active", "active-pinned")
@@ -166,7 +169,7 @@ def _workload_spec(name: str):
     return CoResidencySpec()
 
 
-def _workload_report(name: str, faulted: bool) -> str:
+def _workload_run(name: str, faulted: bool) -> ServingReport:
     tenants = [TenantSpec(
         name="chat", policy="facil", qps=40.0, deadline_ms=120_000.0,
     )]
@@ -191,10 +194,14 @@ def _workload_report(name: str, faulted: bool) -> str:
         InferenceEngine(JETSON_ORIN), ServingConfig(**knobs),
         workload=_workload_spec(name),
     )
-    return runtime.run(requests).to_json()
+    return runtime.run(requests)
 
 
-def _fleet_report(kill_k: bool) -> str:
+def _workload_report(name: str, faulted: bool) -> str:
+    return _workload_run(name, faulted).to_json()
+
+
+def _fleet_run(kill_k: bool) -> "FleetReport":
     from repro.fleet.runtime import FleetConfig, FleetRuntime, fleet_workload
     from repro.fleet.workloads import DIURNAL
 
@@ -204,9 +211,7 @@ def _fleet_report(kill_k: bool) -> str:
     )
     requests = fleet_workload([tenant], 4_000.0, shape=DIURNAL, seed=0)
     if not kill_k:
-        return FleetRuntime(FleetConfig(n_devices=4, seed=0)).run(
-            requests
-        ).to_json()
+        return FleetRuntime(FleetConfig(n_devices=4, seed=0)).run(requests)
     config = FleetConfig(
         n_devices=4, standby_devices=1, seed=0, autoscale=True,
         pim_fault_rate=0.2, mapping_fault_rate=0.1,
@@ -217,7 +222,11 @@ def _fleet_report(kill_k: bool) -> str:
         t += 100e6 * (rng.random() - 0.5)
         kills.append((t, index % 3))
         t += 400e6
-    return FleetRuntime(config).run(requests, kills=sorted(kills)).to_json()
+    return FleetRuntime(config).run(requests, kills=sorted(kills))
+
+
+def _fleet_report(kill_k: bool) -> str:
+    return _fleet_run(kill_k).to_json()
 
 
 def _barrier_hashes(runtime_for: Callable[[BarrierRecorder], ServingRuntime],
