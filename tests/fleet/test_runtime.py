@@ -269,3 +269,29 @@ class TestReportSurface:
 
         report, _ = _run(kills=_kill_schedule(2, devices=3))
         assert json.loads(report.to_json())["none_lost"] is True
+
+
+class TestAttributeBudget:
+    """``FleetDevice`` keeps its instance attributes inline only while it
+    has at most 29 (see its ``__init__``); past that every router,
+    autoscaler and backlog read on a fleet event gets slower."""
+
+    BUDGET = 29
+
+    def test_fresh_devices_fit(self):
+        for device in build_fleet(FleetConfig(n_devices=4, standby_devices=1)):
+            assert len(vars(device)) <= self.BUDGET, sorted(vars(device))
+
+    def test_devices_fit_after_kills_revives_and_autoscaling(self):
+        config = FleetConfig(
+            n_devices=3, standby_devices=1, seed=0, autoscale=True,
+            autoscale_high_backlog_ns=5e7, autoscale_low_backlog_ns=1e6,
+            autoscale_interval_ms=20.0,
+        )
+        runtime = FleetRuntime(config)
+        requests = fleet_workload([_tenant(qps=80.0)], 1_000.0, seed=0)
+        report = runtime.run(requests, kills=_kill_schedule(4, devices=2))
+        assert report.kills and report.revives
+        assert report.autoscaler is not None and report.autoscaler["scale_ups"]
+        for device in runtime.devices:
+            assert len(vars(device)) <= self.BUDGET, sorted(vars(device))
