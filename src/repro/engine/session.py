@@ -110,7 +110,12 @@ class ChatSession:
             admission = self.kv.begin(seq_id, self.conversation_id, total, now)
             cached = admission.cached_tokens
             recompute = admission.recompute_tokens
-        prefill = engine.price_prefill(self.policy, recompute, context=cached)
+        # attention spans the whole conversation: without a manager every
+        # earlier token persists, with one only the prefix-tree hit does
+        prefill = engine.price_prefill(
+            self.policy, recompute,
+            context=self.context if self.kv is None else cached,
+        )
         ttft = prefill.total_ns
         decode = engine.decode_total_ns(
             total, response_tokens, decode_on_pim(self.policy)

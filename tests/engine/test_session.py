@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.engine.policies import InferenceEngine
+from repro.engine.policies import POLICIES, InferenceEngine
 from repro.engine.session import ChatSession
 from repro.kvcache import BlockPool, KvCacheManager, KvSpec
-from repro.platforms.specs import JETSON_ORIN
+from repro.platforms.specs import IPHONE_15_PRO, JETSON_ORIN
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +157,23 @@ class TestManagedKv:
             m = managed.turn(20, 20)
             p = perfect.turn(20, 20)
             assert m.ttft_ns >= p.ttft_ns - 1e-6
+
+    @pytest.mark.parametrize("platform", [JETSON_ORIN, IPHONE_15_PRO],
+                             ids=lambda p: p.name)
+    def test_block_aligned_turns_price_like_perfect_persistence(self, platform):
+        """Turns of 24 + 40 tokens end on a 16-token block boundary, so
+        the managed cache holds the whole conversation: both sessions
+        price prefill attention over the same context, exactly."""
+        engine = InferenceEngine(platform)
+        for policy in POLICIES:
+            managed = ChatSession(engine, policy, kv=self.make_kv(),
+                                  conversation_id=6)
+            perfect = ChatSession(engine, policy)
+            for _ in range(4):
+                m = managed.turn(24, 40)
+                p = perfect.turn(24, 40)
+                assert m.cached_tokens == p.context_before
+                assert m.ttft_ns == p.ttft_ns, (policy, m.turn)
 
     def test_conversations_do_not_cross_pollinate(self, engine):
         kv = self.make_kv()
