@@ -54,6 +54,7 @@ from repro.serving.runtime import (
     SERVED,
     SERVED_DEGRADED,
     TIMED_OUT,
+    offered_ids,
 )
 from repro.serving.workload import Request, TenantSpec
 
@@ -402,7 +403,9 @@ class FleetRuntime:
         """Serve *requests* while applying the timed *kills* schedule
         (each ``(t_ns, device_id)``; revive follows ``recovery_ms``
         later).  Returns the fleet report; every request in *requests*
-        is guaranteed a terminal outcome."""
+        is guaranteed a terminal outcome.  A duplicated ``req_id`` is
+        refused with a :class:`ValueError`."""
+        offered = offered_ids(requests)
         cfg = self.config
         outcomes: List[FleetOutcome] = []
         failovers: Dict[int, int] = {}
@@ -585,7 +588,7 @@ class FleetRuntime:
             revives=revives_applied,
             health_quarantines=health_quarantines,
             audit_findings=findings,
-            offered_req_ids=sorted(r.req_id for r in requests),
+            offered_req_ids=sorted(offered),
         )
         self._publish_lanes(report)
         return report

@@ -43,7 +43,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.replay import BarrierRecorder
@@ -61,6 +61,7 @@ __all__ = [
     "ServingConfig",
     "ServingReport",
     "ServingRuntime",
+    "offered_ids",
     "sustainable_qps",
 ]
 
@@ -174,6 +175,21 @@ class RequestOutcome:
     @property
     def served(self) -> bool:
         return self.status in (SERVED, SERVED_DEGRADED)
+
+
+def offered_ids(requests: Iterable[Request]) -> Set[int]:
+    """The ids of *requests*.  Each request must carry its own id, or
+    no outcome could be told apart: a duplicated ``req_id`` is an input
+    error, raised as a :class:`ValueError` that names it."""
+    ids: Set[int] = set()
+    for request in requests:
+        if request.req_id in ids:
+            raise ValueError(
+                f"duplicate req_id {request.req_id}: every offered request "
+                f"needs its own id"
+            )
+        ids.add(request.req_id)
+    return ids
 
 
 @dataclass

@@ -66,6 +66,7 @@ from repro.serving.runtime import (
     RequestOutcome,
     ServingReport,
     ServingRuntime,
+    offered_ids,
 )
 from repro.serving.workload import Request
 
@@ -391,10 +392,11 @@ class WorkloadLoop:
     # -- one device, start to finish ----------------------------------
 
     def run(self, requests: Sequence[Request]) -> ServingReport:
-        """Serve *requests* on this one device: calibrate telemetry,
-        order the arrivals, :meth:`setup`, :meth:`drive`, :meth:`teardown`
+        """Serve *requests* on this one device: refuse a duplicated
+        ``req_id``, calibrate telemetry, order the arrivals, :meth:`setup`, :meth:`drive`, :meth:`teardown`
         at the run's end, snap the final barrier and close the report
         with the loop's :meth:`sections`."""
+        offered_ids(requests)
         runtime = self.runtime
         tel = self.telemetry
         if tel is not None:

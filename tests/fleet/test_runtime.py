@@ -81,6 +81,14 @@ class TestConservation:
             report.served + report.shed + report.unserved == report.offered
         )
 
+    def test_duplicate_req_id_is_an_input_error(self):
+        """A duplicated id is refused up front, not reported as a
+        request that was lost or counted twice."""
+        requests = fleet_workload([_tenant()], 500.0, shape=DIURNAL, seed=0)
+        requests.append(requests[0])
+        with pytest.raises(ValueError, match=f"req_id {requests[0].req_id}"):
+            FleetRuntime(FleetConfig(n_devices=2, seed=0)).run(requests)
+
     def test_none_lost_detects_a_missing_outcome(self):
         """none_lost must compare against the offered ids — dropping an
         outcome (a stranded request) fails the law even though the

@@ -26,6 +26,16 @@ class TestConfigValidation:
             ServingConfig(max_retries=-1)
 
 
+class TestOfferedIds:
+    def test_duplicate_req_id_is_an_input_error(self, iphone_engine):
+        """A duplicated id cannot reach its own outcome: the run refuses
+        it up front instead of serving it twice."""
+        requests = [make_request(req_id=i, arrival_ns=i * 1e9) for i in range(9)]
+        requests.append(make_request(req_id=4, arrival_ns=20e9))
+        with pytest.raises(ValueError, match="req_id 4"):
+            run(iphone_engine, requests)
+
+
 class TestHappyPath:
     def test_single_request_is_served(self, iphone_engine):
         report = run(iphone_engine, [make_request()])
