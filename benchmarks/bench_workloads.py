@@ -167,10 +167,11 @@ def test_workloads(benchmark):
                 "coresident_interference_ms": cores["interference_ns"] / 1e6,
                 "conservation_findings": float(conservation),
             },
-            notes="speculative_goodput_ratio is the gated soc-only pair "
-                  "(draft phi-1.5, gamma 4, acceptance 0.8); the facil "
-                  "ratio is an ungated observation — PIM GEMV decode is "
-                  "already bandwidth-optimal, so speculation pays only "
-                  "where decode is SoC-bound",
+            notes="speculative_goodput_ratio is the soc-only pair "
+                  "(draft phi-1.5, gamma 4, acceptance 0.8), gated at "
+                  ">= 1.0; speculative_goodput_ratio_facil is a known "
+                  "regression, gated at >= 0.65 and within 5% of its "
+                  "baseline — PIM GEMV decode is already bandwidth-optimal, "
+                  "so speculation pays only where decode is SoC-bound",
         ),
     )
