@@ -35,6 +35,7 @@ from repro.fleet.runtime import FleetConfig, FleetReport, FleetRuntime
 from repro.fleet.workloads import DIURNAL, shaped_workload
 from repro.kvcache.pool import KV_CRASH_SITES
 from repro.llm.datasets import ALPACA_LIKE
+from repro.serving.runtime import conservation_findings
 from repro.serving.workload import TenantSpec
 
 __all__ = ["FleetChaosReport", "FleetChaosSpec", "run_fleet_chaos"]
@@ -207,21 +208,9 @@ def run_fleet_chaos(spec: FleetChaosSpec) -> FleetChaosReport:
             f"{len(report.audit_findings)} post-recovery audit finding(s): "
             f"{report.audit_findings[0]}"
         )
-    offered_ids = {r.req_id for r in workload}
-    outcome_ids = [o.req_id for o in fleet.outcomes]
-    if len(outcome_ids) != len(set(outcome_ids)):
-        report.failures.append("a request reached two terminal outcomes")
-    missing = offered_ids - set(outcome_ids)
-    if missing:
-        report.failures.append(
-            f"{len(missing)} request(s) silently lost (e.g. req "
-            f"{sorted(missing)[0]})"
-        )
-    extra = set(outcome_ids) - offered_ids
-    if extra:
-        report.failures.append(
-            f"{len(extra)} outcome(s) for requests never offered"
-        )
+    report.failures.extend(
+        conservation_findings((r.req_id for r in workload), fleet.outcomes)
+    )
     unfired = [s for s in KV_CRASH_SITES if not report.crashes_by_site.get(s)]
     if unfired:
         report.failures.append(

@@ -42,7 +42,7 @@ from repro.platforms.specs import PlatformSpec
 from repro.reliability.degrade import RETRY_BASE_BACKOFF_NS, HealthMonitor
 from repro.reliability.faults import FaultInjector
 from repro.serving.device import DeviceCore, check_retry_fields
-from repro.serving.runtime import SERVED, SERVED_DEGRADED
+from repro.serving.runtime import RequestOutcome
 from repro.serving.workload import Request
 from repro.workloads.runtime import WorkloadLoop
 
@@ -127,21 +127,6 @@ class _Residency:
 
 
 @dataclass(frozen=True)
-class ServedPhases:
-    """What one completed service consumed (for outcome assembly)."""
-
-    start_ns: float
-    prefill_end_ns: float
-    end_ns: float
-    status: str
-    policy_served: str
-    decode_tokens_served: int
-    retries: int
-    prefill_tokens_priced: int
-    prefix_hit: bool
-
-
-@dataclass(frozen=True)
 class Preempted:
     """Service interrupted by a device loss at *at_ns* (no outcome)."""
 
@@ -153,8 +138,9 @@ class FleetDevice(WorkloadLoop):
     """One simulated device inside a fleet (see the module docstring).
 
     A chat :class:`~repro.workloads.runtime.WorkloadLoop` the fleet
-    runtime steps through :meth:`offer` and :meth:`serve_next`; the
-    fleet runtime records every outcome itself (as a ``FleetOutcome``).
+    runtime steps through :meth:`offer` and :meth:`serve_next`.  The
+    device keeps the outcome of every request it settles, stamped with
+    its id; the fleet runtime merges them at the end of the run.
     """
 
     def __init__(
@@ -200,7 +186,6 @@ class FleetDevice(WorkloadLoop):
         #: (virtual ns, from, to) — every health/admin transition
         self.transitions: List[Tuple[float, str, str]] = []
         # cumulative counters (survive kills and revives)
-        self.served = 0
         self.kills = 0
         self.revives = 0
         #: KV crash site each kill fired on (campaign coverage evidence)
@@ -471,20 +456,27 @@ class FleetDevice(WorkloadLoop):
 
     # -- serving ---------------------------------------------------------------
 
-    def record(self, request: Request, status: str, **fields: Any) -> None:
-        """Keep nothing: the fleet runtime records every outcome."""
+    @property
+    def served(self) -> int:
+        return sum(1 for o in self.outcomes if o.served)
+
+    def record(self, request: Request, status: str, **fields: Any) -> RequestOutcome:
+        """Keep the outcome, stamped with this device's id."""
+        return super().record(request, status, device_id=self.spec.device_id, **fields)
 
     def interrupted(self, t_ns: float) -> bool:
         """The device's next scheduled loss lands before *t_ns*."""
         return t_ns > self.loss_ns
 
-    def serve_next(self, interrupt_ns: Optional[float] = None):
+    def serve_next(
+        self, interrupt_ns: Optional[float] = None
+    ) -> RequestOutcome | Preempted:
         """Pop the queue head and run it to completion on this device.
 
-        Returns a :class:`ServedPhases` on a terminal disposition, or a
-        :class:`Preempted` when *interrupt_ns* (the device's next
-        scheduled loss) lands inside the service window — the caller
-        re-admits the request elsewhere via the router.
+        Returns the recorded outcome, or a :class:`Preempted` when
+        *interrupt_ns* (the device's next scheduled loss) lands inside
+        the service window — the caller re-admits the request elsewhere
+        via the router.
         """
         head = self.queue.peek()
         if head is None:
@@ -509,24 +501,20 @@ class FleetDevice(WorkloadLoop):
             self.queue.pop(self.loss_ns)
             self.degraded.pop(head.req_id, None)
             return Preempted(head, self.loss_ns)
-        settled = self.serve(head, route, est, start)
-        if settled is None:
+        outcome = self.serve(head, route, est, start)
+        if outcome is None:
             # the device dies mid-service: burned work, no outcome
             return Preempted(head, self.loss_ns)
-        status, prefill_end, end, retries, tokens = settled
-        if status in (SERVED, SERVED_DEGRADED):
-            self.served += 1
+        end = outcome.end_ns
+        if outcome.served:
             if prefix_hit:
                 self.prefix_hits += 1
                 self.prefill_tokens_saved += head.prefill_tokens - priced_tokens
-            self._grow_residency(head, head.prefill_tokens + tokens, end)
+            self._grow_residency(
+                head, head.prefill_tokens + outcome.decode_tokens_served, end
+            )
         self._observe_service(end - start)
-        return ServedPhases(
-            start_ns=start, prefill_end_ns=prefill_end, end_ns=end,
-            status=status, policy_served=route.policy,
-            decode_tokens_served=tokens, retries=retries,
-            prefill_tokens_priced=priced_tokens, prefix_hit=prefix_hit,
-        )
+        return outcome
 
     # -- reporting -------------------------------------------------------------
 

@@ -13,8 +13,9 @@ straddles *t*; every refugee is offered back through the router onto a
 survivor, where it recomputes from scratch (the dead device's journal
 recovery already proved no KV state needed to survive).  A refugee with
 no routable device left, or rejected by the survivor's own admission
-policy, is accounted as shed — the conservation law, checked in
-:meth:`FleetReport.to_dict` and asserted by the chaos campaign, is that
+policy, is accounted as shed — the conservation law
+(:func:`~repro.serving.runtime.conservation_findings`, behind
+:attr:`FleetReport.none_lost` and the chaos campaign's oracle) is that
 **every offered request reaches exactly one terminal outcome**: served,
 served-degraded, rejected, dropped, shed-unroutable, timed-out, or
 aborted.  Nothing is silently lost, including mid-flight work on a
@@ -38,35 +39,34 @@ a revive timestamp still applies to the freshly revived device.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.metrics import LatencyStats
 from repro.fleet.autoscaler import Autoscaler
 from repro.fleet.device import DeviceSpec, DeviceState, FleetDevice, Preempted
 from repro.fleet.router import FleetRouter
 from repro.fleet.workloads import ArrivalShape, shaped_workload
 from repro.platforms.specs import ALL_PLATFORMS
 from repro.serving.runtime import (
-    ABORTED,
     DROPPED,
     REJECTED,
-    SERVED,
-    SERVED_DEGRADED,
-    TIMED_OUT,
+    SHED_UNROUTABLE,
+    TERMINAL_STATUSES,
+    OutcomeCounts,
+    RequestOutcome,
+    conservation_findings,
     offered_ids,
 )
 from repro.serving.workload import Request, TenantSpec
 
-__all__ = ["FleetConfig", "FleetOutcome", "FleetReport", "FleetRuntime", "build_fleet"]
-
-#: a request no routable device could take (the fleet's own status)
-SHED_UNROUTABLE = "shed-unroutable"
-
-TERMINAL_STATUSES = (
-    SERVED, SERVED_DEGRADED, REJECTED, DROPPED, SHED_UNROUTABLE,
-    TIMED_OUT, ABORTED,
-)
+__all__ = [
+    "SHED_UNROUTABLE",
+    "TERMINAL_STATUSES",
+    "FleetConfig",
+    "FleetReport",
+    "FleetRuntime",
+    "build_fleet",
+]
 
 
 @dataclass(frozen=True)
@@ -101,43 +101,12 @@ class FleetConfig:
             raise ValueError("recovery_ms must be positive")
 
 
-@dataclass(frozen=True)
-class FleetOutcome:
-    """Terminal disposition of one offered request."""
-
-    req_id: int
-    tenant: str
-    policy: str
-    status: str
-    arrival_ns: float
-    deadline_ns: float
-    device_id: int = -1  # -1: never placed on a device
-    start_ns: float = 0.0
-    first_token_ns: float = 0.0
-    finish_ns: float = 0.0
-    retries: int = 0
-    failovers: int = 0
-    prefix_hit: bool = False
-
-    @property
-    def served(self) -> bool:
-        return self.status in (SERVED, SERVED_DEGRADED)
-
-    @property
-    def ttft_ns(self) -> float:
-        return self.first_token_ns - self.arrival_ns
-
-    @property
-    def ttlt_ns(self) -> float:
-        return self.finish_ns - self.arrival_ns
-
-
 @dataclass
-class FleetReport:
+class FleetReport(OutcomeCounts):
     """Fleet-wide aggregation plus per-device telemetry lanes."""
 
     config: FleetConfig
-    outcomes: List[FleetOutcome] = field(default_factory=list)
+    outcomes: List[RequestOutcome] = field(default_factory=list)
     duration_ns: float = 0.0
     devices: List[Dict] = field(default_factory=list)
     router: Dict = field(default_factory=dict)
@@ -151,61 +120,25 @@ class FleetReport:
     #: ``none_lost`` can detect a request that got *no* outcome at all
     offered_req_ids: List[int] = field(default_factory=list)
 
-    def _count(self, *statuses: str) -> int:
-        return sum(1 for o in self.outcomes if o.status in statuses)
-
     @property
     def offered(self) -> int:
-        if self.offered_req_ids:
-            return len(self.offered_req_ids)
-        return len(self.outcomes)
-
-    @property
-    def served(self) -> int:
-        return self._count(SERVED, SERVED_DEGRADED)
+        return len(self.offered_req_ids)
 
     @property
     def shed(self) -> int:
         return self._count(REJECTED, DROPPED, SHED_UNROUTABLE)
 
     @property
-    def unserved(self) -> int:
-        """Broken promises: admitted but never completed."""
-        return self._count(TIMED_OUT, ABORTED)
-
-    @property
     def failovers(self) -> int:
         return sum(o.failovers for o in self.outcomes)
 
     @property
-    def goodput_qps(self) -> float:
-        return self.served / (self.duration_ns / 1e9) if self.duration_ns else 0.0
-
-    @property
-    def slo_attainment(self) -> float:
-        return self.served / self.offered if self.offered else 0.0
-
-    @property
-    def ttft(self) -> LatencyStats:
-        return LatencyStats.from_values(
-            [o.ttft_ns for o in self.outcomes if o.served]
-        )
-
-    @property
     def none_lost(self) -> bool:
-        """The conservation law: every offered request has exactly one
-        terminal outcome, every outcome status is terminal, and — when
-        the runtime recorded the offered ids — the outcome ids match the
-        offered ids exactly, so a stranded request with *no* outcome
-        fails the law rather than slipping past a uniqueness check."""
-        ids = [o.req_id for o in self.outcomes]
-        if len(ids) != len(set(ids)):
-            return False
-        if any(o.status not in TERMINAL_STATUSES for o in self.outcomes):
-            return False
-        if self.offered_req_ids:
-            return set(ids) == set(self.offered_req_ids)
-        return True
+        """The conservation law (:func:`~repro.serving.runtime.
+        conservation_findings`) against the offered ids, so a stranded
+        request with *no* outcome fails it rather than slipping past a
+        uniqueness check."""
+        return not conservation_findings(self.offered_req_ids, self.outcomes)
 
     @property
     def ok(self) -> bool:
@@ -218,13 +151,13 @@ class FleetReport:
             "duration_ms": self.duration_ns / 1e6,
             "offered": self.offered,
             "served": self.served,
-            "served_degraded": self._count(SERVED_DEGRADED),
+            "served_degraded": self.served_degraded,
             "shed": self.shed,
-            "rejected": self._count(REJECTED),
-            "dropped": self._count(DROPPED),
+            "rejected": self.rejected,
+            "dropped": self.dropped,
             "shed_unroutable": self._count(SHED_UNROUTABLE),
-            "timed_out": self._count(TIMED_OUT),
-            "aborted": self._count(ABORTED),
+            "timed_out": self.timed_out,
+            "aborted": self.aborted,
             "unserved": self.unserved,
             "failovers": self.failovers,
             "kills": self.kills,
@@ -328,59 +261,40 @@ class FleetRuntime:
 
     # -- accounting helpers ----------------------------------------------------
 
-    def _shed_outcome(
-        self, request: Request, status: str, device_id: int, failovers: int
-    ) -> FleetOutcome:
-        return FleetOutcome(
+    @staticmethod
+    def _unroutable(
+        request: Request, now_ns: float, device_id: int = -1
+    ) -> RequestOutcome:
+        return RequestOutcome(
             req_id=request.req_id,
             tenant=request.tenant,
-            policy=request.policy,
-            status=status,
-            arrival_ns=request.arrival_ns,
-            deadline_ns=request.deadline_ns,
+            status=SHED_UNROUTABLE,
+            policy_requested=request.policy,
+            end_ns=now_ns,
             device_id=device_id,
-            failovers=failovers,
         )
 
     def _admit(
         self,
         request: Request,
         now_ns: float,
-        outcomes: List[FleetOutcome],
-        failovers: Dict[int, int],
+        unroutable: List[RequestOutcome],
         failover: bool = False,
     ) -> None:
-        """Route one request and offer it; records shed outcomes."""
-        n_failovers = failovers.get(request.req_id, 0)
+        """Route one request and offer it: the device records what its
+        queue sheds, the fleet what no device could take."""
         device = self.router.route(request, now_ns, failover=failover)
         if device is None:
-            outcomes.append(
-                self._shed_outcome(request, SHED_UNROUTABLE, -1, n_failovers)
-            )
-            failovers.pop(request.req_id, None)
-            return
-        verdict, evicted = device.offer(request, now_ns)
-        if verdict == "rejected":
-            outcomes.append(
-                self._shed_outcome(
-                    request, REJECTED, device.spec.device_id, n_failovers
-                )
-            )
-            failovers.pop(request.req_id, None)
-        if evicted is not None:
-            outcomes.append(
-                self._shed_outcome(
-                    evicted, DROPPED, device.spec.device_id,
-                    failovers.pop(evicted.req_id, 0),
-                )
-            )
+            unroutable.append(self._unroutable(request, now_ns))
+        else:
+            device.offer(request, now_ns)
 
     def _fail_over_device(
         self,
         device: FleetDevice,
         now_ns: float,
         carried: List[Request],
-        outcomes: List[FleetOutcome],
+        unroutable: List[RequestOutcome],
         failovers: Dict[int, int],
     ) -> None:
         """Re-admit a dead device's queue (plus any preempted in-flight
@@ -391,7 +305,7 @@ class FleetRuntime:
         self.router.on_device_lost(device.spec.device_id, now_ns)
         for refugee in refugees:
             failovers[refugee.req_id] = failovers.get(refugee.req_id, 0) + 1
-            self._admit(refugee, now_ns, outcomes, failovers, failover=True)
+            self._admit(refugee, now_ns, unroutable, failover=True)
 
     # -- the loop --------------------------------------------------------------
 
@@ -407,7 +321,9 @@ class FleetRuntime:
         refused with a :class:`ValueError`."""
         offered = offered_ids(requests)
         cfg = self.config
-        outcomes: List[FleetOutcome] = []
+        #: the fleet's own outcomes; each device keeps the ones it settles
+        unroutable: List[RequestOutcome] = []
+        #: req_id -> device losses it went through (final once settled)
         failovers: Dict[int, int] = {}
         pending = sorted(requests, key=lambda r: (r.arrival_ns, r.req_id))
         kill_schedule = sorted(kills)
@@ -422,6 +338,8 @@ class FleetRuntime:
         revives_applied = 0
         health_quarantines = 0
         clock = 0.0
+        #: latest end of a settled service
+        served_end = 0.0
         next_autoscale = (
             self.autoscaler.interval_ns if self.autoscaler is not None else None
         )
@@ -481,7 +399,7 @@ class FleetRuntime:
                 device.kill(t, kill_index=kills_applied)
                 kills_applied += 1
                 self._fail_over_device(
-                    device, t, carried.pop(device_id, []), outcomes, failovers
+                    device, t, carried.pop(device_id, []), unroutable, failovers
                 )
                 revives.append((t + cfg.recovery_ms * 1e6, device_id))
                 revives.sort()
@@ -497,22 +415,22 @@ class FleetRuntime:
             if t_arrival <= t_next:
                 request = pending[arrival_idx]
                 arrival_idx += 1
-                self._admit(request, request.arrival_ns, outcomes, failovers)
+                self._admit(request, request.arrival_ns, unroutable)
                 continue
 
             # service: run the earliest-startable queue head to completion
             if serve_dev is None:
                 raise RuntimeError("service event selected with no serviceable device")
-            interrupt = next_kill_for(serve_dev.spec.device_id)
-            head = serve_dev.queue.peek()
-            if head is None:
-                raise RuntimeError("serviceable device reported an empty queue head")
-            result = serve_dev.serve_next(interrupt_ns=interrupt)
+            result = serve_dev.serve_next(
+                interrupt_ns=next_kill_for(serve_dev.spec.device_id)
+            )
             if isinstance(result, Preempted):
                 # park it; the pending kill event fails it over
                 carried.setdefault(serve_dev.spec.device_id, []).append(
                     result.request
                 )
+            else:
+                served_end = max(served_end, result.end_ns)
             if serve_dev.update_health(serve_dev.clock) is DeviceState.QUARANTINED:
                 # sustained fault pressure quarantined the device: drain
                 # its admitted queue (plus any just-parked preemption)
@@ -522,52 +440,35 @@ class FleetRuntime:
                 self._fail_over_device(
                     serve_dev, serve_dev.clock,
                     carried.pop(serve_dev.spec.device_id, []),
-                    outcomes, failovers,
+                    unroutable, failovers,
                 )
                 revives.append(
                     (serve_dev.clock + cfg.recovery_ms * 1e6,
                      serve_dev.spec.device_id)
                 )
                 revives.sort()
-            if isinstance(result, Preempted):
-                continue
-            outcomes.append(
-                FleetOutcome(
-                    req_id=head.req_id,
-                    tenant=head.tenant,
-                    policy=head.policy,
-                    status=result.status,
-                    arrival_ns=head.arrival_ns,
-                    deadline_ns=head.deadline_ns,
-                    device_id=serve_dev.spec.device_id,
-                    start_ns=result.start_ns,
-                    first_token_ns=result.prefill_end_ns,
-                    finish_ns=result.end_ns,
-                    retries=result.retries,
-                    failovers=failovers.pop(head.req_id, 0),
-                    prefix_hit=result.prefix_hit,
-                )
-            )
 
         # conservation backstop: a carried request whose kill event never
         # landed (cannot happen with a well-formed schedule) is still
         # accounted, never silently lost
         for device_id in sorted(carried):
             for refugee in carried[device_id]:
-                outcomes.append(
-                    self._shed_outcome(
-                        refugee, SHED_UNROUTABLE, device_id,
-                        failovers.pop(refugee.req_id, 0) + 1,
-                    )
-                )
+                failovers[refugee.req_id] = failovers.get(refugee.req_id, 0) + 1
+                unroutable.append(self._unroutable(refugee, clock, device_id))
 
         end_ns = max(
-            [clock]
-            + [o.finish_ns for o in outcomes]
-            + [o.arrival_ns for o in outcomes]
+            clock, served_end, pending[-1].arrival_ns if pending else 0.0
         )
         for device in self.devices:
             device.core.brownout.finish(end_ns)
+        # every device's outcomes plus the fleet's own, each with the
+        # failover count it settled with
+        outcomes = unroutable + [o for d in self.devices for o in d.outcomes]
+        outcomes = [
+            replace(o, failovers=failovers[o.req_id])
+            if o.req_id in failovers else o
+            for o in outcomes
+        ]
         outcomes.sort(key=lambda o: o.req_id)
         findings: List[str] = []
         for device in self.devices:

@@ -246,7 +246,7 @@ class KvServingLoop(WorkloadLoop):
         counts = self.counts
         if request.prefill_tokens + 1 > cap_tokens:
             counts["kv_rejections"] += 1
-            self.record(request, REJECTED)
+            self.record(request, REJECTED, end_ns=now)
             self.trace(
                 request, REJECTED, request.policy, reason="kv-demand-exceeds-pool"
             )
@@ -509,6 +509,7 @@ class KvServingLoop(WorkloadLoop):
             retries=seq.retries,
             backoff_ns=seq.backoff_ns,
             fallbacks=seq.fallbacks,
+            end_ns=now,
         )
         if self.telemetry is not None:
             # Reconstruct the phase boundaries from the per-sequence

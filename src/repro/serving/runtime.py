@@ -57,10 +57,13 @@ from repro.serving.queue import QueueStats
 from repro.serving.workload import Request, TenantSpec
 
 __all__ = [
+    "OutcomeCounts",
     "RequestOutcome",
     "ServingConfig",
     "ServingReport",
     "ServingRuntime",
+    "TERMINAL_STATUSES",
+    "conservation_findings",
     "offered_ids",
     "sustainable_qps",
 ]
@@ -72,6 +75,13 @@ REJECTED = "rejected"
 DROPPED = "dropped"
 TIMED_OUT = "timed-out"
 ABORTED = "aborted"
+#: a request no routable fleet device could take
+SHED_UNROUTABLE = "shed-unroutable"
+
+TERMINAL_STATUSES = (
+    SERVED, SERVED_DEGRADED, REJECTED, DROPPED, SHED_UNROUTABLE,
+    TIMED_OUT, ABORTED,
+)
 
 
 @dataclass(frozen=True)
@@ -157,7 +167,8 @@ class ServingConfig:
 
 @dataclass(frozen=True)
 class RequestOutcome:
-    """Terminal disposition of one request."""
+    """Terminal disposition of one request: the one record of a settled
+    request, on a single device and in a fleet."""
 
     req_id: int
     tenant: str
@@ -171,6 +182,12 @@ class RequestOutcome:
     retries: int = 0
     backoff_ns: float = 0.0
     fallbacks: Tuple[str, ...] = ()
+    #: when the request settled (virtual ns)
+    end_ns: float = 0.0
+    #: the fleet device that settled it (-1 off the fleet, or unplaced)
+    device_id: int = -1
+    #: device losses that moved it to another fleet device
+    failovers: int = 0
 
     @property
     def served(self) -> bool:
@@ -192,33 +209,42 @@ def offered_ids(requests: Iterable[Request]) -> Set[int]:
     return ids
 
 
-@dataclass
-class ServingReport:
-    """Aggregate outcome of one serving run."""
+def conservation_findings(
+    offered: Iterable[int], outcomes: Sequence[RequestOutcome]
+) -> List[str]:
+    """The conservation law: every offered request reaches exactly one
+    terminal outcome.  Returns one message per way *outcomes* break it
+    against the *offered* ids; empty when the law holds."""
+    findings: List[str] = []
+    ids = [o.req_id for o in outcomes]
+    settled = set(ids)
+    if len(ids) != len(settled):
+        findings.append("a request reached two terminal outcomes")
+    expected = set(offered)
+    missing = expected - settled
+    if missing:
+        findings.append(
+            f"{len(missing)} request(s) silently lost (e.g. req {min(missing)})"
+        )
+    extra = settled - expected
+    if extra:
+        findings.append(f"{len(extra)} outcome(s) for requests never offered")
+    stray = [o for o in outcomes if o.status not in TERMINAL_STATUSES]
+    if stray:
+        findings.append(
+            f"{len(stray)} outcome(s) with a non-terminal status (e.g. req "
+            f"{stray[0].req_id}: {stray[0].status!r})"
+        )
+    return findings
 
-    config: ServingConfig
-    outcomes: List[RequestOutcome] = field(default_factory=list)
-    queue_stats: QueueStats = field(default_factory=QueueStats)
-    duration_ns: float = 0.0
-    breaker_transitions: Dict[str, List[Tuple[float, str, str]]] = field(
-        default_factory=dict
-    )
-    #: per-breaker :meth:`CircuitBreaker.snapshot` at end of run — the
-    #: auditable state/trip-count view fleet routing decisions rest on
-    breaker_snapshots: Dict[str, Dict] = field(default_factory=dict)
-    brownout_intervals: List[Tuple[float, float]] = field(default_factory=list)
-    health: Dict[str, str] = field(default_factory=dict)
-    #: KV-cache counters (block occupancy, evictions, preemptions,
-    #: prefix hits, ...) when the run used the paged-KV scheduler
-    kv: Optional[Dict] = None
-    #: adaptive-remapping controller summary (state, migrations, events,
-    #: final arena MapIDs) when the run had adaptive != "off"
-    adaptive: Optional[Dict] = None
-    #: per-workload accounting (speculative rounds, expert placement,
-    #: co-residency interference) when the run was dispatched through
-    #: ``repro.workloads``; None — and absent from :meth:`to_dict`, so
-    #: chat reports stay byte-identical — otherwise
-    workload: Optional[Dict] = None
+
+class OutcomeCounts:
+    """The counting core of every serving report: per-status counts,
+    goodput, SLO attainment and TTFT over the report's ``outcomes`` and
+    ``duration_ns``."""
+
+    outcomes: List[RequestOutcome]
+    duration_ns: float
 
     def _count(self, *statuses: str) -> int:
         return sum(1 for o in self.outcomes if o.status in statuses)
@@ -259,10 +285,6 @@ class ServingReport:
         return self.timed_out + self.aborted
 
     @property
-    def shed_rate(self) -> float:
-        return (self.rejected + self.dropped) / self.offered if self.offered else 0.0
-
-    @property
     def slo_attainment(self) -> float:
         """Fraction of offered requests fully served within deadline (a
         served request met its TTFT budget by construction — the
@@ -276,6 +298,39 @@ class ServingReport:
     @property
     def ttft(self) -> LatencyStats:
         return LatencyStats.from_values([o.ttft_ns for o in self.outcomes if o.served])
+
+
+@dataclass
+class ServingReport(OutcomeCounts):
+    """Aggregate outcome of one serving run."""
+
+    config: ServingConfig
+    outcomes: List[RequestOutcome] = field(default_factory=list)
+    queue_stats: QueueStats = field(default_factory=QueueStats)
+    duration_ns: float = 0.0
+    breaker_transitions: Dict[str, List[Tuple[float, str, str]]] = field(
+        default_factory=dict
+    )
+    #: per-breaker :meth:`CircuitBreaker.snapshot` at end of run — the
+    #: auditable state/trip-count view fleet routing decisions rest on
+    breaker_snapshots: Dict[str, Dict] = field(default_factory=dict)
+    brownout_intervals: List[Tuple[float, float]] = field(default_factory=list)
+    health: Dict[str, str] = field(default_factory=dict)
+    #: KV-cache counters (block occupancy, evictions, preemptions,
+    #: prefix hits, ...) when the run used the paged-KV scheduler
+    kv: Optional[Dict] = None
+    #: adaptive-remapping controller summary (state, migrations, events,
+    #: final arena MapIDs) when the run had adaptive != "off"
+    adaptive: Optional[Dict] = None
+    #: per-workload accounting (speculative rounds, expert placement,
+    #: co-residency interference) when the run was dispatched through
+    #: ``repro.workloads``; None — and absent from :meth:`to_dict`, so
+    #: chat reports stay byte-identical — otherwise
+    workload: Optional[Dict] = None
+
+    @property
+    def shed_rate(self) -> float:
+        return (self.rejected + self.dropped) / self.offered if self.offered else 0.0
 
     @property
     def ttlt(self) -> LatencyStats:

@@ -66,6 +66,7 @@ from repro.serving.runtime import (
     RequestOutcome,
     ServingReport,
     ServingRuntime,
+    conservation_findings,
     offered_ids,
 )
 from repro.serving.workload import Request
@@ -76,7 +77,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "DecodeResult",
-    "Settled",
     "WorkloadLoop",
     "next_arrival_ns",
     "require_placed",
@@ -84,10 +84,6 @@ __all__ = [
 ]
 
 _T = TypeVar("_T")
-
-#: what :meth:`WorkloadLoop.serve` reports of a settled request:
-#: ``(status, prefill_end_ns, end_ns, retries, decode_tokens_served)``
-Settled = Tuple[str, float, float, int, int]
 
 
 def next_arrival_ns(pending: Sequence[Request], index: int) -> float:
@@ -129,7 +125,6 @@ class WorkloadLoop:
         self.spec = spec
         self.telemetry = runtime.telemetry
         self.controller = runtime.adaptive
-        self.outcomes: List[RequestOutcome] = []
         self._init_loop(runtime.core, cfg, random.Random(cfg.seed))
 
     def _init_loop(
@@ -147,6 +142,8 @@ class WorkloadLoop:
         self.degraded_decode_tokens: int = settings.degraded_decode_tokens
         #: req_id -> admitted degraded, for every queued request
         self.degraded: Dict[int, bool] = {}
+        #: every terminal outcome, in settling order
+        self.outcomes: List[RequestOutcome] = []
         self.free: Dict[str, float] = {"soc": 0.0, "pim": 0.0}
         #: start of the latest service (``last_event``: latest event)
         self.clock = 0.0
@@ -199,18 +196,19 @@ class WorkloadLoop:
     def finish(self, head: Request, now_ns: float) -> None:
         """Cleanup for a served request."""
 
-    def record(self, request: Request, status: str, **fields: Any) -> None:
-        """Keep *request*'s terminal outcome in :attr:`outcomes`; *fields*
-        are :class:`~repro.serving.runtime.RequestOutcome` fields."""
-        self.outcomes.append(
-            RequestOutcome(
-                req_id=request.req_id,
-                tenant=request.tenant,
-                status=status,
-                policy_requested=request.policy,
-                **fields,
-            )
+    def record(self, request: Request, status: str, **fields: Any) -> RequestOutcome:
+        """Keep *request*'s terminal outcome in :attr:`outcomes` and
+        return it; *fields* are
+        :class:`~repro.serving.runtime.RequestOutcome` fields."""
+        outcome = RequestOutcome(
+            req_id=request.req_id,
+            tenant=request.tenant,
+            status=status,
+            policy_requested=request.policy,
+            **fields,
         )
+        self.outcomes.append(outcome)
+        return outcome
 
     def teardown(self, end_ns: float) -> None:
         """Release everything placed in :meth:`setup`."""
@@ -234,10 +232,10 @@ class WorkloadLoop:
         verdict, evicted = self.queue.offer(request, at)
         if evicted is not None:
             self.degraded.pop(evicted.req_id, None)
-            self.record(evicted, DROPPED, wait_ns=at - evicted.arrival_ns)
+            self.record(evicted, DROPPED, wait_ns=at - evicted.arrival_ns, end_ns=at)
             self.trace(evicted, DROPPED, evicted.policy, start_ns=at)
         if verdict == REJECTED:
-            self.record(request, REJECTED)
+            self.record(request, REJECTED, end_ns=at)
             self.trace(request, REJECTED, request.policy)
         else:
             self.degraded[request.req_id] = verdict == "admitted-degraded"
@@ -245,12 +243,12 @@ class WorkloadLoop:
 
     def serve(
         self, head: Request, route: Route, est: float, start: float
-    ) -> Optional[Settled]:
+    ) -> Optional[RequestOutcome]:
         """Pop the queue *head* at *start* and run it on *route*
         (planned at *est*) through both deadline checks, prefill and
         decode; record its outcome and span and tick the adaptive
-        controller.  Returns what settled (see :data:`Settled`), or
-        None when :meth:`interrupted` cut the service short."""
+        controller.  Returns the recorded outcome, or None when
+        :meth:`interrupted` cut the service short."""
         self.queue.pop(start)
         self.clock = start
         self.last_event = max(self.last_event, start)
@@ -273,18 +271,18 @@ class WorkloadLoop:
 
         # boundary 1: admission -> prefill
         if start > head.deadline_abs_ns:
-            self.record(head, TIMED_OUT, **outcome)
+            settled = self.record(head, TIMED_OUT, end_ns=start, **outcome)
             self.trace(head, TIMED_OUT, policy, start_ns=start)
             self._adaptive_tick(head, route, k_req, False, 0.0, 0.0)
-            return TIMED_OUT, start, start, 0, 0
+            return settled
 
         shed_reason = self.begin_request(head, start)
         if shed_reason is not None:
             outcome["fallbacks"] += (shed_reason,)
-            self.record(head, REJECTED, **outcome)
+            settled = self.record(head, REJECTED, end_ns=start, **outcome)
             self.trace(head, REJECTED, policy, start_ns=start, reason=shed_reason)
             self._adaptive_tick(head, route, k_req, False, 0.0, 0.0)
-            return REJECTED, start, start, 0, 0
+            return settled
 
         prefill_pim = route.prefill_resource == "pim"
         prefill_ns = route.prefill_ns
@@ -307,20 +305,20 @@ class WorkloadLoop:
             prefill_resource=route.prefill_resource,
         )
         if not ok:
-            self.record(head, ABORTED, **outcome)
+            settled = self.record(head, ABORTED, end_ns=prefill_end, **outcome)
             self.trace(head, ABORTED, policy, **phases, retries=retries)
             self.abandon(head, prefill_end)
             self._adaptive_tick(head, route, k_req, False, 0.0, pim_ns)
-            return ABORTED, prefill_end, prefill_end, retries, 0
+            return settled
         outcome["ttft_ns"] = ttft_ns = prefill_end - head.arrival_ns
 
         # boundary 2: prefill -> decode (first token must be in budget)
         if prefill_end > head.deadline_abs_ns:
-            self.record(head, TIMED_OUT, **outcome)
+            settled = self.record(head, TIMED_OUT, end_ns=prefill_end, **outcome)
             self.trace(head, TIMED_OUT, policy, **phases)
             self.abandon(head, prefill_end)
             self._adaptive_tick(head, route, k_req, False, 0.0, pim_ns)
-            return TIMED_OUT, prefill_end, prefill_end, retries, 0
+            return settled
 
         decode_tokens = head.decode_tokens
         if was_degraded:
@@ -348,16 +346,16 @@ class WorkloadLoop:
         )
         pim_ns += result.pim_ns
         if not result.ok:
-            self.record(head, ABORTED, **outcome)
+            settled = self.record(head, ABORTED, end_ns=end, **outcome)
             self.trace(head, ABORTED, policy, **phases)
             self.abandon(head, end)
             self._adaptive_tick(head, route, k_req, False, 0.0, pim_ns)
-            return ABORTED, prefill_end, end, retries, 0
+            return settled
 
         status = SERVED_DEGRADED if was_degraded else SERVED
-        self.record(
+        settled = self.record(
             head, status, ttlt_ns=end - head.arrival_ns,
-            decode_tokens_served=result.tokens_served, **outcome,
+            decode_tokens_served=result.tokens_served, end_ns=end, **outcome,
         )
         self.finish(head, end)
         self.trace(head, status, policy, served=result, **phases)
@@ -365,7 +363,7 @@ class WorkloadLoop:
         # the controller sees *service* TTFT (queue wait excluded):
         # its canary judges the mapping, not the admission backlog
         self._adaptive_tick(head, route, k_req, True, ttft_ns - wait_ns, pim_ns)
-        return status, prefill_end, end, retries, result.tokens_served
+        return settled
 
     def _adaptive_tick(
         self, head: Request, route: Route, k_req: int, served: bool,
@@ -393,10 +391,13 @@ class WorkloadLoop:
 
     def run(self, requests: Sequence[Request]) -> ServingReport:
         """Serve *requests* on this one device: refuse a duplicated
-        ``req_id``, calibrate telemetry, order the arrivals, :meth:`setup`, :meth:`drive`, :meth:`teardown`
-        at the run's end, snap the final barrier and close the report
-        with the loop's :meth:`sections`."""
-        offered_ids(requests)
+        ``req_id``, calibrate telemetry, order the arrivals,
+        :meth:`setup`, :meth:`drive`, :meth:`teardown` at the run's end,
+        hold the outcomes to the conservation law (a
+        :class:`RuntimeError` names the first breach, a fault of the
+        loop), snap the final barrier and close the report with the
+        loop's :meth:`sections`."""
+        offered = offered_ids(requests)
         runtime = self.runtime
         tel = self.telemetry
         if tel is not None:
@@ -412,6 +413,9 @@ class WorkloadLoop:
             self.clock,
         )
         self.teardown(end_ns)
+        findings = conservation_findings(offered, self.outcomes)
+        if findings:
+            raise RuntimeError(f"{self.name} loop broke conservation: {findings[0]}")
         bar = runtime.barriers
         if bar is not None:
             final = self.barrier_state(full=True)

@@ -10,10 +10,10 @@ from repro.fleet.device import (
     DeviceState,
     FleetDevice,
     Preempted,
-    ServedPhases,
 )
 from repro.kvcache.pool import KV_CRASH_SITES
 from repro.platforms.specs import IPHONE_15_PRO
+from repro.serving.runtime import RequestOutcome
 
 from tests.fleet.conftest import make_device, make_request
 
@@ -94,7 +94,7 @@ class TestDrainLifecycle:
         device.drain(1.0)
         assert not device.routable and device.serving
         result = device.serve_next()
-        assert isinstance(result, ServedPhases) and result.status == "served"
+        assert isinstance(result, RequestOutcome) and result.status == "served"
 
     def test_idle_drained_device_powers_down(self, iphone_engine):
         device = make_device(iphone_engine)
@@ -179,7 +179,7 @@ class TestBacklogSignal:
         seeded = device._service_est_ns
         device.offer(make_request(req_id=0), 0.0)
         result = device.serve_next()
-        observed = result.end_ns - result.start_ns
+        observed = result.end_ns - result.wait_ns  # arrived at 0
         # the EWMA moved from the nominal seed toward the observation
         assert device._service_est_ns != seeded
         assert (
@@ -194,18 +194,17 @@ class TestServePath:
         device = make_device(iphone_engine)
         device.offer(make_request(req_id=0, conversation_id=2,
                                   prefill_tokens=64), 0.0)
-        first = device.serve_next()
+        device.serve_next()
+        assert device.prefix_hits == 0 and device.prefill_tokens_saved == 0
         device.offer(
             make_request(req_id=1, conversation_id=2, prefill_tokens=96,
                          turn_index=1, context_tokens=64,
                          arrival_ns=device.clock),
             device.clock,
         )
-        second = device.serve_next()
-        assert first.prefill_tokens_priced == 64 and not first.prefix_hit
-        assert second.prefix_hit
-        assert second.prefill_tokens_priced < 96
+        device.serve_next()
         assert device.prefix_hits == 1
+        assert 0 < device.prefill_tokens_saved < 96
 
     def test_interrupt_before_start_preempts(self, iphone_engine):
         device = make_device(iphone_engine)
@@ -249,42 +248,46 @@ class TestServePath:
         assert device.served == 1 and device.prefix_hits == 0
         assert self._residency(device) == residency
 
+    @staticmethod
+    def _twin_phases(engine):
+        """Serve the follow-up on a twin device and return its start,
+        prefill end (on the SoC timeline) and end (on the PIM one)."""
+        twin = TestServePath._followup_device(engine)
+        arrival = twin.queue.peek().arrival_ns
+        outcome = twin.serve_next()
+        assert isinstance(outcome, RequestOutcome) and twin.prefix_hits == 1
+        assert arrival + outcome.ttft_ns == pytest.approx(twin.free["soc"])
+        assert outcome.end_ns == twin.free["pim"]
+        return twin, arrival + outcome.wait_ns, twin.free["soc"], twin.free["pim"]
+
     def test_interrupt_mid_prefill_preempts(self, iphone_engine):
-        twin = self._followup_device(iphone_engine)
-        phases = twin.serve_next()
-        assert isinstance(phases, ServedPhases) and phases.prefix_hit
+        _, start, prefill_end, _ = self._twin_phases(iphone_engine)
         device = self._followup_device(iphone_engine)
         pim_before = device.free["pim"]
         residency = self._residency(device)
-        result = device.serve_next(
-            interrupt_ns=(phases.start_ns + phases.prefill_end_ns) / 2
-        )
+        result = device.serve_next(interrupt_ns=(start + prefill_end) / 2)
         self._assert_burned_without_outcome(device, result, residency)
         # the burned prefill stays on the SoC timeline; decode never ran
-        assert device.free["soc"] == phases.prefill_end_ns
+        assert device.free["soc"] == prefill_end
         assert device.free["pim"] == pim_before
 
     def test_interrupt_mid_decode_preempts(self, iphone_engine):
-        twin = self._followup_device(iphone_engine)
-        phases = twin.serve_next()
-        assert isinstance(phases, ServedPhases) and phases.prefix_hit
+        twin, _, prefill_end, end = self._twin_phases(iphone_engine)
         device = self._followup_device(iphone_engine)
         residency = self._residency(device)
-        result = device.serve_next(
-            interrupt_ns=(phases.prefill_end_ns + phases.end_ns) / 2
-        )
+        result = device.serve_next(interrupt_ns=(prefill_end + end) / 2)
         self._assert_burned_without_outcome(device, result, residency)
         # prefill and the burned decode both stay on the timelines
         assert device.free == twin.free
-        assert device.free["pim"] == phases.end_ns
+        assert device.free["pim"] == end
 
     def test_served_outcome_is_conserved(self, iphone_engine):
         device = make_device(iphone_engine)
         device.offer(make_request(req_id=0), 0.0)
         result = device.serve_next()
-        assert isinstance(result, ServedPhases)
-        assert result.status == "served"
-        assert device.served == 1
+        assert isinstance(result, RequestOutcome)
+        assert result.status == "served" and result.device_id == 0
+        assert device.outcomes == [result] and device.served == 1
 
     def test_summary_includes_breaker_snapshots(self, iphone_engine):
         device = make_device(iphone_engine)

@@ -2,8 +2,15 @@
 
 import pytest
 
-from repro.serving.runtime import ServingConfig, ServingRuntime, sustainable_qps
+from repro.serving.runtime import (
+    RequestOutcome,
+    ServingConfig,
+    ServingRuntime,
+    conservation_findings,
+    sustainable_qps,
+)
 from repro.serving.workload import TenantSpec, poisson_workload
+from repro.workloads.runtime import WorkloadLoop
 
 from tests.serving.conftest import make_request
 
@@ -26,7 +33,7 @@ class TestConfigValidation:
             ServingConfig(max_retries=-1)
 
 
-class TestOfferedIds:
+class TestConservation:
     def test_duplicate_req_id_is_an_input_error(self, iphone_engine):
         """A duplicated id cannot reach its own outcome: the run refuses
         it up front instead of serving it twice."""
@@ -34,6 +41,34 @@ class TestOfferedIds:
         requests.append(make_request(req_id=4, arrival_ns=20e9))
         with pytest.raises(ValueError, match="req_id 4"):
             run(iphone_engine, requests)
+
+    def test_a_loop_that_loses_an_outcome_raises(self, iphone_engine):
+        class LosingLoop(WorkloadLoop):
+            def record(self, request, status, **fields):
+                outcome = super().record(request, status, **fields)
+                if request.req_id == 2:
+                    self.outcomes.pop()
+                return outcome
+
+        requests = [make_request(req_id=i, arrival_ns=i * 1e9) for i in range(5)]
+        loop = LosingLoop(ServingRuntime(iphone_engine, ServingConfig()))
+        with pytest.raises(RuntimeError, match=r"silently lost \(e.g. req 2\)"):
+            loop.run(requests)
+
+    def test_findings_name_every_breach(self):
+        def outcome(req_id, status="served"):
+            return RequestOutcome(req_id, "chat", status, "facil")
+
+        assert conservation_findings([0, 1], [outcome(0), outcome(1)]) == []
+        findings = conservation_findings(
+            [0, 1, 2], [outcome(0), outcome(0), outcome(3, "queued")]
+        )
+        assert findings == [
+            "a request reached two terminal outcomes",
+            "2 request(s) silently lost (e.g. req 1)",
+            "1 outcome(s) for requests never offered",
+            "1 outcome(s) with a non-terminal status (e.g. req 3: 'queued')",
+        ]
 
 
 class TestHappyPath:
