@@ -197,11 +197,7 @@ def _workload_run(name: str, faulted: bool) -> ServingReport:
     return runtime.run(requests)
 
 
-def _workload_report(name: str, faulted: bool) -> str:
-    return _workload_run(name, faulted).to_json()
-
-
-def _fleet_run(kill_k: bool) -> "FleetReport":
+def _fleet_run(kill_k: bool) -> FleetReport:
     from repro.fleet.runtime import FleetConfig, FleetRuntime, fleet_workload
     from repro.fleet.workloads import DIURNAL
 
@@ -223,10 +219,6 @@ def _fleet_run(kill_k: bool) -> "FleetReport":
         kills.append((t, index % 3))
         t += 400e6
     return FleetRuntime(config).run(requests, kills=sorted(kills))
-
-
-def _fleet_report(kill_k: bool) -> str:
-    return _fleet_run(kill_k).to_json()
 
 
 def _barrier_hashes(runtime_for: Callable[[BarrierRecorder], ServingRuntime],
@@ -431,9 +423,9 @@ def _cases() -> Dict[str, Callable[[], str]]:
     for name in ("speculative", "moe", "coresident"):
         for faulted in (False, True):
             key = f"workload-{name}-{'faults' if faulted else 'shed'}"
-            cases[key] = lambda n=name, f=faulted: _workload_report(n, f)
-    cases["fleet-healthy"] = lambda: _fleet_report(False)
-    cases["fleet-kill-k"] = lambda: _fleet_report(True)
+            cases[key] = lambda n=name, f=faulted: _workload_run(n, f).to_json()
+    cases["fleet-healthy"] = lambda: _fleet_run(False).to_json()
+    cases["fleet-kill-k"] = lambda: _fleet_run(True).to_json()
     cases["barriers-chat"] = _chat_barriers
     cases["barriers-kv"] = _kv_barriers
     cases["trace-chat"] = lambda: _trace(
