@@ -15,7 +15,8 @@ agrees.
 * Fleet rows hold ``(req_id, status, device_id, failovers, retries,
   ttft_ns)``, the TTFT only for a served request.  The cases cover a
   healthy fleet, kills under autoscaling, drop-oldest shedding under
-  kills, and quarantine by sustained fault pressure;
+  kills, quarantine by sustained fault pressure, and every autoscaler
+  action (captured at commit 992d138c8f95a494ffc3c49a6abd27d94111dcaf);
   :func:`test_fleet_case_reached` checks that each reached its edge.
 
 The rows read only attributes that every outcome record carries, so
@@ -50,6 +51,7 @@ from tests.serving.test_golden_reports import (
     LIGHT_FAULTS,
     _chat_config,
     _chat_requests,
+    _fleet_autoscale_run,
     _fleet_run,
     _iphone,
     _kv_config,
@@ -161,6 +163,7 @@ FLEET_CASES: Dict[str, Callable[[], FleetReport]] = {
     "fleet-kill-k": lambda: _fleet_run(True),
     "fleet-drop-oldest-kills": _fleet_drop_oldest_kills,
     "fleet-health-quarantine": _fleet_health_quarantine,
+    "fleet-autoscale-actions": _fleet_autoscale_run,
 }
 
 
@@ -178,6 +181,7 @@ GOLDEN: Dict[str, str] = {
     "adaptive-degrade-faults-active": "48ef09c1af35591cb826346fe826380b45b1b95c16cc19c6ea25dcc67e63cf21",
     "chat-drop-oldest-faults": "371e0b4f6566dc4826cc61786ec0fe833e6ba05de610dfcd7579360e3032ba86",
     "chat-reject-harsh": "32de0d49cc8948689bb53a5b71dbc22656939fca02d8f39607f93b61c3d86ff0",
+    "fleet-autoscale-actions": "c24e42cf6b4fc013620b49aa5356a6a98dae5624d14c5951238b5b615f6c11eb",
     "fleet-drop-oldest-kills": "dc64421a07be6c5178a6384285121fa8e2fdef41bfe3558d8af0fd15fb632906",
     "fleet-health-quarantine": "fc1391bb4aea05f34b10ca49a4c1d97221ea2798ff0bffce3fba4015eb2c2ef4",
     "fleet-healthy": "592d49a8a8e82acd2ad85abd6cbf3f1042a21bdd948604cf49cb2d1fdfea5462",
@@ -208,6 +212,15 @@ def test_fleet_case_reached():
     assert quarantined.health_quarantines > 0 and quarantined.kills == 0
     assert quarantined.failovers > 0
     assert SHED_UNROUTABLE in [o.status for o in quarantined.outcomes]
+    scaled = FLEET_CASES["fleet-autoscale-actions"]()
+    summary = scaled.autoscaler
+    assert summary is not None
+    assert (summary["scale_ups"], summary["drains"]) == (2, 1)
+    assert summary["holds_unhealthy"] == 4 and scaled.kills == 6
+    # the drain parks its device in STANDBY on the tick that drained it
+    drain = next(e for e in summary["events"] if e["action"] == "drain")
+    lane = scaled.devices[drain["device_id"]]
+    assert (drain["t_ns"], "draining", "standby") in lane["transitions"]
 
 
 if __name__ == "__main__":  # pragma: no cover - digest regeneration aid

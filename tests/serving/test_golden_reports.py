@@ -20,6 +20,11 @@ started to name the unit that ran the phase (``soc`` / ``pim``) instead
 of the policy, and its demand-reject span to carry ``reason`` before
 the loop tag, as every loop's shed span does.
 
+The ``fleet-autoscale-actions`` case, captured at commit
+992d138c8f95a494ffc3c49a6abd27d94111dcaf, reaches every autoscaler
+action: a drain, two scale-ups and ``hold-unhealthy``
+(``test_golden_outcomes.test_fleet_case_reached`` checks the counts).
+
 The ``KV_BRANCH_CASES`` pin the paged-KV loop's rarer branches, which
 the multi-turn cases above never reach: SoC decode (served, clipped to
 the pool, preempted when it cannot grow one token, aborted by a fault),
@@ -219,6 +224,35 @@ def _fleet_run(kill_k: bool) -> FleetReport:
         kills.append((t, index % 3))
         t += 400e6
     return FleetRuntime(config).run(requests, kills=sorted(kills))
+
+
+#: three of the four devices lost twice, 10 ms apart, outlasting the
+#: autoscaler's patience: the health gate holds scale-up
+AUTOSCALE_KILLS = [
+    (t_s * 1e9, device_id)
+    for t_s, device_id in (
+        (1.0, 0), (1.01, 1), (1.02, 2), (2.6, 0), (2.61, 1), (2.62, 2),
+    )
+]
+
+
+def _fleet_autoscale_run() -> FleetReport:
+    """Every autoscaler action on one run: a drain that parks its device
+    in STANDBY on the same tick, two scale-ups, and ``hold-unhealthy``
+    while three of the four devices are quarantined."""
+    from repro.fleet.runtime import FleetConfig, FleetRuntime, fleet_workload
+    from repro.fleet.workloads import DIURNAL
+
+    tenant = TenantSpec(
+        name="chat", policy="facil", qps=40.0, deadline_ms=2_000.0,
+        mean_turns=2.0,
+    )
+    requests = fleet_workload([tenant], 4_000.0, shape=DIURNAL, seed=0)
+    config = FleetConfig(
+        n_devices=4, standby_devices=1, seed=0, autoscale=True,
+        recovery_ms=600.0,
+    )
+    return FleetRuntime(config).run(requests, kills=AUTOSCALE_KILLS)
 
 
 def _barrier_hashes(runtime_for: Callable[[BarrierRecorder], ServingRuntime],
@@ -426,6 +460,7 @@ def _cases() -> Dict[str, Callable[[], str]]:
             cases[key] = lambda n=name, f=faulted: _workload_run(n, f).to_json()
     cases["fleet-healthy"] = lambda: _fleet_run(False).to_json()
     cases["fleet-kill-k"] = lambda: _fleet_run(True).to_json()
+    cases["fleet-autoscale-actions"] = lambda: _fleet_autoscale_run().to_json()
     cases["barriers-chat"] = _chat_barriers
     cases["barriers-kv"] = _kv_barriers
     cases["trace-chat"] = lambda: _trace(
@@ -473,6 +508,7 @@ GOLDEN: Dict[str, str] = {
     "chat-reject-nofault-active-pinned": "5e21b6bb6d1d2812bee8981ec5dd5e215a3e00ec739cfb1ba23aa4f93cd291ea",
     "chat-reject-nofault-off": "57498a7c78a6bedcdc1cb6e729c6305d2223a61e3388546b44ed2cb0c4a04cca",
     "chat-reject-nofault-static": "b068a3351bb625263cd244bc98066c27fae96cea75bfad34c178fd76b4ae837b",
+    "fleet-autoscale-actions": "34e120a53cbc9bfe016152767f955fc9d6e2426987b408158b9ba8e670f2dad2",
     "fleet-healthy": "c7b5c2320ab52dcce1df5aca2576dafd20e03216af047dabc7f4a8d8137445e0",
     "fleet-kill-k": "4d938a4b0eac40c99acb0b2f48c172c7780e2c8e38cb78d7bfd039c860ac8866",
     "kv-deadline-degrade-barriers": "864e5b155e699f269fb66815311921524b2a3e1aef2f5634187a22582a913516",
