@@ -586,6 +586,11 @@ def _cmd_fleet(args: argparse.Namespace) -> None:
             )
         return
 
+    if args.standby >= args.devices:
+        raise SystemExit(
+            f"--standby must be less than --devices ({args.standby} >= "
+            f"{args.devices}): at least one device starts in rotation"
+        )
     shapes = {
         "steady": SteadyShape(),
         "diurnal": DIURNAL,

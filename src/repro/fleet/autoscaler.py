@@ -26,6 +26,13 @@ Policy, evaluated on a fixed cadence:
 The high/low watermark gap plus patience is the same hysteresis idiom as
 the brown-out controller: both edges damped, so diurnal swells produce a
 clean up-peak/down-trough cycle instead of flapping at one threshold.
+
+The fleet loop runs every tick that falls before its next event in one
+:meth:`Autoscaler.advance` call.  Between two fleet events no queue,
+timeline, clock or service estimate moves, so each routable device's
+backlog terms (:meth:`FleetDevice.backlog_terms`) are read once and
+again only after a tick that acted; only the ``now`` of the overhang
+changes from tick to tick.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.fleet.device import DeviceState, FleetDevice
+from repro.fleet.device import BacklogTerms, DeviceState, FleetDevice, backlog_at
 
 __all__ = ["AutoscaleEvent", "Autoscaler"]
 
@@ -69,6 +76,8 @@ class Autoscaler:
         min_active: int = 1,
         max_quarantined_fraction: float = 0.5,
     ) -> None:
+        if not devices:
+            raise ValueError("an autoscaler needs at least one device")
         if interval_ms <= 0:
             raise ValueError("interval_ms must be positive")
         if not 0 <= low_backlog_ns < high_backlog_ns:
@@ -92,14 +101,9 @@ class Autoscaler:
 
     # -- signals ---------------------------------------------------------------
 
-    def _routable(self) -> List[FleetDevice]:
-        return [d for d in self.devices if d.routable]
-
-    def _mean_backlog_ns(self, now_ns: float) -> float:
-        routable = self._routable()
-        if not routable:
-            return float("inf")  # everything is down: maximal pressure
-        return sum(d.backlog_ns(now_ns) for d in routable) / len(routable)
+    def _backlog_terms(self) -> List[BacklogTerms]:
+        """The routable devices' backlog terms, in catalog order."""
+        return [d.backlog_terms() for d in self.devices if d.routable]
 
     def _quarantined_fraction(self) -> float:
         quarantined = sum(
@@ -113,9 +117,11 @@ class Autoscaler:
                 return dev
         return None
 
-    def _drain_candidate(self, now_ns: float) -> Optional[FleetDevice]:
+    def _drain_candidate(
+        self, now_ns: float, n_routable: int
+    ) -> Optional[FleetDevice]:
         active = [d for d in self.devices if d.state is DeviceState.ACTIVE]
-        if len(self._routable()) <= self.min_active or not active:
+        if n_routable <= self.min_active or not active:
             return None
         return min(
             active, key=lambda d: (d.backlog_ns(now_ns), d.spec.device_id)
@@ -126,7 +132,43 @@ class Autoscaler:
     def evaluate(self, now_ns: float) -> List[AutoscaleEvent]:
         """One cadence tick; applies at most one action and returns the
         events it logged (possibly a ``hold-unhealthy`` marker)."""
-        backlog = self._mean_backlog_ns(now_ns)
+        return self._decide(now_ns, self._backlog_terms())
+
+    def advance(self, tick_ns: float, last_ns: float, before_ns: float) -> float:
+        """Run every cadence tick from *tick_ns* on that is at most
+        *last_ns* and earlier than *before_ns*; returns the next tick.
+
+        The fleet loop passes its next arrival or service as *last_ns*
+        and its next kill or revive as *before_ns*: a tick fires before
+        an arrival or a service at the same instant, and after a kill or
+        a revive.  No action moves those events (a STANDBY device has an
+        empty queue, a DRAINING one still serves), and a DRAINING
+        device's queue cannot empty before the next of them, so the
+        finish-drain pass runs only on the first tick and on a tick
+        that acted.  Each tick is :meth:`evaluate` followed by that
+        pass, as one tick at a time would run it.
+        """
+        terms = self._backlog_terms()
+        first = True
+        while tick_ns <= last_ns and tick_ns < before_ns:
+            fired = self._decide(tick_ns, terms)
+            if first or fired:
+                for device in self.devices:
+                    device.finish_drain_if_idle(tick_ns)
+            if fired:
+                terms = self._backlog_terms()
+            first = False
+            tick_ns += self.interval_ns
+        return tick_ns
+
+    def _decide(
+        self, now_ns: float, terms: List[BacklogTerms]
+    ) -> List[AutoscaleEvent]:
+        """:meth:`evaluate` on the routable devices' backlog *terms*."""
+        if terms:
+            backlog = sum([backlog_at(t, now_ns) for t in terms]) / len(terms)
+        else:
+            backlog = float("inf")  # everything is down: maximal pressure
         if backlog >= self.high_backlog_ns:
             self._high_streak += 1
             self._low_streak = 0
@@ -163,7 +205,7 @@ class Autoscaler:
                 fired.append(event)
             self._high_streak = 0
         elif self._low_streak >= self.patience:
-            victim = self._drain_candidate(now_ns)
+            victim = self._drain_candidate(now_ns, len(terms))
             if victim is not None:
                 victim.drain(now_ns)
                 event = AutoscaleEvent(

@@ -46,7 +46,14 @@ from repro.serving.runtime import RequestOutcome
 from repro.serving.workload import Request
 from repro.workloads.runtime import WorkloadLoop
 
-__all__ = ["DEVICE_STATES", "DeviceSpec", "DeviceState", "FleetDevice"]
+__all__ = [
+    "DEVICE_STATES",
+    "BacklogTerms",
+    "DeviceSpec",
+    "DeviceState",
+    "FleetDevice",
+    "backlog_at",
+]
 
 
 class DeviceState(enum.Enum):
@@ -61,6 +68,17 @@ DEVICE_STATES = tuple(DeviceState)
 
 #: states the router may place new work on
 ROUTABLE_STATES = (DeviceState.ACTIVE, DeviceState.DEGRADED)
+
+#: (later timeline end, device clock, queued work) — the inputs of a
+#: device's backlog that stay fixed between two fleet events
+BacklogTerms = Tuple[float, float, float]
+
+
+def backlog_at(terms: BacklogTerms, now_ns: float) -> float:
+    """A device's backlog at *now_ns* from its :data:`BacklogTerms`:
+    the resource-timeline overhang plus the queued work."""
+    busy_until, clock, queued = terms
+    return max(0.0, busy_until - max(now_ns, clock)) + queued
 
 
 @dataclass(frozen=True)
@@ -378,17 +396,14 @@ class FleetDevice(WorkloadLoop):
             )
 
     def _drop_all_residency(self, now_ns: float) -> None:
-        for conv_id in sorted(self.resident):
-            for ref in self.resident[conv_id].refs:
-                self.pool.free(ref, now_ns)
+        self.pool.free_run(self._holder_refs(), now_ns)
         self.resident.clear()
 
     def evict_conversation(self, conv_id: int, now_ns: float) -> bool:
         res = self.resident.pop(conv_id, None)
         if res is None:
             return False
-        for ref in res.refs:
-            self.pool.free(ref, now_ns)
+        self.pool.free_run(res.refs, now_ns)
         self.kv_evicted_conversations += 1
         return True
 
@@ -413,10 +428,13 @@ class FleetDevice(WorkloadLoop):
             -(-tokens_total // self.spec.block_tokens),
             self.spec.max_blocks_per_conversation,
         )
+        # one block run per free stretch: evictions land where growing
+        # a block at a time would hit an empty free list
         while len(res.refs) < want_blocks:
             if self.pool.free_blocks == 0 and not self._evict_lru(conv_id, now_ns):
                 break  # pool full of this conversation's own blocks
-            res.refs.append(self.pool.alloc(now_ns).ref)
+            run = min(want_blocks - len(res.refs), self.pool.free_blocks)
+            res.refs.extend([block.ref for block in self.pool.alloc_run(run, now_ns)])
         res.tokens = min(tokens_total, len(res.refs) * self.spec.block_tokens)
 
     def _evict_lru(self, keep_conv_id: int, now_ns: float) -> bool:
@@ -439,14 +457,19 @@ class FleetDevice(WorkloadLoop):
         if duration_ns > 0.0:
             self._service_est_ns += 0.25 * (duration_ns - self._service_est_ns)
 
+    def backlog_terms(self) -> BacklogTerms:
+        """What :meth:`backlog_ns` reads of this device."""
+        return (
+            max(self.free["soc"], self.free["pim"]),
+            self.clock,
+            len(self.queue) * self._service_est_ns,
+        )
+
     def backlog_ns(self, now_ns: float) -> float:
         """Queued-but-unexecuted work: resource-timeline overhang plus
         the waiting queue scaled by the bottleneck service estimate (an
         EWMA of this device's observed service durations)."""
-        overhang = max(
-            0.0, max(self.free["soc"], self.free["pim"]) - max(now_ns, self.clock)
-        )
-        return overhang + len(self.queue) * self._service_est_ns
+        return backlog_at(self.backlog_terms(), now_ns)
 
     def est_start(self) -> float:
         head = self.queue.peek()

@@ -39,6 +39,7 @@ a revive timestamp still applies to the freshly revived device.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -317,9 +318,18 @@ class FleetRuntime:
         """Serve *requests* while applying the timed *kills* schedule
         (each ``(t_ns, device_id)``; revive follows ``recovery_ms``
         later).  Returns the fleet report; every request in *requests*
-        is guaranteed a terminal outcome.  A duplicated ``req_id`` is
-        refused with a :class:`ValueError`."""
+        is guaranteed a terminal outcome.  A duplicated ``req_id``, a
+        kill on a device outside the fleet and a kill at a non-finite
+        time are refused up front with a :class:`ValueError`."""
         offered = offered_ids(requests)
+        for t_ns, device_id in kills:
+            if device_id not in self.by_id:
+                raise ValueError(
+                    f"kills: device_id {device_id} is not in the fleet "
+                    f"(ids {sorted(self.by_id)})"
+                )
+            if not math.isfinite(t_ns):
+                raise ValueError(f"kills: t_ns {t_ns} is not finite")
         cfg = self.config
         #: the fleet's own outcomes; each device keeps the ones it settles
         unroutable: List[RequestOutcome] = []
@@ -407,10 +417,10 @@ class FleetRuntime:
             if t_scale <= t_next:
                 if self.autoscaler is None or next_autoscale is None:
                     raise RuntimeError("autoscale event fired without an autoscaler")
-                self.autoscaler.evaluate(next_autoscale)
-                for device in self.devices:
-                    device.finish_drain_if_idle(next_autoscale)
-                next_autoscale += self.autoscaler.interval_ns
+                # every tick before the next fleet event, in one pass
+                next_autoscale = self.autoscaler.advance(
+                    next_autoscale, min(t_arrival, t_serve), min(t_kill, t_revive)
+                )
                 continue
             if t_arrival <= t_next:
                 request = pending[arrival_idx]

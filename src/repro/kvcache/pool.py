@@ -19,13 +19,18 @@ by :func:`recover_pool`: interrupted allocations roll **back**,
 interrupted frees roll **forward** — the same convention as the MapID
 journal, so no block refcount is ever leaked (the crash campaign's
 ``kvcache`` case sweeps every :data:`KV_CRASH_SITES` checkpoint).
+
+:meth:`BlockPool.alloc_run` and :meth:`BlockPool.free_run` take or drop
+a run of blocks in one transaction, through the same crash sites.
+Every record names a run — a single-block operation writes a run of
+one — so recovery has one path for both.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence
 
 from repro.core.journal import MapJournal, RecoveryAction, RecoveryReport
 from repro.core.selector import MatrixConfig
@@ -187,6 +192,10 @@ class BlockPool:
             self.peak_occupancy = used
 
     # -- alloc / free ------------------------------------------------------
+    #
+    # alloc and free keep their own bodies rather than running a run of
+    # one: the KV manager calls them block by block on its per-token
+    # path, which would pay the run code's list handling on every call.
 
     def alloc(self, now_ns: float = 0.0) -> KvBlock:
         """Take one block off the free list (journaled)."""
@@ -200,7 +209,7 @@ class BlockPool:
         self._checkpoint("kvalloc:begin")
         block_id = self._free.popleft()
         if txn is not None and self.journal is not None:
-            self.journal.step(txn, "taken", block_id=block_id)
+            self.journal.step(txn, "taken", block_ids=[block_id])
         self._checkpoint("kvalloc:taken")
         block = self.blocks[block_id]
         block.state = BLOCK_LIVE
@@ -208,11 +217,46 @@ class BlockPool:
         block.tokens = 0
         block.last_use_ns = now_ns
         if txn is not None and self.journal is not None:
-            self.journal.step(txn, "activated", block_id=block_id)
+            self.journal.step(txn, "activated", block_ids=[block_id])
             self.journal.commit(txn)
         self.allocs += 1
         self._sample()
         return block
+
+    def alloc_run(self, n: int, now_ns: float = 0.0) -> List[KvBlock]:
+        """Take *n* blocks off the free list in one journaled
+        transaction: the same blocks, in the same order, with the same
+        counters and occupancy samples as *n* calls of :meth:`alloc`."""
+        if n > len(self._free):
+            raise KvPoolExhausted(
+                f"a run of {n} KV blocks needs more than the "
+                f"{len(self._free)} free"
+            )
+        if n <= 0:
+            return []
+        txn = None
+        if self.journal is not None:
+            txn = self.journal.begin("kvalloc")
+        self._checkpoint("kvalloc:begin")
+        block_ids = [self._free.popleft() for _ in range(n)]
+        if txn is not None and self.journal is not None:
+            self.journal.step(txn, "taken", block_ids=block_ids)
+        self._checkpoint("kvalloc:taken")
+        blocks = [self.blocks[block_id] for block_id in block_ids]
+        for block in blocks:
+            block.state = BLOCK_LIVE
+            block.ref_count = 1
+            block.tokens = 0
+            block.last_use_ns = now_ns
+        if txn is not None and self.journal is not None:
+            self.journal.step(txn, "activated", block_ids=block_ids)
+            self.journal.commit(txn)
+        self.allocs += n
+        used = self.used
+        self.occupancy_samples.extend(range(used - n + 1, used + 1))
+        if used > self.peak_occupancy:
+            self.peak_occupancy = used
+        return blocks
 
     def share(self, ref: BlockRef) -> KvBlock:
         """Add one holder (copy-on-write fork or prefix-tree insert)."""
@@ -231,25 +275,69 @@ class BlockPool:
         txn = None
         if self.journal is not None:
             txn = self.journal.begin(
-                "kvfree", block_id=ref.block_id, generation=ref.generation
+                "kvfree", block_ids=[ref.block_id], generations=[ref.generation]
             )
         self._checkpoint("kvfree:begin")
         block.ref_count -= 1
         block.last_use_ns = now_ns
         if txn is not None and self.journal is not None:
-            self.journal.step(txn, "deref", remaining=block.ref_count)
+            self.journal.step(txn, "deref", remaining=[block.ref_count])
         self._checkpoint("kvfree:deref")
         reclaimed = False
         if block.ref_count == 0:
             self._reclaim(block)
             reclaimed = True
             if txn is not None and self.journal is not None:
-                self.journal.step(txn, "reclaimed")
+                self.journal.step(txn, "reclaimed", block_ids=[ref.block_id])
         if txn is not None and self.journal is not None:
             self.journal.commit(txn)
         self.frees += 1
         self._sample()
         return reclaimed
+
+    def free_run(self, refs: Sequence[BlockRef], now_ns: float = 0.0) -> int:
+        """Drop one holder of each of *refs* in one journaled
+        transaction: every deref first, then the reclaims in ref order,
+        leaving the pool, its counters and its occupancy samples as
+        ``len(refs)`` calls of :meth:`free` would.  Returns how many
+        blocks returned to the free list.  A run that names a block
+        twice is refused before anything is journaled."""
+        blocks = [self.get(ref) for ref in refs]
+        block_ids = [ref.block_id for ref in refs]
+        if len(set(block_ids)) != len(block_ids):
+            raise ValueError(f"free run names a block twice: {block_ids}")
+        if not blocks:
+            return 0
+        txn = None
+        if self.journal is not None:
+            txn = self.journal.begin(
+                "kvfree",
+                block_ids=block_ids,
+                generations=[ref.generation for ref in refs],
+            )
+        self._checkpoint("kvfree:begin")
+        for block in blocks:
+            block.ref_count -= 1
+            block.last_use_ns = now_ns
+        if txn is not None and self.journal is not None:
+            self.journal.step(
+                txn, "deref", remaining=[block.ref_count for block in blocks]
+            )
+        self._checkpoint("kvfree:deref")
+        used = self.used
+        reclaimed: List[int] = []
+        for block in blocks:
+            if block.ref_count == 0:
+                self._reclaim(block)
+                reclaimed.append(block.block_id)
+                used -= 1
+            self.occupancy_samples.append(used)
+        if txn is not None and self.journal is not None:
+            if reclaimed:
+                self.journal.step(txn, "reclaimed", block_ids=reclaimed)
+            self.journal.commit(txn)
+        self.frees += len(blocks)
+        return len(reclaimed)
 
     def _reclaim(self, block: KvBlock) -> None:
         block.state = BLOCK_FREE
@@ -323,34 +411,43 @@ def recover_pool(pool: BlockPool) -> RecoveryReport:
         raise ValueError("pool has no journal attached")
     report = RecoveryReport()
     for txn in reversed(journal.uncommitted()):
-        detail: Dict[str, int] = {}
+        detail: Dict[str, List[int]] = {}
         if txn.op == "kvalloc":
             taken = txn.find_step("taken")
             if taken is not None:
-                block = pool.blocks[taken["block_id"]]
-                if txn.find_step("activated") is not None:
-                    # fully activated but the ref never escaped: undo
-                    block.ref_count = 0
-                pool._reclaim(block)
-                # appendleft keeps the pre-crash allocation order
-                pool._free.remove(block.block_id)
-                pool._free.appendleft(block.block_id)
-                detail["returned_block"] = block.block_id
+                activated = txn.find_step("activated") is not None
+                # in reverse, so the appendlefts restore free-list order
+                for block_id in reversed(taken["block_ids"]):
+                    block = pool.blocks[block_id]
+                    if activated:
+                        # fully activated but the ref never escaped: undo
+                        block.ref_count = 0
+                    pool._reclaim(block)
+                    pool._free.remove(block_id)
+                    pool._free.appendleft(block_id)
+                detail["returned_blocks"] = list(taken["block_ids"])
             resolution = "rolled-back" if detail else "no-op"
         elif txn.op == "kvfree":
-            block = pool.blocks[txn.intent["block_id"]]
+            blocks = [pool.blocks[block_id] for block_id in txn.intent["block_ids"]]
             deref = txn.find_step("deref")
             if deref is None:
-                # crash before the deref: redo it
-                block.ref_count -= 1
-                detail["deref_block"] = block.block_id
-                remaining = block.ref_count
+                # crash before the derefs: redo them
+                for block in blocks:
+                    block.ref_count -= 1
+                detail["deref_blocks"] = list(txn.intent["block_ids"])
+                remaining = [block.ref_count for block in blocks]
             else:
                 remaining = deref["remaining"]
-            if remaining == 0 and txn.find_step("reclaimed") is None:
-                if block.state == BLOCK_LIVE:
-                    pool._reclaim(block)
-                    detail["reclaimed_block"] = block.block_id
+            if txn.find_step("reclaimed") is None:
+                reclaimed = [
+                    block.block_id
+                    for block, left in zip(blocks, remaining)
+                    if left == 0 and block.state == BLOCK_LIVE
+                ]
+                for block_id in reclaimed:
+                    pool._reclaim(pool.blocks[block_id])
+                if reclaimed:
+                    detail["reclaimed_blocks"] = reclaimed
             resolution = "rolled-forward" if detail else "no-op"
         else:
             raise ValueError(f"KV journal holds unknown op {txn.op!r}")

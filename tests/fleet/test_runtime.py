@@ -100,6 +100,28 @@ class TestConservation:
         assert not report.none_lost
 
 
+class TestKillScheduleValidation:
+    """A malformed kill schedule is an input error, refused before any
+    request is served."""
+
+    def _runtime_and_requests(self):
+        requests = fleet_workload([_tenant()], 500.0, shape=DIURNAL, seed=0)
+        return FleetRuntime(FleetConfig(n_devices=2, seed=0)), requests
+
+    def test_kill_on_a_device_outside_the_fleet(self):
+        runtime, requests = self._runtime_and_requests()
+        with pytest.raises(ValueError, match="device_id 7 is not in the fleet"):
+            runtime.run(requests, kills=[(100e6, 0), (200e6, 7)])
+        assert all(not d.outcomes for d in runtime.devices)
+
+    @pytest.mark.parametrize("t_ns", [float("nan"), float("inf"), -float("inf")])
+    def test_kill_at_a_non_finite_time(self, t_ns):
+        runtime, requests = self._runtime_and_requests()
+        with pytest.raises(ValueError, match="t_ns .* is not finite"):
+            runtime.run(requests, kills=[(100e6, 0), (t_ns, 1)])
+        assert all(not d.outcomes for d in runtime.devices)
+
+
 class TestHealthQuarantine:
     def _faulty_fleet(self, n=2, seed=0, pim_fault_rate=0.75):
         """Devices whose PIM fault pressure crosses the quarantine

@@ -205,3 +205,140 @@ class TestCrashRecovery:
         pool.journal.begin("alloc", rows=1)  # a MapID op, not a KV op
         with pytest.raises(ValueError, match="unknown op"):
             recover_pool(pool)
+
+
+def pool_state(pool, generations=True):
+    """Everything recovery must restore: free-list order, then each
+    block's state, refcount and (optionally) generation."""
+    blocks = [
+        (b.state, b.ref_count) + ((b.generation,) if generations else ())
+        for b in pool.blocks
+    ]
+    return list(pool._free), blocks
+
+
+def churned_pool(num_blocks=8):
+    """A journaled pool whose free list is out of id order: blocks
+    0..5 taken, then 4, 1 and 3 returned."""
+    pool = BlockPool(num_blocks, journal=MapJournal())
+    refs = [pool.alloc().ref for _ in range(6)]
+    for index in (4, 1, 3):
+        pool.free(refs[index])
+    live = [refs[index] for index in (0, 2, 5)]
+    return pool, live
+
+
+class TestBlockRuns:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_alloc_run_matches_single_allocs(self, n):
+        run_pool, _ = churned_pool()
+        single_pool, _ = churned_pool()
+        run = run_pool.alloc_run(n, now_ns=5.0)
+        singles = [single_pool.alloc(now_ns=5.0) for _ in range(n)]
+        assert [b.block_id for b in run] == [b.block_id for b in singles]
+        assert pool_state(run_pool) == pool_state(single_pool)
+        assert run_pool.occupancy_samples == single_pool.occupancy_samples
+        assert run_pool.peak_occupancy == single_pool.peak_occupancy
+        assert run_pool.allocs == single_pool.allocs
+        # one transaction for the whole run
+        assert len(run_pool.journal) == len(single_pool.journal) - n + 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_free_run_matches_single_frees(self, n):
+        run_pool, run_live = churned_pool()
+        single_pool, single_live = churned_pool()
+        run_pool.share(run_live[1])
+        single_pool.share(single_live[1])
+        reclaimed = run_pool.free_run(run_live[:n], now_ns=7.0)
+        singles = [single_pool.free(ref, now_ns=7.0) for ref in single_live[:n]]
+        assert reclaimed == sum(singles)
+        assert pool_state(run_pool) == pool_state(single_pool)
+        assert run_pool.occupancy_samples == single_pool.occupancy_samples
+        assert run_pool.frees == single_pool.frees
+
+    def test_exhausted_run_takes_nothing(self):
+        pool, _ = churned_pool()
+        before = pool_state(pool)
+        with pytest.raises(KvPoolExhausted):
+            pool.alloc_run(pool.free_blocks + 1)
+        assert pool_state(pool) == before
+
+    def test_free_run_naming_a_block_twice_is_refused(self):
+        pool, live = churned_pool()
+        pool.share(live[0])
+        before, journaled = pool_state(pool), len(pool.journal)
+        with pytest.raises(ValueError, match="twice"):
+            pool.free_run([live[0], live[1], live[0]])
+        assert pool_state(pool) == before
+        assert len(pool.journal) == journaled
+
+    def test_empty_runs_journal_nothing(self):
+        pool, _ = churned_pool()
+        journaled = len(pool.journal)
+        assert pool.alloc_run(0) == []
+        assert pool.free_run([]) == 0
+        assert len(pool.journal) == journaled
+
+    def test_single_block_ops_write_one_element_runs(self):
+        pool = BlockPool(2, journal=MapJournal())
+        ref = pool.alloc().ref
+        pool.free(ref)
+        alloc_txn, free_txn = pool.journal.transactions()
+        assert alloc_txn.find_step("taken") == {"block_ids": [ref.block_id]}
+        assert free_txn.intent == {
+            "block_ids": [ref.block_id], "generations": [ref.generation],
+        }
+        assert free_txn.find_step("deref") == {"remaining": [0]}
+        assert free_txn.find_step("reclaimed") == {"block_ids": [ref.block_id]}
+
+
+ALLOC_SITES = [s for s in KV_CRASH_SITES if s.startswith("kvalloc")]
+FREE_SITES = [s for s in KV_CRASH_SITES if s.startswith("kvfree")]
+
+
+class TestBlockRunCrashRecovery:
+    """Every KV crash site, on runs of 1-4 blocks: an interrupted
+    allocation leaves the pool as it was before the run (the blocks it
+    took come back with a new generation, as a rolled-back single
+    allocation's does), an interrupted free as the run's single frees
+    would, and the audit is clean."""
+
+    def test_sites_split_between_the_two_ops(self):
+        assert sorted(ALLOC_SITES + FREE_SITES) == sorted(KV_CRASH_SITES)
+
+    @pytest.mark.parametrize("site", ALLOC_SITES)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_interrupted_alloc_run_rolls_back(self, site, n):
+        pool, _ = churned_pool()
+        before = pool_state(pool, generations=False)
+        crash_at(pool, site, lambda: pool.alloc_run(n))
+        report = recover_pool(pool)
+        assert report.rolled_forward == 0
+        assert report.rolled_back == (1 if site == "kvalloc:taken" else 0)
+        assert pool_state(pool, generations=False) == before
+        assert pool.audit() == []
+        assert recover_pool(pool).actions == []
+
+    @pytest.mark.parametrize("site", FREE_SITES)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_interrupted_free_run_rolls_forward(self, site, n, shared):
+        pool, live = churned_pool()
+        twin, twin_live = churned_pool()
+        extra = [pool.alloc().ref]
+        twin_extra = [twin.alloc().ref]
+        refs, twin_refs = (live + extra)[:n], (twin_live + twin_extra)[:n]
+        if shared:
+            # the run's last block has a second holder: it must stay live
+            pool.share(refs[-1])
+            twin.share(twin_refs[-1])
+        crash_at(pool, site, lambda: pool.free_run(refs))
+        report = recover_pool(pool)
+        for ref in twin_refs:
+            twin.free(ref)
+        assert report.rolled_back == 0
+        assert pool_state(pool) == pool_state(twin)
+        assert pool.audit() == []
+        if shared:
+            assert pool.get(refs[-1]).ref_count == 1
+        assert recover_pool(pool).actions == []

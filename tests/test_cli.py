@@ -503,6 +503,13 @@ class TestFleetCommand:
         assert report["ok"] is True and report["kills_applied"] == 8
         assert "crashes by site" in capsys.readouterr().out
 
+    def test_fleet_standby_must_leave_a_device_in_rotation(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fleet", "--devices", "2", "--standby", "2"])
+        message = excinfo.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert "--standby" in message and "--devices" in message
+
     def test_fleet_kills_with_metrics_out(self, capsys, tmp_path):
         metrics_out = tmp_path / "fleet_metrics.json"
         assert main([
