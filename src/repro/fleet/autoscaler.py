@@ -27,12 +27,10 @@ The high/low watermark gap plus patience is the same hysteresis idiom as
 the brown-out controller: both edges damped, so diurnal swells produce a
 clean up-peak/down-trough cycle instead of flapping at one threshold.
 
-The fleet loop runs every tick that falls before its next event in one
-:meth:`Autoscaler.advance` call.  Between two fleet events no queue,
-timeline, clock or service estimate moves, so each routable device's
-backlog terms (:meth:`FleetDevice.backlog_terms`) are read once and
-again only after a tick that acted; only the ``now`` of the overhang
-changes from tick to tick.
+The fleet loop runs every tick before its next event in one
+:meth:`Autoscaler.advance` call: between two fleet events no queue,
+timeline, clock or service estimate moves, so the routable devices'
+backlog terms are read once and again only after a tick that acted.
 """
 
 from __future__ import annotations

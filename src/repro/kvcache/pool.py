@@ -229,8 +229,7 @@ class BlockPool:
         counters and occupancy samples as *n* calls of :meth:`alloc`."""
         if n > len(self._free):
             raise KvPoolExhausted(
-                f"a run of {n} KV blocks needs more than the "
-                f"{len(self._free)} free"
+                f"a run of {n} KV blocks with only {len(self._free)} free"
             )
         if n <= 0:
             return []
@@ -297,11 +296,11 @@ class BlockPool:
 
     def free_run(self, refs: Sequence[BlockRef], now_ns: float = 0.0) -> int:
         """Drop one holder of each of *refs* in one journaled
-        transaction: every deref first, then the reclaims in ref order,
-        leaving the pool, its counters and its occupancy samples as
+        transaction: every deref, then the reclaims in ref order, which
+        leaves the pool, its counters and its occupancy samples as
         ``len(refs)`` calls of :meth:`free` would.  Returns how many
-        blocks returned to the free list.  A run that names a block
-        twice is refused before anything is journaled."""
+        blocks were reclaimed.  A run that names a block twice is
+        refused before anything is journaled."""
         blocks = [self.get(ref) for ref in refs]
         block_ids = [ref.block_id for ref in refs]
         if len(set(block_ids)) != len(block_ids):
@@ -439,15 +438,10 @@ def recover_pool(pool: BlockPool) -> RecoveryReport:
             else:
                 remaining = deref["remaining"]
             if txn.find_step("reclaimed") is None:
-                reclaimed = [
-                    block.block_id
-                    for block, left in zip(blocks, remaining)
-                    if left == 0 and block.state == BLOCK_LIVE
-                ]
-                for block_id in reclaimed:
-                    pool._reclaim(pool.blocks[block_id])
-                if reclaimed:
-                    detail["reclaimed_blocks"] = reclaimed
+                for block, left in zip(blocks, remaining):
+                    if left == 0 and block.state == BLOCK_LIVE:
+                        pool._reclaim(block)
+                        detail.setdefault("reclaimed_blocks", []).append(block.block_id)
             resolution = "rolled-forward" if detail else "no-op"
         else:
             raise ValueError(f"KV journal holds unknown op {txn.op!r}")
