@@ -206,15 +206,12 @@ NAMED_STATES = {
     ),
 }
 
-STATES = {s.value: s for s in DeviceState}
-
-
 def _named_fleet(engine, name):
     layout, kwargs, ticks = NAMED_STATES[name]
     devices = [make_device(engine, device_id=i) for i in range(len(layout))]
     for device, (state, busy_until_ns, queued) in zip(devices, layout):
         _busy(device, busy_until_ns, queued)
-        device._move(STATES[state], 0.0)
+        device._move(DeviceState(state), 0.0)
     return devices, Autoscaler(devices, **kwargs), ticks
 
 
@@ -232,7 +229,7 @@ def _seeded_fleet(engine, seed):
         if state != "standby":
             _busy(device, rng.choice([0.0, 1e8, 4e8, 1.5e9, 3e9, 6e9]),
                   rng.choice([0, 0, 0, 1]))
-        device._move(STATES[state], 0.0)
+        device._move(DeviceState(state), 0.0)
     scaler = Autoscaler(
         devices,
         high_backlog_ns=rng.choice([1e9, 3e9, 6e9]),
@@ -258,13 +255,13 @@ def _both_ways(build, bounds):
     """Run one fleet state through the reference and through
     ``advance`` (each on its own copy); returns both observations."""
     seen = []
-    for run in (_tick_by_tick, None):
+    for batched in (False, True):
         devices, scaler, ticks = build()
         last_ns, before_ns = bounds(ticks)
-        if run is None:
+        if batched:
             next_tick = scaler.advance(INTERVAL_NS, last_ns, before_ns)
         else:
-            next_tick = run(scaler, devices, INTERVAL_NS, last_ns, before_ns)
+            next_tick = _tick_by_tick(scaler, devices, INTERVAL_NS, last_ns, before_ns)
         seen.append(_observed(scaler, devices, next_tick))
     return seen
 

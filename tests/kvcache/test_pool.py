@@ -328,10 +328,11 @@ class TestBlockRunCrashRecovery:
         extra = [pool.alloc().ref]
         twin_extra = [twin.alloc().ref]
         refs, twin_refs = (live + extra)[:n], (twin_live + twin_extra)[:n]
+        middle = n // 2
         if shared:
-            # the run's last block has a second holder: it must stay live
-            pool.share(refs[-1])
-            twin.share(twin_refs[-1])
+            # a block inside the run has a second holder: it stays live
+            pool.share(refs[middle])
+            twin.share(twin_refs[middle])
         crash_at(pool, site, lambda: pool.free_run(refs))
         report = recover_pool(pool)
         for ref in twin_refs:
@@ -340,5 +341,5 @@ class TestBlockRunCrashRecovery:
         assert pool_state(pool) == pool_state(twin)
         assert pool.audit() == []
         if shared:
-            assert pool.get(refs[-1]).ref_count == 1
+            assert pool.get(refs[middle]).ref_count == 1
         assert recover_pool(pool).actions == []
