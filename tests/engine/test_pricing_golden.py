@@ -15,6 +15,10 @@ returns:
   faults;
 * the prefill ``DeviceCore.route`` prices, once with PIM allowed and
   once with a brown-out keeping it off PIM;
+* ``DeviceCore.route`` under open breakers: the mapping breaker, the
+  PIM breaker or both tripped, then requests routed before, at and
+  after the cooldown, hashing every ``Route`` field and both breakers'
+  transitions;
 * ``sustainable_qps`` and ``query_energy`` per policy.
 
 ``ttft_ns``, ``ttlt_ns``, every turn field, every routed prefill and
@@ -28,7 +32,10 @@ The digests were captured at commit
 folded into one prefill-pricing method.  The four ``chat`` digests
 were re-pinned once on purpose, when a session without a KV manager
 started to price prefill attention over the whole conversation, as its
-docstring says, instead of over the new tokens only.  A mismatch names
+docstring says, instead of over the new tokens only.  The four
+``open_breakers`` digests were captured later, at commit
+52631f5ce0d063249e2739b5867b5816370cac30, before the policy facts moved
+into one table of records.  A mismatch names
 the surface and platform.  Print fresh digests with
 ``python -m tests.engine.test_pricing_golden`` only when a change is
 *meant* to move simulated latencies.
@@ -63,6 +70,10 @@ TURNS = ((32, 32), (16, 16), (20, 8), (7, 1), (100, 50), (3, 64))
 HEALTH_STATES = ((False, False), (True, False), (False, True), (True, True))
 TRANSIENT_FAULTS = (0, 1, 3, 5)
 ROUTE_LENS = (1, 8, 24, 64, 512)
+#: breakers tripped at time 0 before routing under them
+TRIPPED = (("mapping",), ("pim",), ("mapping", "pim"))
+#: route times around the breakers' 5 ms cooldown: before, at, after
+OPEN_ROUTE_TIMES = (0.0, 1e6, 5e6 - 1.0, 5e6, 5e6 + 1.0, 8e6)
 
 
 @functools.lru_cache(maxsize=None)
@@ -163,6 +174,31 @@ def _routes(platform: str) -> str:
     return _digest(records)
 
 
+def _open_breakers(platform: str) -> str:
+    engine = _engine(platform)
+    records = []
+    for tripped in TRIPPED:
+        for policy in POLICIES:
+            core = DeviceCore(engine, ServingConfig())
+            for name in tripped:
+                breaker = core.breakers[name]
+                for _ in range(breaker.min_observations):
+                    breaker.record_failure(0.0)
+            for i, now_ns in enumerate(OPEN_ROUTE_TIMES):
+                for p in ROUTE_LENS:
+                    request = Request(i, "t", policy, 0.0, p, 16, 1e9)
+                    route = core.route(request, now_ns, 0.0)
+                    records.append((
+                        route.policy, route.prefill_ns, route.prefill_resource,
+                        route.prefill_component, route.pim_allowed,
+                        route.brownout_active, route.fallbacks,
+                    ))
+            records.append((
+                core.mapping_breaker.transitions, core.pim_breaker.transitions,
+            ))
+    return _digest(records)
+
+
 def _capacity(platform: str) -> str:
     engine = _engine(platform)
     return _digest(
@@ -187,6 +223,7 @@ SURFACES: Dict[str, Callable[[str], str]] = {
     "chat": _chat,
     "resilient": _resilient,
     "routes": _routes,
+    "open_breakers": _open_breakers,
     "capacity": _capacity,
     "energy": _energy,
 }
@@ -214,6 +251,10 @@ GOLDEN: Dict[str, str] = {
     "energy/iphone-15-pro": "3f9fe545ea241593e2b754046b9ea08d68998b381c6f08f7b2843f232748365f",
     "energy/jetson-agx-orin": "bcfeb888fd112e8eccafa0b0450d94e49840c5bbcd7f2c2f27ff8ecaf0859d19",
     "energy/macbook-pro-m3-max": "bcfeb888fd112e8eccafa0b0450d94e49840c5bbcd7f2c2f27ff8ecaf0859d19",
+    "open_breakers/ideapad-slim-5": "69661d989808ddd3177322fbabc16e75aa6f969057d6b7a47dbbe80c656cb00c",
+    "open_breakers/iphone-15-pro": "2801442fb0a8c0e90b5710f8b63b64a7a478bd06ea0c91b8db041dc6eaf92f02",
+    "open_breakers/jetson-agx-orin": "247757e99e8dd803fc061b3a14d0d4335a6c4e01b2dce11b3428df3d54dba3fe",
+    "open_breakers/macbook-pro-m3-max": "72f69be16c8c764172a51852767b606daac7de44c1a4f5d7ba50a81e05e02aec",
     "resilient/ideapad-slim-5": "b029c8db581510c3c863b53f6333d2c9d66b7d229df8fda81ae2052f016b10da",
     "resilient/iphone-15-pro": "32b474b5f312caefb805a52bf0e9e1718da62a496c3a58808754e7c081e729ad",
     "resilient/jetson-agx-orin": "4b05a9ac31508324b205fb652a8f484a0b4752e127af8fafdd6e6587d8bc1533",
