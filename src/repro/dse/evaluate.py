@@ -17,8 +17,8 @@ metrics the Pareto layer trades off:
 * ``kv_mib``             (minimize) — KV pool footprint actually
   reserved (0 for the whole-request loop);
 * ``gemm_slowdown_pct``  (minimize) — the platform's Table III GEMM
-  penalty for keeping weights PIM-resident, paid only by the ``facil``
-  mapping family.
+  penalty for keeping weights PIM-resident, paid only by a mapping whose
+  policy record reads the PIM layout (``facil``).
 
 ``evaluate_payload`` is the picklable worker entry point used by the
 driver's process pool; it must stay a module-level function.
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Tuple
 
-from repro.engine.policies import InferenceEngine
+from repro.engine.policies import InferenceEngine, policy_record
 from repro.llm.datasets import ALPACA_LIKE, HUMANEVAL_AUTOCOMPLETE_LIKE, DatasetSpec
 from repro.platforms.specs import ALL_PLATFORMS, PlatformSpec
 from repro.dse.spec import WORKLOADS
@@ -168,7 +168,7 @@ def evaluate_point(config: Mapping, seed: int) -> Dict[str, float]:
         ) / float(1 << 20)
     gemm_slowdown_pct = (
         engine.platform.gemm_layout_slowdown * 100.0
-        if config["mapping"] == "facil"
+        if policy_record(str(config["mapping"])).pim_layout
         else 0.0
     )
     metrics = {

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.dram.energy import DramEnergyModel, LPDDR5_ENERGY, gemv_energy_pj
-from repro.engine.policies import InferenceEngine, decode_on_pim
+from repro.engine.policies import InferenceEngine, policy_record
 from repro.llm.inference import AttentionCost, attention_cost
 
 __all__ = ["EnergyModel", "QueryEnergy", "query_energy"]
@@ -108,13 +108,13 @@ def query_energy(
 ) -> QueryEnergy:
     """Energy of one query under *policy* (same semantics as
     :meth:`InferenceEngine.run_query`, with every prefill on the SoC)."""
-    on_pim = decode_on_pim(policy)
+    record = policy_record(policy)
     if prefill_len <= 0 or decode_len <= 0:
         raise ValueError("prefill and decode lengths must be positive")
     model = model if model is not None else EnergyModel()
 
     relayout_pj = 0.0  # the hybrid baselines re-lay out before a SoC prefill
-    if engine.price_prefill(policy, prefill_len, allow_pim=False).relayout_ns > 0.0:
+    if record.relayout:
         for cost in engine._costs.values():
             nbytes = cost.spec.bytes_per_instance
             relayout_pj += cost.spec.count * (
@@ -128,7 +128,7 @@ def query_energy(
     )
 
     # a decode step's linear ops are context-free: price them once
-    step_pj = _linear_pj(engine, 1, on_pim, model)
+    step_pj = _linear_pj(engine, 1, record.decode_on_pim, model)
     decode_pj = 0.0
     for context in range(prefill_len + 1, prefill_len + decode_len):
         decode_pj += _phase_pj(step_pj, attention_cost(engine.model, 1, context), model)

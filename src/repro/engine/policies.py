@@ -14,6 +14,11 @@ Four policies are modeled:
   conservative Table III slowdown is applied), decode runs on PIM.  The
   dataset experiments additionally enable the same dynamic offload.
 
+Each policy is one frozen :class:`Policy` record in
+:data:`POLICY_TABLE`.  Every site that depends on a policy reads the
+record's fields (:func:`policy_record`), never its name, so a new
+policy is one more record.
+
 All latencies come from the substrate models: the SoC roofline, the PIM
 command-level GEMV model, and the re-layout cost model.
 A prefill is placed on a unit and priced only by
@@ -28,7 +33,8 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional
 
 from repro.core.relayout import relayout_cost_ns
 from repro.core.selector import MatrixConfig, select_mapping
@@ -40,22 +46,67 @@ from repro.pim.gemv import GemvLatency, gemv_latency
 from repro.platforms.specs import PlatformSpec
 from repro.soc.processor import SocProcessor
 
-__all__ = ["InferenceEngine", "POLICIES", "PrefillPrice", "decode_on_pim"]
+__all__ = [
+    "InferenceEngine", "POLICIES", "POLICY_TABLE", "Policy", "PrefillPrice",
+    "decode_on_pim", "policy_record",
+]
 
-POLICIES = ("soc-only", "hybrid-static", "hybrid-dynamic", "facil")
-#: policies whose weights sit in the PIM layout while their SoC GEMMs
-#: need the conventional one: each prefill on the SoC re-lays out first
-_RELAYOUT_POLICIES = ("hybrid-static", "hybrid-dynamic")
-#: policies that move a prefill to PIM when PIM is allowed and faster
-_OFFLOAD_POLICIES = ("hybrid-dynamic", "facil")
+
+@dataclass(frozen=True)
+class Policy:
+    """The facts that tell one execution policy from another."""
+
+    name: str
+    #: the weights sit in the PIM layout while the SoC GEMM needs the
+    #: conventional one: each prefill on the SoC re-lays out first
+    relayout: bool = False
+    #: a prefill moves to PIM when PIM is allowed and strictly faster
+    offload: bool = False
+    #: decode GEMVs run on the PIM units, so the policy needs healthy
+    #: PIM hardware: its routes consult the PIM breaker and brown-out
+    decode_on_pim: bool = True
+    #: the SoC GEMM reads the PIM layout through the flexible mapping:
+    #: it pays the Table III slowdown and exercises the ``mapping``
+    #: fault component
+    pim_layout: bool = False
+    #: the policy served instead while the mapping path is down
+    mapping_fallback: Optional[str] = None
+
+    def component(self, resource: str) -> str:
+        """The fault component a GEMM phase on *resource* exercises: PIM
+        work is ``pim``; a SoC GEMM on the PIM layout is ``mapping``;
+        else ``soc``."""
+        if resource == "pim":
+            return "pim"
+        return "mapping" if self.pim_layout else "soc"
+
+
+#: every policy by name, in the order of the paper's figures
+POLICY_TABLE: Mapping[str, Policy] = MappingProxyType({
+    record.name: record
+    for record in (
+        Policy("soc-only", decode_on_pim=False),
+        Policy("hybrid-static", relayout=True),
+        Policy("hybrid-dynamic", relayout=True, offload=True),
+        Policy("facil", offload=True, pim_layout=True, mapping_fallback="hybrid-static"),
+    )
+})
+POLICIES = tuple(POLICY_TABLE)
+
+
+def policy_record(name: str) -> Policy:
+    """The record of the policy called *name*; an unknown name raises a
+    ``ValueError`` listing the known ones."""
+    try:
+        return POLICY_TABLE[name]
+    except KeyError:
+        raise ValueError(f"unknown policy {name!r}; known: {POLICIES}") from None
 
 
 def decode_on_pim(policy: str) -> bool:
     """True when *policy* runs its decode GEMVs on the PIM units (i.e. it
     needs healthy PIM hardware for its normal decode path)."""
-    if policy not in POLICIES:
-        raise ValueError(f"unknown policy {policy!r}; known: {POLICIES}")
-    return policy != "soc-only"
+    return policy_record(policy).decode_on_pim
 
 #: Per-offloaded-op dispatch overhead for PIM command streams.
 PIM_DISPATCH_NS = 2_000.0
@@ -274,21 +325,21 @@ class InferenceEngine:
         """Place and price the prefill of *policy*: *prefill_len* new
         tokens attending to *context* cached ones.
 
-        The SoC path is the re-layout (hybrid policies) followed by the
-        SoC prefill, on the PIM layout under FACIL.  Hybrid-dynamic and
-        FACIL move the prefill to PIM when that is strictly faster and
-        *allow_pim* holds; ties stay on the SoC.  This is the one place
-        a policy decides where its prefill runs and what it pays.
+        The SoC path is the re-layout (``relayout`` policies) followed by
+        the SoC prefill, on the PIM layout for a ``pim_layout`` policy.
+        An ``offload`` policy moves the prefill to PIM when that is
+        strictly faster and *allow_pim* holds; ties stay on the SoC.
+        This is the one place a policy decides where its prefill runs
+        and what it pays.
         """
-        if policy not in POLICIES:
-            raise ValueError(f"unknown policy {policy!r}; known: {POLICIES}")
+        record = policy_record(policy)
         if prefill_len <= 0:
             raise ValueError("prefill length must be positive")
-        relayout = self.relayout_total_ns() if policy in _RELAYOUT_POLICIES else 0.0
+        relayout = self.relayout_total_ns() if record.relayout else 0.0
         soc = PrefillPrice(
-            "soc", self.soc_prefill_ns(prefill_len, policy == "facil", context), relayout
+            "soc", self.soc_prefill_ns(prefill_len, record.pim_layout, context), relayout
         )
-        if allow_pim and policy in _OFFLOAD_POLICIES:
+        if allow_pim and record.offload:
             pim_ns = self.pim_prefill_ns(prefill_len)
             if pim_ns < soc.total_ns:
                 return PrefillPrice("pim", pim_ns)
@@ -349,12 +400,13 @@ class InferenceEngine:
 
         ``dynamic_offload`` is FACIL's prefill-length-based SoC/PIM
         choice (defaults to True, matching the paper's dataset
-        experiments); ``False`` keeps FACIL's prefill on the SoC.
-        Hybrid-dynamic always makes the choice.
+        experiments); ``False`` keeps the prefill of a ``pim_layout``
+        policy on the SoC.  Hybrid-dynamic always makes the choice.
         """
-        on_pim = decode_on_pim(policy)
+        record = policy_record(policy)
+        on_pim = record.decode_on_pim
         decode = self.decode_total_ns(prefill_len, decode_len, on_pim)
-        allow_pim = policy != "facil" or dynamic_offload is None or bool(dynamic_offload)
+        allow_pim = not record.pim_layout or dynamic_offload is None or bool(dynamic_offload)
         prefill = self.price_prefill(policy, prefill_len, allow_pim=allow_pim)
         breakdown = prefill.breakdown()
         breakdown["decode_pim" if on_pim else "decode_soc"] = decode

@@ -146,10 +146,7 @@ def dataset_eval(
     for query in trace:
         for policy in policies:
             result = engine.run_query(
-                policy,
-                query.prefill_tokens,
-                query.decode_tokens,
-                dynamic_offload=True if policy == "facil" else None,
+                policy, query.prefill_tokens, query.decode_tokens
             )
             ttft[policy].append(result.ttft_ns)
             ttlt[policy].append(result.ttlt_ns)

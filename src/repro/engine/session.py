@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional
 
-from repro.engine.policies import POLICIES, InferenceEngine, decode_on_pim
+from repro.engine.policies import InferenceEngine, decode_on_pim, policy_record
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kvcache.manager import KvCacheManager
@@ -73,8 +73,7 @@ class ChatSession:
         conversation_id: int = 0,
         tracer: Optional["Tracer"] = None,
     ):
-        if policy not in POLICIES:
-            raise ValueError(f"unknown policy {policy!r}; known: {POLICIES}")
+        policy_record(policy)
         self.engine = engine
         self.policy = policy
         self.context = 0
@@ -89,8 +88,7 @@ class ChatSession:
         """Switch the execution policy mid-conversation (the serving
         runtime does this when a circuit breaker or brownout forces
         decode off the PIM units).  The KV context carries over."""
-        if policy not in POLICIES:
-            raise ValueError(f"unknown policy {policy!r}; known: {POLICIES}")
+        policy_record(policy)
         self.policy = policy
 
     # -- public API ------------------------------------------------------------

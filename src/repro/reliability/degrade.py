@@ -14,8 +14,9 @@ Transient faults cost bounded retries with exponential backoff (priced
 into the query's latency); components that keep faulting are failed and
 routed around via a fallback chain:
 
-* ``facil`` with a failed **mapping** path -> ``hybrid-static`` (the
-  paper's baseline: re-layout on the SoC, no flexible mapping needed);
+* a policy with a failed **mapping** path -> its record's
+  ``mapping_fallback`` (``facil`` -> ``hybrid-static``, the paper's
+  baseline: re-layout on the SoC, no flexible mapping needed);
 * any PIM-decode policy with failed **pim** units -> SoC decode (and SoC
   prefill, since the PIM prefill path is equally gone).
 
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.engine.metrics import QueryLatency
-from repro.engine.policies import POLICIES, InferenceEngine, decode_on_pim
+from repro.engine.policies import InferenceEngine, decode_on_pim, policy_record
 
 __all__ = [
     "Health",
@@ -224,14 +225,11 @@ class ResilientEngine:
 
     def effective_policy(self, policy: str) -> Tuple[str, Tuple[str, ...]]:
         """Resolve *policy* against current component health."""
-        if policy not in POLICIES:
-            raise ValueError(f"unknown policy {policy!r}; known: {POLICIES}")
-        fallbacks: List[str] = []
-        if policy == "facil" and self.monitor.health(self.MAPPING) is Health.FAILED:
-            # Flexible mapping is gone: fall back to the re-layout baseline.
-            policy = "hybrid-static"
-            fallbacks.append("facil->hybrid-static (mapping failed)")
-        return policy, tuple(fallbacks)
+        fallback = policy_record(policy).mapping_fallback
+        if fallback is not None and self.monitor.health(self.MAPPING) is Health.FAILED:
+            # the mapping path is gone: serve the policy that needs none
+            return fallback, (f"{policy}->{fallback} (mapping failed)",)
+        return policy, ()
 
     # -- serving -----------------------------------------------------------
 
@@ -271,7 +269,7 @@ class ResilientEngine:
 
         effective, fallbacks = self.effective_policy(policy)
         pim_failed = self.monitor.health(self.PIM) is Health.FAILED
-        if effective != "soc-only" and pim_failed:
+        if decode_on_pim(effective) and pim_failed:
             latency = self._soc_decode_fallback(effective, prefill_len, decode_len)
             fallbacks = fallbacks + ("pim-decode->soc-decode (pim failed)",)
         elif effective == policy:
@@ -310,7 +308,7 @@ class ResilientEngine:
         if served:
             if decode_on_pim(final.policy) and not pim_failed:
                 self.monitor.record_success(self.PIM)
-            if final.policy == "facil":
+            if policy_record(final.policy).pim_layout:
                 self.monitor.record_success(self.MAPPING)
 
         return ResilientQuery(

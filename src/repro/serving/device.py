@@ -1,10 +1,11 @@
 """One device's serving policy: breakers, brown-out, routing, retries.
 
 FACIL's serving policy sends prefill to the SoC and decode to PIM.
-When the flexible-mapping path fails it falls back from ``facil`` to
-``hybrid-static``; while the PIM breaker is open or the PIM backlog
-browns out, PIM work moves to the SoC.  :class:`DeviceCore` is the one
-place that policy is written.  It owns:
+While the mapping breaker is open it falls back to the policy record's
+``mapping_fallback`` (``facil`` to ``hybrid-static``); while the PIM
+breaker is open or the PIM backlog browns out, PIM work moves to the
+SoC.  :class:`DeviceCore` is the one place that policy is written.  It
+owns:
 
 * the :class:`~repro.reliability.degrade.HealthMonitor`, the ``pim``
   and ``mapping`` :class:`~repro.serving.breaker.CircuitBreaker` s and
@@ -30,7 +31,7 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from repro.engine.policies import InferenceEngine, decode_on_pim
+from repro.engine.policies import InferenceEngine, decode_on_pim, policy_record
 from repro.reliability.degrade import HealthMonitor
 from repro.serving.breaker import BrownoutController, CircuitBreaker
 from repro.serving.workload import Request
@@ -39,7 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fleet.device import DeviceSpec
     from repro.serving.runtime import ServingConfig
 
-__all__ = ["DecodeResult", "DeviceCore", "Route", "check_retry_fields", "phase_component"]
+__all__ = ["DecodeResult", "DeviceCore", "Route", "check_retry_fields"]
 
 
 def check_retry_fields(settings: ServingConfig | DeviceSpec) -> None:
@@ -52,17 +53,6 @@ def check_retry_fields(settings: ServingConfig | DeviceSpec) -> None:
     for rate in (settings.pim_fault_rate, settings.mapping_fault_rate, settings.soc_fault_rate):
         if not 0.0 <= rate < 1.0:
             raise ValueError("fault rates must be in [0, 1)")
-
-
-def phase_component(policy: str, resource: str) -> str:
-    """The fault component a GEMM phase on *resource* exercises: PIM
-    work is ``pim``; facil's SoC GEMM reads the PIM layout straight
-    through the flexible mapping, so it is ``mapping``; else ``soc``."""
-    if resource == "pim":
-        return "pim"
-    if policy == "facil":
-        return "mapping"
-    return "soc"
 
 
 @dataclass(frozen=True)
@@ -154,18 +144,19 @@ class DeviceCore:
         request's own count — prefix-cache hits price only the tokens
         they did not cover.  *engine* overrides the pricing engine — the
         co-residency workload routes each tenant through its own model."""
-        policy = request.policy
+        policy = policy_record(request.policy)
         priced_tokens = (
             prefill_tokens if prefill_tokens is not None else request.prefill_tokens
         )
         fallbacks: List[str] = []
-        if policy == "facil" and not self.mapping_breaker.allow(now_ns):
-            policy = "hybrid-static"
-            fallbacks.append("facil->hybrid-static (mapping breaker open)")
+        fallback = policy.mapping_fallback
+        if fallback is not None and not self.mapping_breaker.allow(now_ns):
+            fallbacks.append(f"{policy.name}->{fallback} (mapping breaker open)")
+            policy = policy_record(fallback)
 
         pim_allowed = True
         brownout_active = False
-        if policy != "soc-only":
+        if policy.decode_on_pim:
             pim_allowed = self.pim_breaker.allow(now_ns)
             if not pim_allowed:
                 fallbacks.append("pim->soc (pim breaker open)")
@@ -175,13 +166,13 @@ class DeviceCore:
         # saturated; decode placement is settled at the phase boundary
         pricing = engine if engine is not None else self.engine
         prefill = pricing.price_prefill(
-            policy, priced_tokens, allow_pim=pim_allowed and not brownout_active
+            policy.name, priced_tokens, allow_pim=pim_allowed and not brownout_active
         )
         return Route(
-            policy=policy,
+            policy=policy.name,
             prefill_ns=prefill.total_ns,
             prefill_resource=prefill.resource,
-            prefill_component=phase_component(policy, prefill.resource),
+            prefill_component=policy.component(prefill.resource),
             pim_allowed=pim_allowed,
             brownout_active=brownout_active,
             fallbacks=tuple(fallbacks),

@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Protocol, Sequence
 
-from repro.engine.policies import POLICIES
+from repro.engine.policies import policy_record
 from repro.llm.datasets import ALPACA_LIKE, DatasetSpec, QueryTrace
 
 __all__ = [
@@ -65,8 +65,7 @@ class TenantSpec:
     think_time_ms: float = 2000.0
 
     def __post_init__(self) -> None:
-        if self.policy not in POLICIES:
-            raise ValueError(f"unknown policy {self.policy!r}; known: {POLICIES}")
+        policy_record(self.policy)
         if self.qps <= 0:
             raise ValueError("qps must be positive")
         if self.deadline_ms <= 0:

@@ -30,12 +30,12 @@ from __future__ import annotations
 import random
 from typing import Dict, Optional, Tuple
 
-from repro.engine.policies import InferenceEngine
+from repro.engine.policies import InferenceEngine, policy_record
 from repro.kvcache.block import KvPoolExhausted
 from repro.kvcache.manager import KvCacheManager
 from repro.kvcache.pool import BlockPool, KvSpec
 from repro.llm.model_config import model_by_name
-from repro.serving.device import Route, phase_component
+from repro.serving.device import Route
 from repro.serving.runtime import ServingRuntime
 from repro.serving.workload import Request
 from repro.workloads.runtime import DecodeResult, WorkloadLoop, require_placed
@@ -152,6 +152,7 @@ class SpeculativeLoop(WorkloadLoop):
         free = self.free
         seq = head.req_id
         ctx = head.prefill_tokens
+        policy = policy_record(route.policy)
         # draft steps follow the policy's decode placement (a soc-only
         # policy must not smuggle the draft model onto PIM)
         draft_on_pim = route.pim_decode
@@ -238,7 +239,7 @@ class SpeculativeLoop(WorkloadLoop):
                 )
                 if not phase(
                     redo.total_ns, redo.resource,
-                    phase_component(route.policy, redo.resource),
+                    policy.component(redo.resource),
                 ):
                     return fail(t)
                 if admission.recompute_tokens:
@@ -260,7 +261,7 @@ class SpeculativeLoop(WorkloadLoop):
             )
             if not phase(
                 verify.total_ns, verify.resource,
-                phase_component(route.policy, verify.resource),
+                policy.component(verify.resource),
             ):
                 kv.release(child, t, retain=False)
                 return fail(t)
