@@ -59,6 +59,10 @@ WATCHING = "watching"
 CANARY = "canary"
 COOLDOWN = "cooldown"
 
+#: interleave regularizer weight per (MapID bit x sample) in the
+#: windowed advisor score
+INTERLEAVE_WEIGHT = 1e-4
+
 
 @dataclass(frozen=True)
 class AdaptiveConfig:
@@ -77,9 +81,6 @@ class AdaptiveConfig:
     #: canary verdict: observed PIM slowdown (or fallback TTFT) must
     #: stay within this fraction above the counterfactual baseline
     slo_margin: float = 0.10
-    #: interleave regularizer weight per (MapID bit x sample) in the
-    #: windowed advisor score
-    interleave_weight: float = 1e-4
     #: forced-bad-advisor knob: recommendation pinned to this MapID and
     #: the cost/benefit gate bypassed — the canary must catch it
     pinned_map_id: Optional[int] = None
@@ -327,7 +328,7 @@ class AdaptiveController:
             if k > self.arena.max_map_id:
                 continue
             crossings = now["crossings"][k] - old.get(k, 0)
-            score = crossings + self.config.interleave_weight * k * samples
+            score = crossings + INTERLEAVE_WEIGHT * k * samples
             if score < best_score - 1e-12:
                 best_score = score
                 best_k = k

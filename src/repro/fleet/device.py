@@ -69,6 +69,9 @@ DEVICE_STATES = tuple(DeviceState)
 #: states the router may place new work on
 ROUTABLE_STATES = (DeviceState.ACTIVE, DeviceState.DEGRADED)
 
+#: the most KV blocks one conversation keeps resident on a device
+MAX_BLOCKS_PER_CONVERSATION = 16
+
 #: (later timeline end, device clock, queued work) — the inputs of a
 #: device's backlog that stay fixed between two fleet events
 BacklogTerms = Tuple[float, float, float]
@@ -105,14 +108,11 @@ class DeviceSpec:
     #: breaker tuning (mirrors ServingConfig)
     breaker_threshold: float = 0.5
     breaker_min_observations: int = 4
-    breaker_cooldown_ns: float = 5e6
-    breaker_probe_quota: int = 2
     brownout_high_ns: float = 5e9
     brownout_low_ns: float = 1e9
     #: per-device KV bookkeeping pool (prefix residency + kill journal)
     kv_blocks: int = 64
     block_tokens: int = 16
-    max_blocks_per_conversation: int = 16
     prefix_sharing: bool = True
 
     def __post_init__(self) -> None:
@@ -127,8 +127,6 @@ class DeviceSpec:
             raise ValueError("health_min_observations must be positive")
         if self.kv_blocks <= 0 or self.block_tokens <= 0:
             raise ValueError("kv_blocks and block_tokens must be positive")
-        if self.max_blocks_per_conversation <= 0:
-            raise ValueError("max_blocks_per_conversation must be positive")
 
     @property
     def name(self) -> str:
@@ -426,7 +424,7 @@ class FleetDevice(WorkloadLoop):
         res.last_use_ns = now_ns
         want_blocks = min(
             -(-tokens_total // self.spec.block_tokens),
-            self.spec.max_blocks_per_conversation,
+            MAX_BLOCKS_PER_CONVERSATION,
         )
         # one block run per free stretch: evictions land where growing
         # a block at a time would hit an empty free list

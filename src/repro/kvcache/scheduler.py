@@ -105,6 +105,13 @@ class _Seq:
         return self.ctx if self.recomputes else self.request.prefill_tokens
 
 
+#: KV pressure governor watermarks: the fraction of the pool that is
+#: live and unreclaimable; admissions degrade while above the high one
+#: and recover below the low one
+KV_PRESSURE_HIGH = 0.9
+KV_PRESSURE_LOW = 0.7
+
+
 class KvServingLoop(WorkloadLoop):
     """Paged-KV continuous batching (see the module docstring)."""
 
@@ -115,7 +122,7 @@ class KvServingLoop(WorkloadLoop):
         self.cap_tokens = cfg.kv_blocks * cfg.block_tokens
         self.pool = BlockPool(cfg.kv_blocks, KvSpec(block_tokens=cfg.block_tokens))
         self.kv = KvCacheManager(self.pool, prefix_sharing=cfg.prefix_sharing)
-        self.governor = BrownoutController(cfg.kv_pressure_high, cfg.kv_pressure_low)
+        self.governor = BrownoutController(KV_PRESSURE_HIGH, KV_PRESSURE_LOW)
         self.seqs: Dict[int, _Seq] = {}  # req_id -> state, set at admission
         self.recompute: Deque[_Seq] = deque()
         self.running: List[_Seq] = []

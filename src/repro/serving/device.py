@@ -120,8 +120,6 @@ class DeviceCore:
             monitor=self.monitor,
             fault_rate_threshold=settings.breaker_threshold,
             min_observations=settings.breaker_min_observations,
-            cooldown_ns=settings.breaker_cooldown_ns,
-            probe_quota=settings.breaker_probe_quota,
         )
         self.pim_breaker = CircuitBreaker("pim", **breaker_args)
         self.mapping_breaker = CircuitBreaker("mapping", **breaker_args)

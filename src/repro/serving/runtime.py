@@ -106,8 +106,6 @@ class ServingConfig:
     #: circuit breaker tuning (see repro.serving.breaker)
     breaker_threshold: float = 0.5
     breaker_min_observations: int = 4
-    breaker_cooldown_ns: float = 5e6
-    breaker_probe_quota: int = 2
     #: brown-out watermarks on the PIM backlog (ns of queued work; decode
     #: phases run seconds, so saturation means several queued)
     brownout_high_ns: float = 5e9
@@ -118,10 +116,6 @@ class ServingConfig:
     kv_blocks: int = 0
     block_tokens: int = 16
     prefix_sharing: bool = True
-    #: KV pressure governor watermarks (fraction of the pool that is
-    #: live and unreclaimable; admissions degrade while above)
-    kv_pressure_high: float = 0.9
-    kv_pressure_low: float = 0.7
     #: adaptive remapping (see repro.adaptive): ``off`` keeps the run
     #: byte-identical to before the feature existed; ``static`` prices
     #: the MapID/workload mismatch penalty but never migrates (the
@@ -132,10 +126,6 @@ class ServingConfig:
     adaptive_window: int = 32
     adaptive_canary_window: int = 16
     adaptive_cooldown: int = 64
-    adaptive_hysteresis: float = 2.0
-    adaptive_canary_fraction: float = 0.25
-    adaptive_max_migrations: int = 8
-    adaptive_penalty_coeff: float = 0.05
     adaptive_slo_margin: float = 0.10
     #: forced-bad-advisor knob: pin the recommendation to this MapID
     #: (bypasses the cost/benefit gate; the canary must catch it)
@@ -149,10 +139,6 @@ class ServingConfig:
             raise ValueError("kv_blocks must be >= 0")
         if self.block_tokens <= 0:
             raise ValueError("block_tokens must be positive")
-        if not 0.0 <= self.kv_pressure_low < self.kv_pressure_high <= 1.0:
-            raise ValueError(
-                "kv pressure watermarks must satisfy 0 <= low < high <= 1"
-            )
         if self.adaptive not in ("off", "static", "active"):
             raise ValueError(
                 f"adaptive must be 'off', 'static', or 'active', "
@@ -569,10 +555,6 @@ class ServingRuntime:
                     window_requests=cfg.adaptive_window,
                     canary_window=cfg.adaptive_canary_window,
                     cooldown_requests=cfg.adaptive_cooldown,
-                    hysteresis=cfg.adaptive_hysteresis,
-                    canary_fraction=cfg.adaptive_canary_fraction,
-                    max_migrations=cfg.adaptive_max_migrations,
-                    penalty_coeff=cfg.adaptive_penalty_coeff,
                     slo_margin=cfg.adaptive_slo_margin,
                     pinned_map_id=cfg.adaptive_pinned_map_id,
                 ),
