@@ -548,18 +548,33 @@ def _cmd_fleet(args: argparse.Namespace) -> None:
     if recovery_ms is None:
         recovery_ms = 10.0 if args.campaign else 50.0
     if args.campaign:
-        spec = FleetChaosSpec(
-            n_devices=args.devices,
-            kills=args.kills if args.kills else 300,
-            seed=args.seed,
-            kill_gap_ms=args.kill_gap_ms,
-            recovery_ms=recovery_ms,
-            qps=args.qps if args.qps is not None else 200.0,
-            deadline_ms=args.deadline_ms,
-            mean_turns=args.mean_turns,
-            queue_capacity=args.capacity,
-            shed_policy=args.shed,
-        )
+        # the campaign fleet has no standby members, autoscaler, fault
+        # rates or telemetry lanes: refuse what it would silently ignore
+        ignored = {
+            "--standby": args.standby > 0,
+            "--autoscale": args.autoscale,
+            "--pim-fault-rate": args.pim_fault_rate > 0.0,
+            "--mapping-fault-rate": args.mapping_fault_rate > 0.0,
+            "--metrics-out": args.metrics_out is not None,
+        }
+        for flag, given in ignored.items():
+            if given:
+                raise SystemExit(f"{flag} does not apply to fleet --campaign")
+        try:
+            spec = FleetChaosSpec(
+                n_devices=args.devices,
+                kills=args.kills if args.kills else 300,
+                seed=args.seed,
+                kill_gap_ms=args.kill_gap_ms,
+                recovery_ms=recovery_ms,
+                qps=args.qps if args.qps is not None else 200.0,
+                deadline_ms=args.deadline_ms,
+                mean_turns=args.mean_turns,
+                queue_capacity=args.capacity,
+                shed_policy=args.shed,
+            )
+        except ValueError as exc:
+            raise SystemExit(str(exc))
         report = run_fleet_chaos(spec)
         d = report.to_dict()
         print(f"fleet chaos campaign: seed={d['seed']} "

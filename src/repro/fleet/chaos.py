@@ -62,8 +62,11 @@ class FleetChaosSpec:
     def __post_init__(self) -> None:
         if self.n_devices <= 1:
             raise ValueError("a chaos campaign needs at least 2 devices")
-        if self.kills <= 0:
-            raise ValueError("kills must be positive")
+        if self.kills < len(KV_CRASH_SITES):
+            raise ValueError(
+                f"kills must be at least {len(KV_CRASH_SITES)}: the oracle "
+                f"needs every KV crash site to fire, one per kill in turn"
+            )
         if self.kill_gap_ms <= 0 or self.recovery_ms <= 0:
             raise ValueError("kill_gap_ms and recovery_ms must be positive")
         if self.n_devices * self.kill_gap_ms * 0.5 <= self.recovery_ms:

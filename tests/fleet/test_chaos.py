@@ -22,6 +22,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="cadence"):
             FleetChaosSpec(n_devices=2, kill_gap_ms=10.0, recovery_ms=50.0)
 
+    @pytest.mark.parametrize("kills", (0, 1, len(KV_CRASH_SITES) - 1))
+    def test_rejects_fewer_kills_than_crash_sites(self, kills):
+        """The oracle needs every KV crash site to fire, one site per
+        kill in turn: fewer kills than sites could never pass it."""
+        with pytest.raises(ValueError, match="kills must be at least"):
+            FleetChaosSpec(kills=kills)
+        FleetChaosSpec(kills=len(KV_CRASH_SITES))  # one kill per site will do
+
     def test_horizon_spans_the_kill_window(self):
         spec = FleetChaosSpec(kills=50, kill_gap_ms=20.0)
         assert spec.horizon_ms == pytest.approx(1_000.0)

@@ -503,6 +503,38 @@ class TestFleetCommand:
         assert report["ok"] is True and report["kills_applied"] == 8
         assert "crashes by site" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv, words", (
+        (["--devices", "1"], "2 devices"),
+        (["--devices", "2", "--kill-gap-ms", "5"], "cadence"),
+        (["--kills", "3"], "kills must be at least 4"),
+    ))
+    def test_fleet_campaign_refusals_are_one_line(self, tmp_path, argv, words):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fleet", "--campaign", "--out", str(tmp_path / "c.json")] + argv)
+        message = excinfo.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert words in message
+
+    @pytest.mark.parametrize("argv, flag", (
+        (["--standby", "3", "--autoscale"], "--standby"),
+        (["--autoscale"], "--autoscale"),
+        (["--pim-fault-rate", "0.1"], "--pim-fault-rate"),
+        (["--mapping-fault-rate", "0.1"], "--mapping-fault-rate"),
+        (["--metrics-out", "m.json"], "--metrics-out"),
+    ))
+    def test_fleet_campaign_refuses_flags_it_would_ignore(
+        self, tmp_path, argv, flag
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "fleet", "--campaign", "--kills", "4",
+                "--out", str(tmp_path / "c.json"),
+            ] + argv)
+        message = excinfo.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert flag in message and "--campaign" in message
+        assert not (tmp_path / "c.json").exists()
+
     def test_fleet_standby_must_leave_a_device_in_rotation(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["fleet", "--devices", "2", "--standby", "2"])
