@@ -20,6 +20,7 @@ suite's BENCH_adaptive.json.
 import os
 from dataclasses import replace
 
+from repro.adaptive import AdaptiveConfig
 from repro.engine.policies import InferenceEngine  # noqa: F401 (fixture type)
 from repro.llm.datasets import CHAT_TO_LONG_CONTEXT_DRIFT
 from repro.serving import ServingConfig, ServingRuntime, TenantSpec, poisson_workload
@@ -37,6 +38,8 @@ QPS = 0.28
 #: TTFT budget: queue wait + ~3 s long-context SoC prefill fits while the
 #: pipeline keeps up; a penalized PIM bottleneck overruns it via backlog
 DEADLINE_MS = 15_000.0
+#: the controller's tuning, under the names ``config_hash`` has always
+#: hashed
 ADAPTIVE_KNOBS = dict(
     adaptive_window=16, adaptive_canary_window=8, adaptive_cooldown=32
 )
@@ -56,7 +59,13 @@ def _workload(duration_ms=DURATION_MS):
 
 
 def _run(engine, mode, requests):
-    config = ServingConfig(adaptive=mode, seed=SEED, **ADAPTIVE_KNOBS)
+    adaptive = AdaptiveConfig(
+        mode=mode,
+        window_requests=ADAPTIVE_KNOBS["adaptive_window"],
+        canary_window=ADAPTIVE_KNOBS["adaptive_canary_window"],
+        cooldown_requests=ADAPTIVE_KNOBS["adaptive_cooldown"],
+    )
+    config = ServingConfig(adaptive=adaptive, seed=SEED)
     return ServingRuntime(engine, config).run(requests)
 
 

@@ -14,6 +14,7 @@ report zero diverging barriers, and the final report hashes must match.
 
 import os
 
+from repro.adaptive import AdaptiveConfig
 from repro.analysis.replay import replay_diff, state_hash
 from repro.llm.datasets import CHAT_TO_LONG_CONTEXT_DRIFT
 from repro.serving import (
@@ -41,6 +42,8 @@ DRIFT_SEED = 11
 DRIFT_DURATION_MS = 420_000.0
 DRIFT_DEADLINE_MS = 15_000.0
 DRIFT_QPS = 0.28
+#: the controller's tuning, under the names ``config_hash`` has always
+#: hashed
 ADAPTIVE_KNOBS = dict(
     adaptive_window=16, adaptive_canary_window=8, adaptive_cooldown=32
 )
@@ -83,9 +86,13 @@ def _drift_case(engines):
         name="chat", policy="facil", dataset=dataset,
         qps=DRIFT_QPS, deadline_ms=DRIFT_DEADLINE_MS,
     )
-    config = ServingConfig(
-        adaptive="active", seed=DRIFT_SEED, **ADAPTIVE_KNOBS
+    adaptive = AdaptiveConfig(
+        mode="active",
+        window_requests=ADAPTIVE_KNOBS["adaptive_window"],
+        canary_window=ADAPTIVE_KNOBS["adaptive_canary_window"],
+        cooldown_requests=ADAPTIVE_KNOBS["adaptive_cooldown"],
     )
+    config = ServingConfig(adaptive=adaptive, seed=DRIFT_SEED)
 
     def run(recorder):
         requests = poisson_workload(

@@ -365,6 +365,11 @@ def _cmd_serve(args: argparse.Namespace) -> None:
         for t in (spec.sample_one(probe_rng) for _ in range(50))
     ]
     mean_decode_ns = sum(decode_works) / len(decode_works)
+    adaptive = None
+    if args.adaptive != "off":
+        from repro.adaptive import AdaptiveConfig
+
+        adaptive = AdaptiveConfig(mode=args.adaptive, pinned_map_id=args.adaptive_pin)
     config = ServingConfig(
         seed=args.seed,
         queue_capacity=args.capacity,
@@ -378,8 +383,7 @@ def _cmd_serve(args: argparse.Namespace) -> None:
         kv_blocks=args.kv_blocks,
         block_tokens=args.block_tokens,
         prefix_sharing=args.prefix_sharing,
-        adaptive=args.adaptive,
-        adaptive_pinned_map_id=args.adaptive_pin,
+        adaptive=adaptive,
     )
     telemetry = None
     if args.trace_out or args.metrics_out:

@@ -17,8 +17,8 @@ fault-rate windows (:class:`~repro.reliability.degrade.HealthMonitor`):
        +----------+ (window clears)            revive (recovery_ms) -+
 
 plus two administrative states: DRAINING (autoscaler: finish queued
-work, accept nothing new; an in-flight adaptive canary is rolled back
-on entry) and STANDBY (powered down — the autoscaler's spare pool).
+work, accept nothing new) and STANDBY (powered down — the autoscaler's
+spare pool).
 QUARANTINED is also entered by an injected **kill**: the device's
 fault injector arms a KV-journal crash site, the in-flight pool
 operation dies mid-transaction, :func:`~repro.kvcache.pool.recover_pool`
@@ -39,15 +39,16 @@ from repro.engine.policies import InferenceEngine
 from repro.kvcache.block import BlockRef
 from repro.kvcache.pool import KV_CRASH_SITES, BlockPool, KvSpec, recover_pool
 from repro.platforms.specs import PlatformSpec
-from repro.reliability.degrade import RETRY_BASE_BACKOFF_NS, HealthMonitor
+from repro.reliability.degrade import HealthMonitor
 from repro.reliability.faults import FaultInjector
-from repro.serving.device import DeviceCore, check_retry_fields
+from repro.serving.device import DeviceCore, DeviceSettings
 from repro.serving.runtime import RequestOutcome
 from repro.serving.workload import Request
 from repro.workloads.runtime import WorkloadLoop
 
 __all__ = [
     "DEVICE_STATES",
+    "FLEET_DEVICE_SETTINGS",
     "BacklogTerms",
     "DeviceSpec",
     "DeviceState",
@@ -84,49 +85,35 @@ def backlog_at(terms: BacklogTerms, now_ns: float) -> float:
     return max(0.0, busy_until - max(now_ns, clock)) + queued
 
 
+#: a fleet device's default settings: a single device's, with the KV
+#: pool its prefix residency and kill journal live in
+FLEET_DEVICE_SETTINGS = DeviceSettings(kv_blocks=64)
+
+
 @dataclass(frozen=True)
 class DeviceSpec:
     """Static identity and tuning of one fleet member."""
 
     device_id: int
     platform: PlatformSpec
-    queue_capacity: int = 8
-    shed_policy: str = "reject"
-    degrade_watermark: Optional[int] = None
-    degraded_decode_tokens: int = 8
-    max_retries: int = 3
-    base_backoff_ns: float = RETRY_BASE_BACKOFF_NS
-    jitter: float = 0.0
-    #: transient fault probability per phase attempt, by component
-    pim_fault_rate: float = 0.0
-    mapping_fault_rate: float = 0.0
-    soc_fault_rate: float = 0.0
+    #: what the device's core, admission queue and KV pool read
+    settings: DeviceSettings = FLEET_DEVICE_SETTINGS
     #: health machine: windowed fault-rate watermarks (any component)
     degrade_fault_rate: float = 0.25
     quarantine_fault_rate: float = 0.625
     health_min_observations: int = 8
-    #: breaker tuning (mirrors ServingConfig)
-    breaker_threshold: float = 0.5
-    breaker_min_observations: int = 4
-    brownout_high_ns: float = 5e9
-    brownout_low_ns: float = 1e9
-    #: per-device KV bookkeeping pool (prefix residency + kill journal)
-    kv_blocks: int = 64
-    block_tokens: int = 16
-    prefix_sharing: bool = True
 
     def __post_init__(self) -> None:
         if self.device_id < 0:
             raise ValueError("device_id must be >= 0")
-        check_retry_fields(self)
         if not 0.0 < self.degrade_fault_rate <= self.quarantine_fault_rate <= 1.0:
             raise ValueError(
                 "need 0 < degrade_fault_rate <= quarantine_fault_rate <= 1"
             )
         if self.health_min_observations <= 0:
             raise ValueError("health_min_observations must be positive")
-        if self.kv_blocks <= 0 or self.block_tokens <= 0:
-            raise ValueError("kv_blocks and block_tokens must be positive")
+        if self.settings.kv_blocks <= 0:
+            raise ValueError("settings.kv_blocks must be positive (the prefix residency pool)")
 
     @property
     def name(self) -> str:
@@ -164,7 +151,6 @@ class FleetDevice(WorkloadLoop):
         spec: DeviceSpec,
         seed: int = 0,
         engine: Optional[InferenceEngine] = None,
-        adaptive: Optional[object] = None,
     ) -> None:
         # CPython 3.11 keeps an instance's attributes inline only while
         # its class has at most 29; past that they all live in a dict,
@@ -180,7 +166,7 @@ class FleetDevice(WorkloadLoop):
         # the loop: breakers, brown-out, routing and retry pricing on
         # the core; queue, timelines and clock; no adaptive controller
         self._init_loop(
-            DeviceCore(self.engine, spec, self.monitor), spec,
+            DeviceCore(self.engine, spec.settings, self.monitor), spec.settings,
             random.Random(self.device_seed),
         )
         #: the next scheduled loss while :meth:`serve_next` runs
@@ -190,14 +176,11 @@ class FleetDevice(WorkloadLoop):
         self.injector = FaultInjector(self.device_seed + 1)
         self.journal.fault_hook = self.injector
         self.pool = BlockPool(
-            spec.kv_blocks,
-            KvSpec(block_tokens=spec.block_tokens, kv_dim=8),
+            spec.settings.kv_blocks,
+            KvSpec(block_tokens=spec.settings.block_tokens, kv_dim=8),
             journal=self.journal,
         )
         self.resident: Dict[int, _Residency] = {}
-        #: optional per-device adaptive remapping controller; only
-        #: drain() drives it (the loop's ``controller`` stays None)
-        self.adaptive = adaptive
         self.state = DeviceState.ACTIVE
         #: (virtual ns, from, to) — every health/admin transition
         self.transitions: List[Tuple[float, str, str]] = []
@@ -266,13 +249,9 @@ class FleetDevice(WorkloadLoop):
         return self.state
 
     def drain(self, now_ns: float) -> None:
-        """Stop accepting new work; roll back any in-flight canary."""
+        """Stop accepting new work."""
         if self.state in (DeviceState.QUARANTINED, DeviceState.STANDBY):
             return
-        if self.adaptive is not None:
-            self.adaptive.abort_canary(
-                -1, now_ns, reason="device draining"
-            )
         self._move(DeviceState.DRAINING, now_ns)
 
     def finish_drain_if_idle(self, now_ns: float) -> bool:
@@ -415,7 +394,7 @@ class FleetDevice(WorkloadLoop):
         """Grow the conversation's KV footprint to cover *tokens_total*
         (evicting idle conversations LRU-first when the pool is full)."""
         conv_id = request.conversation_id
-        if conv_id is None or not self.spec.prefix_sharing:
+        if conv_id is None or not self.spec.settings.prefix_sharing:
             return
         res = self.resident.get(conv_id)
         if res is None:
@@ -423,7 +402,7 @@ class FleetDevice(WorkloadLoop):
             self.resident[conv_id] = res
         res.last_use_ns = now_ns
         want_blocks = min(
-            -(-tokens_total // self.spec.block_tokens),
+            -(-tokens_total // self.spec.settings.block_tokens),
             MAX_BLOCKS_PER_CONVERSATION,
         )
         # one block run per free stretch: evictions land where growing
@@ -433,7 +412,7 @@ class FleetDevice(WorkloadLoop):
                 break  # pool full of this conversation's own blocks
             run = min(want_blocks - len(res.refs), self.pool.free_blocks)
             res.refs.extend([block.ref for block in self.pool.alloc_run(run, now_ns)])
-        res.tokens = min(tokens_total, len(res.refs) * self.spec.block_tokens)
+        res.tokens = min(tokens_total, len(res.refs) * self.spec.settings.block_tokens)
 
     def _evict_lru(self, keep_conv_id: int, now_ns: float) -> bool:
         victim_id: Optional[int] = None
@@ -509,7 +488,7 @@ class FleetDevice(WorkloadLoop):
         priced_tokens = head.prefill_tokens
         prefix_hit = False
         covered = min(head.context_tokens, self.resident_tokens(head.conversation_id))
-        if covered > 0 and self.spec.prefix_sharing:
+        if covered > 0 and self.spec.settings.prefix_sharing:
             priced_tokens = max(1, head.prefill_tokens - covered)
             prefix_hit = True
 

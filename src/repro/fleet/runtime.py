@@ -46,8 +46,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.fleet.autoscaler import Autoscaler
 from repro.fleet.device import DeviceSpec, DeviceState, FleetDevice, Preempted
 from repro.fleet.router import FleetRouter
-from repro.fleet.workloads import ArrivalShape, shaped_workload
 from repro.platforms.specs import ALL_PLATFORMS
+from repro.serving.device import DeviceSettings
 from repro.serving.runtime import (
     DROPPED,
     REJECTED,
@@ -58,7 +58,7 @@ from repro.serving.runtime import (
     conservation_findings,
     offered_ids,
 )
-from repro.serving.workload import Request, TenantSpec
+from repro.serving.workload import Request
 
 __all__ = [
     "SHED_UNROUTABLE",
@@ -209,21 +209,24 @@ class FleetReport(OutcomeCounts):
 
 
 def build_fleet(config: FleetConfig) -> List[FleetDevice]:
-    """Instantiate the device catalog, heterogeneous across the Table II
-    platforms (cycled in order).  The last ``standby_devices`` members
-    start parked in STANDBY as the autoscaler's spare pool."""
+    """Instantiate the device catalog on one settings record,
+    heterogeneous across the Table II platforms (cycled in order).  The
+    last ``standby_devices`` members start parked in STANDBY."""
+    settings = DeviceSettings(
+        queue_capacity=config.queue_capacity,
+        shed_policy=config.shed_policy,
+        pim_fault_rate=config.pim_fault_rate,
+        mapping_fault_rate=config.mapping_fault_rate,
+        soc_fault_rate=config.soc_fault_rate,
+        kv_blocks=config.kv_blocks,
+        block_tokens=config.block_tokens,
+    )
     devices: List[FleetDevice] = []
     for device_id in range(config.n_devices):
         spec = DeviceSpec(
             device_id=device_id,
             platform=ALL_PLATFORMS[device_id % len(ALL_PLATFORMS)],
-            queue_capacity=config.queue_capacity,
-            shed_policy=config.shed_policy,
-            pim_fault_rate=config.pim_fault_rate,
-            mapping_fault_rate=config.mapping_fault_rate,
-            soc_fault_rate=config.soc_fault_rate,
-            kv_blocks=config.kv_blocks,
-            block_tokens=config.block_tokens,
+            settings=settings,
         )
         device = FleetDevice(spec, seed=config.seed)
         if device_id >= config.n_devices - config.standby_devices:
@@ -531,12 +534,3 @@ class FleetRuntime:
             kills.inc(lane["kills"], device=label)
             state.set(float(ranks[lane["state"]]), device=label)
 
-
-def fleet_workload(
-    tenants: Sequence[TenantSpec],
-    duration_ms: float,
-    shape: Optional[ArrivalShape] = None,
-    seed: int = 0,
-) -> List[Request]:
-    """Convenience wrapper: the fleet's shaped arrival stream."""
-    return shaped_workload(tenants, duration_ms, shape=shape, seed=seed)

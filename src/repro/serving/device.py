@@ -22,37 +22,70 @@ owns:
 A :class:`~repro.serving.runtime.ServingRuntime` (and through it the
 whole-request, workload and paged-KV loops) and every
 :class:`~repro.fleet.device.FleetDevice` each own one core, built from
-their own config's retry, fault-rate, breaker and brown-out fields.
+one :class:`DeviceSettings` (a ``ServingConfig`` is one, a ``DeviceSpec`` holds one).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.engine.policies import InferenceEngine, decode_on_pim, policy_record
-from repro.reliability.degrade import HealthMonitor
+from repro.reliability.degrade import RETRY_BASE_BACKOFF_NS, HealthMonitor
 from repro.serving.breaker import BrownoutController, CircuitBreaker
 from repro.serving.workload import Request
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.fleet.device import DeviceSpec
-    from repro.serving.runtime import ServingConfig
-
-__all__ = ["DecodeResult", "DeviceCore", "Route", "check_retry_fields"]
+__all__ = ["DecodeResult", "DeviceCore", "DeviceSettings", "Route"]
 
 
-def check_retry_fields(settings: ServingConfig | DeviceSpec) -> None:
-    """Validate the jitter, retry and fault-rate fields every device
-    config carries (called from each config's ``__post_init__``)."""
-    if not 0.0 <= settings.jitter < 1.0:
-        raise ValueError("jitter must be in [0, 1)")
-    if settings.max_retries < 0:
-        raise ValueError("max_retries must be >= 0")
-    for rate in (settings.pim_fault_rate, settings.mapping_fault_rate, settings.soc_fault_rate):
-        if not 0.0 <= rate < 1.0:
-            raise ValueError("fault rates must be in [0, 1)")
+@dataclass(frozen=True)
+class DeviceSettings:
+    """The settings one device's core, admission queue and KV pool read,
+    declared once for a single-device run and a fleet device alike."""
+
+    queue_capacity: int = 8
+    shed_policy: str = "reject"
+    degrade_watermark: Optional[int] = None
+    #: decode budget for degraded admissions (tokens)
+    degraded_decode_tokens: int = 8
+    max_retries: int = 3
+    base_backoff_ns: float = RETRY_BASE_BACKOFF_NS
+    #: backoff jitter amplitude in [0, 1): each wait is scaled by
+    #: ``1 + jitter * uniform(-1, 1)`` from the run's seeded stream
+    jitter: float = 0.0
+    #: transient fault probability per phase attempt, by component
+    pim_fault_rate: float = 0.0
+    mapping_fault_rate: float = 0.0
+    soc_fault_rate: float = 0.0
+    #: circuit breaker tuning (see repro.serving.breaker)
+    breaker_threshold: float = 0.5
+    breaker_min_observations: int = 4
+    #: brown-out watermarks on the PIM backlog (ns of queued work; decode
+    #: phases run seconds, so saturation means several queued)
+    brownout_high_ns: float = 5e9
+    brownout_low_ns: float = 1e9
+    #: paged KV cache: a positive ``kv_blocks`` serves a single device by
+    #: continuous batching over a bounded block pool (repro.kvcache), 0 by
+    #: whole requests; a fleet device keeps prefix residency in this pool
+    kv_blocks: int = 0
+    block_tokens: int = 16
+    prefix_sharing: bool = True
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.jitter < 1.0:
+            raise ValueError("jitter must be in [0, 1)")
+        if self.max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
+        for rate in (self.pim_fault_rate, self.mapping_fault_rate, self.soc_fault_rate):
+            if not 0.0 <= rate < 1.0:
+                raise ValueError("fault rates must be in [0, 1)")
+        if self.degraded_decode_tokens <= 0:
+            raise ValueError("degraded_decode_tokens must be positive")
+        if self.kv_blocks < 0:
+            raise ValueError("kv_blocks must be >= 0")
+        if self.block_tokens <= 0:
+            raise ValueError("block_tokens must be positive")
 
 
 @dataclass(frozen=True)
@@ -103,7 +136,7 @@ class DeviceCore:
     def __init__(
         self,
         engine: InferenceEngine,
-        settings: ServingConfig | DeviceSpec,
+        settings: DeviceSettings,
         monitor: Optional[HealthMonitor] = None,
     ) -> None:
         self.engine = engine

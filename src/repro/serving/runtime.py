@@ -46,13 +46,14 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.adaptive import AdaptiveConfig
     from repro.analysis.replay import BarrierRecorder
     from repro.telemetry import Telemetry
 
 from repro.engine.metrics import LatencyStats
 from repro.engine.policies import InferenceEngine, decode_on_pim
-from repro.reliability.degrade import RETRY_BASE_BACKOFF_NS, HealthMonitor
-from repro.serving.device import DeviceCore, check_retry_fields
+from repro.reliability.degrade import HealthMonitor
+from repro.serving.device import DeviceCore, DeviceSettings
 from repro.serving.queue import QueueStats
 from repro.serving.workload import Request, TenantSpec
 
@@ -85,66 +86,30 @@ TERMINAL_STATUSES = (
 
 
 @dataclass(frozen=True)
-class ServingConfig:
-    """Everything that shapes a serving run except the workload itself."""
+class ServingConfig(DeviceSettings):
+    """Everything that shapes a serving run except the workload itself:
+    the device's settings, the run's seed and its adaptive controller."""
 
     seed: int = 0
-    queue_capacity: int = 8
-    shed_policy: str = "reject"
-    degrade_watermark: Optional[int] = None
-    #: decode budget for degraded admissions (tokens)
-    degraded_decode_tokens: int = 8
-    max_retries: int = 3
-    base_backoff_ns: float = RETRY_BASE_BACKOFF_NS
-    #: backoff jitter amplitude in [0, 1): each wait is scaled by
-    #: ``1 + jitter * uniform(-1, 1)`` from the run's seeded stream
-    jitter: float = 0.0
-    #: transient fault probability per phase attempt, by component
-    pim_fault_rate: float = 0.0
-    mapping_fault_rate: float = 0.0
-    soc_fault_rate: float = 0.0
-    #: circuit breaker tuning (see repro.serving.breaker)
-    breaker_threshold: float = 0.5
-    breaker_min_observations: int = 4
-    #: brown-out watermarks on the PIM backlog (ns of queued work; decode
-    #: phases run seconds, so saturation means several queued)
-    brownout_high_ns: float = 5e9
-    brownout_low_ns: float = 1e9
-    #: paged KV cache: a positive ``kv_blocks`` switches :meth:`run` to
-    #: the continuous-batching scheduler over a bounded block pool
-    #: (see repro.kvcache.scheduler); 0 keeps the whole-request loop
-    kv_blocks: int = 0
-    block_tokens: int = 16
-    prefix_sharing: bool = True
-    #: adaptive remapping (see repro.adaptive): ``off`` keeps the run
-    #: byte-identical to before the feature existed; ``static`` prices
-    #: the MapID/workload mismatch penalty but never migrates (the
-    #: static-selector baseline); ``active`` closes the loop — canary
-    #: migrations, promotion, rollback.  A hook of the whole-request
-    #: loop only: not with kv_blocks > 0 or a workload spec.
-    adaptive: str = "off"
-    adaptive_window: int = 32
-    adaptive_canary_window: int = 16
-    adaptive_cooldown: int = 64
-    adaptive_slo_margin: float = 0.10
-    #: forced-bad-advisor knob: pin the recommendation to this MapID
-    #: (bypasses the cost/benefit gate; the canary must catch it)
-    adaptive_pinned_map_id: Optional[int] = None
+    #: adaptive remapping (see repro.adaptive): None keeps the run
+    #: byte-identical to before the feature existed; a ``static``
+    #: AdaptiveConfig prices the MapID mismatch penalty but never
+    #: migrates, an ``active`` one closes the loop.  Whole-request loop
+    #: only: not with kv_blocks > 0 or a workload spec.
+    adaptive: Optional[AdaptiveConfig] = None
 
     def __post_init__(self) -> None:
-        check_retry_fields(self)
-        if self.degraded_decode_tokens <= 0:
-            raise ValueError("degraded_decode_tokens must be positive")
-        if self.kv_blocks < 0:
-            raise ValueError("kv_blocks must be >= 0")
-        if self.block_tokens <= 0:
-            raise ValueError("block_tokens must be positive")
-        if self.adaptive not in ("off", "static", "active"):
+        super().__post_init__()
+        if self.adaptive is None:
+            return
+        from repro.adaptive import AdaptiveConfig  # only when set, as ServingRuntime does
+
+        if not isinstance(self.adaptive, AdaptiveConfig):
             raise ValueError(
-                f"adaptive must be 'off', 'static', or 'active', "
+                f"adaptive must be an AdaptiveConfig or None, "
                 f"got {self.adaptive!r}"
             )
-        if self.adaptive != "off" and self.kv_blocks > 0:
+        if self.kv_blocks > 0:
             raise ValueError(
                 "adaptive remapping runs on the whole-request loop only; "
                 "it cannot be combined with kv_blocks > 0"
@@ -306,7 +271,7 @@ class ServingReport(OutcomeCounts):
     #: prefix hits, ...) when the run used the paged-KV scheduler
     kv: Optional[Dict] = None
     #: adaptive-remapping controller summary (state, migrations, events,
-    #: final arena MapIDs) when the run had adaptive != "off"
+    #: final arena MapIDs) when the run had an adaptive controller
     adaptive: Optional[Dict] = None
     #: per-workload accounting (speculative rounds, expert placement,
     #: co-residency interference) when the run was dispatched through
@@ -518,9 +483,9 @@ class ServingRuntime:
         if workload is not None:
             # the workload loops own their placement state and run no
             # adaptive controller: refuse instead of silently ignoring
-            if cfg.adaptive != "off":
+            if cfg.adaptive is not None:
                 raise ValueError(
-                    f"ServingConfig.adaptive must be 'off' with a workload "
+                    f"ServingConfig.adaptive must be None with a workload "
                     f"spec, got {cfg.adaptive!r}"
                 )
             if cfg.kv_blocks > 0:
@@ -542,24 +507,15 @@ class ServingRuntime:
         #: with the recorder on or off
         self.barriers = barriers
         self.core = DeviceCore(engine, cfg, monitor)
-        #: adaptive remapping controller (None when cfg.adaptive == "off";
+        #: adaptive remapping controller (None when cfg.adaptive is None;
         #: the import is lazy so the base serving stack stays free of the
         #: functional-system dependency)
         self.adaptive = None
-        if cfg.adaptive != "off":
-            from repro.adaptive import AdaptiveConfig, AdaptiveController
+        if cfg.adaptive is not None:
+            from repro.adaptive import AdaptiveController
 
             self.adaptive = AdaptiveController(
-                AdaptiveConfig(
-                    mode=cfg.adaptive,
-                    window_requests=cfg.adaptive_window,
-                    canary_window=cfg.adaptive_canary_window,
-                    cooldown_requests=cfg.adaptive_cooldown,
-                    slo_margin=cfg.adaptive_slo_margin,
-                    pinned_map_id=cfg.adaptive_pinned_map_id,
-                ),
-                telemetry=telemetry,
-                seed=cfg.seed,
+                cfg.adaptive, telemetry=telemetry, seed=cfg.seed
             )
 
     def report(

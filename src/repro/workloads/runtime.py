@@ -52,9 +52,9 @@ from __future__ import annotations
 
 import math
 import random
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import Any, Dict, List, Optional, Sequence, Tuple, TypeVar
 
-from repro.serving.device import DecodeResult, DeviceCore, Route
+from repro.serving.device import DecodeResult, DeviceCore, DeviceSettings, Route
 from repro.serving.queue import AdmissionQueue
 from repro.serving.runtime import (
     ABORTED,
@@ -70,10 +70,6 @@ from repro.serving.runtime import (
     offered_ids,
 )
 from repro.serving.workload import Request
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.fleet.device import DeviceSpec
-    from repro.serving.runtime import ServingConfig
 
 __all__ = [
     "DecodeResult",
@@ -128,8 +124,7 @@ class WorkloadLoop:
         self._init_loop(runtime.core, cfg, random.Random(cfg.seed))
 
     def _init_loop(
-        self, core: DeviceCore, settings: ServingConfig | DeviceSpec,
-        rng: random.Random,
+        self, core: DeviceCore, settings: DeviceSettings, rng: random.Random
     ) -> None:
         """Place the per-run state every loop steps on: *settings* size
         the admission queue and the degraded decode budget."""

@@ -20,12 +20,12 @@ def iphone_engine():
 
 
 def make_device(
-    engine, device_id: int = 0, seed: int = 0, adaptive=None, **spec_overrides
+    engine, device_id: int = 0, seed: int = 0, **spec_overrides
 ) -> FleetDevice:
     spec = DeviceSpec(
         device_id=device_id, platform=IPHONE_15_PRO, **spec_overrides
     )
-    return FleetDevice(spec, seed=seed, engine=engine, adaptive=adaptive)
+    return FleetDevice(spec, seed=seed, engine=engine)
 
 
 def make_request(

@@ -1,10 +1,13 @@
 """FleetDevice: the health state machine, the kill/revive crash cycle,
 and prefix residency — one device as an isolated failure domain."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.fleet.device import (
     DEVICE_STATES,
+    FLEET_DEVICE_SETTINGS,
     ROUTABLE_STATES,
     DeviceSpec,
     DeviceState,
@@ -13,6 +16,7 @@ from repro.fleet.device import (
 )
 from repro.kvcache.pool import KV_CRASH_SITES
 from repro.platforms.specs import IPHONE_15_PRO
+from repro.serving.device import DeviceSettings
 from repro.serving.runtime import RequestOutcome
 
 from tests.fleet.conftest import make_device, make_request
@@ -32,11 +36,48 @@ class TestSpecValidation:
 
     def test_rejects_nonpositive_kv_blocks(self):
         with pytest.raises(ValueError, match="kv_blocks"):
-            DeviceSpec(device_id=0, platform=IPHONE_15_PRO, kv_blocks=0)
+            DeviceSpec(
+                device_id=0, platform=IPHONE_15_PRO,
+                settings=DeviceSettings(kv_blocks=0),
+            )
 
     def test_name_embeds_identity(self):
         spec = DeviceSpec(device_id=3, platform=IPHONE_15_PRO)
         assert spec.name == "dev3/iphone-15-pro"
+
+    def test_queue_core_and_pool_read_spec_settings(self, iphone_engine):
+        settings = DeviceSettings(
+            queue_capacity=3, shed_policy="degrade", degrade_watermark=2,
+            degraded_decode_tokens=5, max_retries=1, base_backoff_ns=7.0,
+            jitter=0.5, pim_fault_rate=0.1, mapping_fault_rate=0.2,
+            soc_fault_rate=0.3, breaker_threshold=0.6,
+            breaker_min_observations=9, brownout_high_ns=4e9,
+            brownout_low_ns=2e9, kv_blocks=12, block_tokens=8,
+            prefix_sharing=False,
+        )
+        device = make_device(iphone_engine, settings=settings)
+        queue, core = device.queue, device.core
+        assert (queue.capacity, queue.policy, queue.degrade_watermark) == (
+            3, "degrade", 2
+        )
+        assert device.degraded_decode_tokens == 5
+        assert (core.max_retries, core.base_backoff_ns, core.jitter) == (1, 7.0, 0.5)
+        assert core.fault_rates == {"pim": 0.1, "mapping": 0.2, "soc": 0.3}
+        for breaker in core.breakers.values():
+            assert (breaker.fault_rate_threshold, breaker.min_observations) == (0.6, 9)
+        assert (core.brownout.high_watermark_ns, core.brownout.low_watermark_ns) == (
+            4e9, 2e9
+        )
+        assert (device.pool.num_blocks, device.pool.block_tokens) == (12, 8)
+        # no prefix sharing: a served conversation keeps no residency
+        device.offer(make_request(req_id=0, conversation_id=5), 0.0)
+        assert device.serve_next().served
+        assert device.resident_tokens(5) == 0 and device.pool.used == 0
+
+    def test_default_settings_keep_a_kv_pool(self):
+        spec = DeviceSpec(device_id=0, platform=IPHONE_15_PRO)
+        assert spec.settings is FLEET_DEVICE_SETTINGS
+        assert spec.settings == DeviceSettings(kv_blocks=64)
 
 
 class TestHealthMachine:
@@ -312,8 +353,10 @@ class TestDeterminism:
 
     def test_same_seed_same_service_times(self, iphone_engine):
         def run():
-            device = make_device(iphone_engine, seed=3,
-                                 pim_fault_rate=0.2)
+            device = make_device(
+                iphone_engine, seed=3,
+                settings=replace(FLEET_DEVICE_SETTINGS, pim_fault_rate=0.2),
+            )
             results = []
             for i in range(6):
                 device.offer(make_request(req_id=i, arrival_ns=device.clock),

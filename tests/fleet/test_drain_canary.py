@@ -1,7 +1,8 @@
-"""Drain-while-canary: an adaptive CANARY in flight on a device the
-autoscaler decides to DRAIN must roll back cleanly — pages byte-restored
-to the pre-canary MapID, AD003 audit clean, cooldown armed, and the
-aborted target *not* flap-damped (the canary was innocent).
+"""Drain-while-canary: an adaptive CANARY in flight that an
+administrative action (a device drain) aborts must roll back cleanly —
+pages byte-restored to the pre-canary MapID, AD003 audit clean, cooldown
+armed, and the aborted target *not* flap-damped (the canary was
+innocent).
 
 The property is checked over arbitrary drifting workloads (hypothesis
 picks the hot-shape blocks), because the dangerous part is the timing:
@@ -17,10 +18,8 @@ from repro.adaptive.controller import (
     AdaptiveConfig,
     AdaptiveController,
 )
-from repro.fleet.device import DeviceState
 
 from tests.adaptive.conftest import FakeArena, drive
-from tests.fleet.conftest import make_device
 
 _SETTINGS = dict(max_examples=25, deadline=None)
 
@@ -93,27 +92,3 @@ class TestDrainWhileCanary:
         assert ctrl.rollbacks == 0
         assert arena.migrations == []
 
-
-class TestDeviceDrainHook:
-    @given(ticks=st.integers(0, CANARY_WINDOW - 1))
-    @settings(**_SETTINGS)
-    def test_draining_device_aborts_its_canary(self, iphone_engine, ticks):
-        ctrl, arena = _controller()
-        before_pages = list(arena.page_k)
-        _drive_into_canary(ctrl, ticks)
-        device = make_device(iphone_engine, adaptive=ctrl)
-
-        device.drain(123.0)
-
-        assert device.state is DeviceState.DRAINING
-        assert ctrl.state == COOLDOWN
-        assert arena.page_k == before_pages
-        assert ctrl.findings == []
-        # the rollback event carries the administrative reason
-        assert ctrl.events[-1].kind == "rollback"
-        assert "draining" in ctrl.events[-1].reason
-
-    def test_drain_without_adaptive_is_fine(self, iphone_engine):
-        device = make_device(iphone_engine)
-        device.drain(1.0)
-        assert device.state is DeviceState.DRAINING

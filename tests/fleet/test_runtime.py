@@ -10,9 +10,8 @@ from repro.fleet.runtime import (
     FleetConfig,
     FleetRuntime,
     build_fleet,
-    fleet_workload,
 )
-from repro.fleet.workloads import DIURNAL
+from repro.fleet.workloads import DIURNAL, shaped_workload
 from repro.serving.workload import TenantSpec
 from repro.telemetry import Telemetry
 
@@ -26,7 +25,7 @@ def _tenant(qps=20.0, mean_turns=2.0):
 
 def _run(n_devices=3, seed=0, kills=(), duration_ms=1_000.0, **cfg):
     config = FleetConfig(n_devices=n_devices, seed=seed, **cfg)
-    requests = fleet_workload([_tenant()], duration_ms, shape=DIURNAL,
+    requests = shaped_workload([_tenant()], duration_ms, shape=DIURNAL,
                               seed=seed)
     return FleetRuntime(config).run(requests, kills=kills), requests
 
@@ -84,7 +83,7 @@ class TestConservation:
     def test_duplicate_req_id_is_an_input_error(self):
         """A duplicated id is refused up front, not reported as a
         request that was lost or counted twice."""
-        requests = fleet_workload([_tenant()], 500.0, shape=DIURNAL, seed=0)
+        requests = shaped_workload([_tenant()], 500.0, shape=DIURNAL, seed=0)
         requests.append(requests[0])
         with pytest.raises(ValueError, match=f"req_id {requests[0].req_id}"):
             FleetRuntime(FleetConfig(n_devices=2, seed=0)).run(requests)
@@ -105,7 +104,7 @@ class TestKillScheduleValidation:
     request is served."""
 
     def _runtime_and_requests(self):
-        requests = fleet_workload([_tenant()], 500.0, shape=DIURNAL, seed=0)
+        requests = shaped_workload([_tenant()], 500.0, shape=DIURNAL, seed=0)
         return FleetRuntime(FleetConfig(n_devices=2, seed=0)), requests
 
     def test_kill_on_a_device_outside_the_fleet(self):
@@ -129,14 +128,18 @@ class TestHealthQuarantine:
         so the health window keeps filling."""
         from repro.fleet.device import DeviceSpec, FleetDevice
         from repro.platforms.specs import ALL_PLATFORMS
+        from repro.serving.device import DeviceSettings
 
         return [
             FleetDevice(
                 DeviceSpec(
                     device_id=i,
                     platform=ALL_PLATFORMS[i % len(ALL_PLATFORMS)],
-                    pim_fault_rate=pim_fault_rate,
-                    breaker_min_observations=10_000,
+                    settings=DeviceSettings(
+                        pim_fault_rate=pim_fault_rate,
+                        breaker_min_observations=10_000,
+                        kv_blocks=64,
+                    ),
                 ),
                 seed=seed,
             )
@@ -150,7 +153,7 @@ class TestHealthQuarantine:
         timed revive returns the device to rotation."""
         config = FleetConfig(n_devices=2, seed=0, recovery_ms=20.0,
                              pim_fault_rate=0.75)
-        requests = fleet_workload([_tenant(qps=40.0)], 1_000.0,
+        requests = shaped_workload([_tenant(qps=40.0)], 1_000.0,
                                   shape=DIURNAL, seed=0)
         runtime = FleetRuntime(config, devices=self._faulty_fleet())
         report = runtime.run(requests)
@@ -198,7 +201,7 @@ class TestFailover:
         would revive the spare into ACTIVE, recruiting standby capacity
         behind the autoscaler's back."""
         config = FleetConfig(n_devices=3, standby_devices=1, seed=0)
-        requests = fleet_workload([_tenant()], 500.0, shape=DIURNAL,
+        requests = shaped_workload([_tenant()], 500.0, shape=DIURNAL,
                                   seed=0)
         # device 2 is the parked spare; schedule its loss mid-run
         report = FleetRuntime(config).run(requests, kills=[(5e6, 2)])
@@ -225,7 +228,7 @@ class TestDeterminism:
         kills = _kill_schedule(3, devices=3)
         plain, _ = _run(kills=kills)
         config = FleetConfig(n_devices=3, seed=0)
-        requests = fleet_workload([_tenant()], 1_000.0, shape=DIURNAL,
+        requests = shaped_workload([_tenant()], 1_000.0, shape=DIURNAL,
                                   seed=0)
         telemetry = Telemetry()
         traced = FleetRuntime(config, telemetry=telemetry).run(
@@ -268,7 +271,7 @@ class TestAutoscale:
             autoscale_high_backlog_ns=5e7, autoscale_low_backlog_ns=1e6,
             autoscale_interval_ms=20.0, autoscale_patience=2,
         )
-        requests = fleet_workload(
+        requests = shaped_workload(
             [_tenant(qps=80.0)], 2_000.0, seed=0
         )
         report = FleetRuntime(config).run(requests)
@@ -319,7 +322,7 @@ class TestAttributeBudget:
             autoscale_interval_ms=20.0,
         )
         runtime = FleetRuntime(config)
-        requests = fleet_workload([_tenant(qps=80.0)], 1_000.0, seed=0)
+        requests = shaped_workload([_tenant(qps=80.0)], 1_000.0, seed=0)
         report = runtime.run(requests, kills=_kill_schedule(4, devices=2))
         assert report.kills and report.revives
         assert report.autoscaler is not None and report.autoscaler["scale_ups"]

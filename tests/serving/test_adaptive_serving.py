@@ -10,6 +10,7 @@ inside the serving loop).
 
 import pytest
 
+from repro.adaptive import AdaptiveConfig
 from repro.serving.runtime import ServingConfig, ServingRuntime
 
 from tests.serving.conftest import make_request
@@ -35,19 +36,18 @@ def reports(iphone_engine):
     requests = drifting_requests()
 
     def run(mode, **kw):
-        config = ServingConfig(
-            adaptive=mode, seed=7, adaptive_window=16,
-            adaptive_canary_window=8, adaptive_cooldown=16, **kw
+        adaptive = AdaptiveConfig(
+            mode=mode, window_requests=16, canary_window=8,
+            cooldown_requests=16, **kw
         )
+        config = ServingConfig(adaptive=adaptive, seed=7)
         return ServingRuntime(iphone_engine, config).run(requests)
 
     return {
         "off": ServingRuntime(iphone_engine, ServingConfig(seed=7)).run(requests),
         "static": run("static"),
         "active": run("active"),
-        "pinned": run(
-            "active", adaptive_pinned_map_id=0, adaptive_slo_margin=0.02
-        ),
+        "pinned": run("active", pinned_map_id=0, slo_margin=0.02),
     }
 
 
@@ -99,7 +99,7 @@ class TestNoRegret:
         requests = drifting_requests(n=60)[:20]  # short-prefill slice
         off = ServingRuntime(iphone_engine, ServingConfig(seed=3)).run(requests)
         active = ServingRuntime(
-            iphone_engine, ServingConfig(seed=3, adaptive="active")
+            iphone_engine, ServingConfig(seed=3, adaptive=AdaptiveConfig())
         ).run(requests)
         assert active.adaptive["migrations_started"] == 0
         d_off, d_active = off.to_dict(), active.to_dict()
@@ -111,7 +111,7 @@ class TestNoRegret:
 class TestConfigGuards:
     def test_adaptive_requires_legacy_scheduler(self):
         with pytest.raises(ValueError, match="whole-request loop"):
-            ServingConfig(adaptive="active", kv_blocks=64)
+            ServingConfig(adaptive=AdaptiveConfig(), kv_blocks=64)
 
     def test_unknown_adaptive_mode_rejected(self):
         with pytest.raises(ValueError, match="adaptive"):

@@ -40,9 +40,8 @@ from repro.fleet.runtime import (
     FleetConfig,
     FleetReport,
     FleetRuntime,
-    fleet_workload,
 )
-from repro.fleet.workloads import DIURNAL
+from repro.fleet.workloads import DIURNAL, shaped_workload
 from repro.serving.runtime import DROPPED, ServingReport, ServingRuntime
 from repro.serving.workload import TenantSpec
 
@@ -106,7 +105,7 @@ def _fleet_drop_oldest_kills() -> FleetReport:
     config = FleetConfig(
         n_devices=2, seed=0, queue_capacity=4, shed_policy="drop-oldest",
     )
-    requests = fleet_workload([_fleet_tenant(40.0)], 1_000.0, shape=DIURNAL, seed=0)
+    requests = shaped_workload([_fleet_tenant(40.0)], 1_000.0, shape=DIURNAL, seed=0)
     rng = random.Random(65537)
     kills, t = [], 80e6
     for index in range(6):
@@ -124,6 +123,7 @@ def _fleet_health_quarantine() -> FleetReport:
     shed, and the timed revive returns the device to rotation."""
     from repro.fleet.device import DeviceSpec, FleetDevice
     from repro.platforms.specs import ALL_PLATFORMS
+    from repro.serving.device import DeviceSettings
 
     config = FleetConfig(
         n_devices=2, seed=0, recovery_ms=20.0, pim_fault_rate=0.75,
@@ -132,13 +132,16 @@ def _fleet_health_quarantine() -> FleetReport:
         FleetDevice(
             DeviceSpec(
                 device_id=i, platform=ALL_PLATFORMS[i],
-                pim_fault_rate=0.75, breaker_min_observations=10_000,
+                settings=DeviceSettings(
+                    pim_fault_rate=0.75, breaker_min_observations=10_000,
+                    kv_blocks=64,
+                ),
             ),
             seed=0,
         )
         for i in range(2)
     ]
-    requests = fleet_workload([_fleet_tenant(80.0)], 1_000.0, shape=DIURNAL, seed=0)
+    requests = shaped_workload([_fleet_tenant(80.0)], 1_000.0, shape=DIURNAL, seed=0)
     return FleetRuntime(config, devices=devices).run(requests)
 
 

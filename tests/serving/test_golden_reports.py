@@ -60,6 +60,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Set, Tuple
 
 import pytest
 
+from repro.adaptive import AdaptiveConfig
 from repro.analysis.replay import BarrierRecorder
 from repro.engine.policies import InferenceEngine
 from repro.llm.datasets import CHAT_TO_LONG_CONTEXT_DRIFT
@@ -119,19 +120,17 @@ def _chat_requests():
 def _chat_config(shed: str, faults: Dict, mode: str) -> ServingConfig:
     knobs: Dict = dict(
         seed=11, queue_capacity=4, shed_policy=shed,
-        brownout_high_ns=2e9, brownout_low_ns=0.5e9,
-        adaptive_window=16, adaptive_canary_window=8, adaptive_cooldown=16,
-        **faults,
+        brownout_high_ns=2e9, brownout_low_ns=0.5e9, **faults,
     )
     if shed == "degrade":
         knobs["degrade_watermark"] = 2
+    tuning: Dict = dict(window_requests=16, canary_window=8, cooldown_requests=16)
     if mode == "active-pinned":
-        knobs.update(
-            adaptive="active", adaptive_pinned_map_id=0,
-            adaptive_slo_margin=0.02,
+        knobs["adaptive"] = AdaptiveConfig(
+            mode="active", pinned_map_id=0, slo_margin=0.02, **tuning
         )
-    else:
-        knobs["adaptive"] = mode
+    elif mode != "off":
+        knobs["adaptive"] = AdaptiveConfig(mode=mode, **tuning)
     return ServingConfig(**knobs)
 
 
@@ -203,14 +202,14 @@ def _workload_run(name: str, faulted: bool) -> ServingReport:
 
 
 def _fleet_run(kill_k: bool) -> FleetReport:
-    from repro.fleet.runtime import FleetConfig, FleetRuntime, fleet_workload
-    from repro.fleet.workloads import DIURNAL
+    from repro.fleet.runtime import FleetConfig, FleetRuntime
+    from repro.fleet.workloads import DIURNAL, shaped_workload
 
     tenant = TenantSpec(
         name="chat", policy="facil", qps=40.0, deadline_ms=2_000.0,
         mean_turns=2.0,
     )
-    requests = fleet_workload([tenant], 4_000.0, shape=DIURNAL, seed=0)
+    requests = shaped_workload([tenant], 4_000.0, shape=DIURNAL, seed=0)
     if not kill_k:
         return FleetRuntime(FleetConfig(n_devices=4, seed=0)).run(requests)
     config = FleetConfig(
@@ -240,14 +239,14 @@ def _fleet_autoscale_run() -> FleetReport:
     """Every autoscaler action on one run: a drain that parks its device
     in STANDBY on the same tick, two scale-ups, and ``hold-unhealthy``
     while three of the four devices are quarantined."""
-    from repro.fleet.runtime import FleetConfig, FleetRuntime, fleet_workload
-    from repro.fleet.workloads import DIURNAL
+    from repro.fleet.runtime import FleetConfig, FleetRuntime
+    from repro.fleet.workloads import DIURNAL, shaped_workload
 
     tenant = TenantSpec(
         name="chat", policy="facil", qps=40.0, deadline_ms=2_000.0,
         mean_turns=2.0,
     )
-    requests = fleet_workload([tenant], 4_000.0, shape=DIURNAL, seed=0)
+    requests = shaped_workload([tenant], 4_000.0, shape=DIURNAL, seed=0)
     config = FleetConfig(
         n_devices=4, standby_devices=1, seed=0, autoscale=True,
         recovery_ms=600.0,

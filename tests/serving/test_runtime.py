@@ -1,7 +1,11 @@
 """Serving runtime: determinism, deadlines, shedding, faults, fallbacks."""
 
+from dataclasses import fields
+
 import pytest
 
+from repro.fleet.device import DeviceSpec
+from repro.serving.device import DeviceSettings
 from repro.serving.runtime import (
     RequestOutcome,
     ServingConfig,
@@ -31,6 +35,43 @@ class TestConfigValidation:
     def test_rejects_negative_retries(self):
         with pytest.raises(ValueError, match="max_retries"):
             ServingConfig(max_retries=-1)
+
+    @pytest.mark.parametrize("record", (DeviceSettings, ServingConfig))
+    @pytest.mark.parametrize("field, value, words", (
+        ("degraded_decode_tokens", 0, "degraded_decode_tokens must be positive"),
+        ("kv_blocks", -1, "kv_blocks must be >= 0"),
+        ("block_tokens", 0, "block_tokens must be positive"),
+    ))
+    def test_device_settings_checks(self, record, field, value, words):
+        with pytest.raises(ValueError, match=words):
+            record(**{field: value})
+
+
+class TestOneSettingsRecord:
+    """A device's settings are declared once, on DeviceSettings: a
+    ServingConfig is one, and a fleet DeviceSpec holds one."""
+
+    def test_each_setting_is_declared_once(self):
+        settings = {f.name for f in fields(DeviceSettings)}
+        assert len(settings) == 17
+        assert issubclass(ServingConfig, DeviceSettings)
+        serving = {f.name for f in fields(ServingConfig)}
+        assert serving - settings == {"seed", "adaptive"}
+        spec = {f.name for f in fields(DeviceSpec)}
+        assert not spec & settings
+        assert spec == {
+            "device_id", "platform", "settings", "degrade_fault_rate",
+            "quarantine_fault_rate", "health_min_observations",
+        }
+        assert len(settings) + len(serving - settings) + len(spec) == 25
+
+    def test_runtime_passes_the_adaptive_record_through(self, iphone_engine):
+        from repro.adaptive import AdaptiveConfig
+
+        adaptive = AdaptiveConfig(mode="static", window_requests=7, pinned_map_id=2)
+        runtime = ServingRuntime(iphone_engine, ServingConfig(adaptive=adaptive))
+        assert runtime.adaptive.config is adaptive
+        assert ServingRuntime(iphone_engine, ServingConfig()).adaptive is None
 
 
 class TestConservation:

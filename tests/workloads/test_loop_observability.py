@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from repro.adaptive import AdaptiveConfig
 from repro.analysis.replay import replay_diff, state_hash
 from repro.serving.runtime import ServingRuntime
 from repro.telemetry import Telemetry
@@ -100,7 +101,7 @@ class TestUnsupportedCombinations:
     def test_adaptive_with_a_workload_is_rejected(self, engine):
         with pytest.raises(ValueError, match="ServingConfig.adaptive"):
             ServingRuntime(
-                engine, make_config(adaptive="static"), workload=_spec("moe")
+                engine, make_config(adaptive=AdaptiveConfig(mode="static")), workload=_spec("moe")
             )
 
     def test_kv_blocks_with_a_workload_is_rejected(self, engine):
