@@ -293,6 +293,18 @@ class FleetRuntime:
         else:
             device.offer(request, now_ns)
 
+    def _fail_over(
+        self,
+        refugees: List[Request],
+        now_ns: float,
+        unroutable: List[RequestOutcome],
+        failovers: Dict[int, int],
+    ) -> None:
+        """Re-admit *refugees* on the survivors, one failover each."""
+        for refugee in refugees:
+            failovers[refugee.req_id] = failovers.get(refugee.req_id, 0) + 1
+            self._admit(refugee, now_ns, unroutable, failover=True)
+
     def _fail_over_device(
         self,
         device: FleetDevice,
@@ -307,9 +319,7 @@ class FleetRuntime:
         refugees.extend(device.queue.drain(now_ns))
         device.degraded.clear()
         self.router.on_device_lost(device.spec.device_id, now_ns)
-        for refugee in refugees:
-            failovers[refugee.req_id] = failovers.get(refugee.req_id, 0) + 1
-            self._admit(refugee, now_ns, unroutable, failover=True)
+        self._fail_over(refugees, now_ns, unroutable, failovers)
 
     # -- the loop --------------------------------------------------------------
 
@@ -402,12 +412,14 @@ class FleetRuntime:
                 t, device_id = kill_schedule[kill_idx]
                 kill_idx += 1
                 device = self.by_id[device_id]
-                if device.state is DeviceState.QUARANTINED:
-                    continue  # already down; the campaign retargets, not us
-                if device.state in (DeviceState.STANDBY, DeviceState.DRAINING):
-                    # parked out of rotation: killing it would revive it
-                    # into ACTIVE, pulling standby capacity into rotation
-                    # behind the autoscaler's back
+                if not device.routable:
+                    # skipped: a quarantined device is already down (the
+                    # campaign retargets, not us), and killing a parked one
+                    # would revive it into ACTIVE behind the autoscaler's
+                    # back; what it preempted for this kill still fails over
+                    self._fail_over(
+                        carried.pop(device_id, []), t, unroutable, failovers
+                    )
                     continue
                 device.kill(t, kill_index=kills_applied)
                 kills_applied += 1
@@ -461,9 +473,9 @@ class FleetRuntime:
                 )
                 revives.sort()
 
-        # conservation backstop: a carried request whose kill event never
-        # landed (cannot happen with a well-formed schedule) is still
-        # accounted, never silently lost
+        # conservation guard: every kill event, applied or skipped, fails
+        # over the requests preempted for it, so none should be left;
+        # any that is gets accounted, never silently lost
         for device_id in sorted(carried):
             for refugee in carried[device_id]:
                 failovers[refugee.req_id] = failovers.get(refugee.req_id, 0) + 1

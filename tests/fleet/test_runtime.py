@@ -6,12 +6,14 @@ import random
 import pytest
 
 from repro.fleet.runtime import (
+    SHED_UNROUTABLE,
     TERMINAL_STATUSES,
     FleetConfig,
     FleetRuntime,
     build_fleet,
 )
-from repro.fleet.workloads import DIURNAL, shaped_workload
+from repro.fleet.workloads import BURSTY_OVERLOAD, DIURNAL, shaped_workload
+from repro.llm.datasets import ALPACA_LIKE
 from repro.serving.workload import TenantSpec
 from repro.telemetry import Telemetry
 
@@ -210,6 +212,36 @@ class TestFailover:
         spare = [d for d in report.devices if d["device_id"] == 2][0]
         assert spare["state"] == "standby"
         assert report.none_lost
+
+    def test_requests_preempted_for_a_skipped_kill_fail_over(self):
+        """dev2 pops the requests whose service would start after its
+        kill at 2,902 ms and parks them for that kill, then drains into
+        STANDBY at 2,780 ms, so the kill is skipped.  The parked
+        requests still fail over at the kill's time; before, they waited
+        for the end of the run and were shed there as unroutable."""
+        config = FleetConfig(
+            n_devices=4, standby_devices=1, seed=12, autoscale=True,
+            autoscale_interval_ms=20.0, autoscale_low_backlog_ns=5e8,
+            recovery_ms=50.0,
+        )
+        tenant = TenantSpec(
+            name="chat", dataset=ALPACA_LIKE, policy="facil", qps=20.0,
+            deadline_ms=1_000.0, mean_turns=3,
+        )
+        requests = shaped_workload(
+            [tenant], 3_000.0, shape=BURSTY_OVERLOAD, seed=12
+        )
+        rng = random.Random(12)
+        kills = sorted((rng.uniform(0, 3e9), rng.randrange(4)) for _ in range(40))
+        report = FleetRuntime(config).run(requests, kills=kills)
+        assert report.none_lost
+        # only the end-of-run guard sheds a request on a device's behalf
+        stranded = [
+            o for o in report.outcomes
+            if o.status == SHED_UNROUTABLE and o.device_id >= 0
+        ]
+        assert stranded == []
+        assert (report.served, report.shed) == (29, 4)  # 25 and 13 stranded
 
 
 class TestDeterminism:
