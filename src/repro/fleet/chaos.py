@@ -10,7 +10,9 @@ under multi-turn traffic, with the full audit battery after every loss:
   outcome — served on some device, or accounted as shed during failover
   — **none silently lost**;
 * every declared KV crash site must actually fire (the fleet-level
-  extension of the crash-site completeness oracle).
+  extension of the crash-site completeness oracle);
+* at least one request must fail over, or the other oracles checked
+  nothing: a campaign too short to offer traffic fails.
 
 Determinism discipline: the kill schedule rides its **own** RNG stream
 (``random.Random(spec.seed * 9973 + 65537)``), disjoint from the
@@ -218,5 +220,10 @@ def run_fleet_chaos(spec: FleetChaosSpec) -> FleetChaosReport:
     if unfired:
         report.failures.append(
             f"KV crash site(s) never fired: {', '.join(unfired)}"
+        )
+    if not report.failover_requests:
+        report.failures.append(
+            f"no request failed over ({report.offered} offered): the "
+            f"campaign's oracles checked nothing across a device loss"
         )
     return report

@@ -126,6 +126,20 @@ class TestSmallCampaign:
         assert d["ok"] is True and d["kills_applied"] == 24
 
 
+class TestVacuousCampaign:
+    @pytest.mark.parametrize("seed, offered", ((0, 0), (5, 7)))
+    def test_campaign_without_a_failover_fails(self, seed, offered):
+        """Four kills over an 80 ms horizon: no traffic at seed 0, and
+        at seed 5 none of it on a device when it is lost."""
+        report = run_fleet_chaos(FleetChaosSpec(kills=4, seed=seed))
+        assert report.offered == offered and report.failover_requests == 0
+        assert not report.ok
+        assert report.failures == [
+            f"no request failed over ({offered} offered): the campaign's "
+            f"oracles checked nothing across a device loss"
+        ]
+
+
 @pytest.mark.chaos
 class TestAcceptanceCampaign:
     def test_300_kills_zero_findings(self):

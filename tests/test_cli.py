@@ -535,6 +535,20 @@ class TestFleetCommand:
         assert flag in message and "--campaign" in message
         assert not (tmp_path / "c.json").exists()
 
+    def test_fleet_campaign_without_a_failover_fails(self, tmp_path):
+        out = tmp_path / "c.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "fleet", "--campaign", "--kills", "4", "--seed", "0",
+                "--out", str(out),
+            ])
+        message = excinfo.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert "no request failed over" in message and "checked nothing" in message
+        import json
+
+        assert json.loads(out.read_text())["ok"] is False
+
     def test_fleet_standby_must_leave_a_device_in_rotation(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["fleet", "--devices", "2", "--standby", "2"])
