@@ -553,13 +553,20 @@ def _cmd_fleet(args: argparse.Namespace) -> None:
         recovery_ms = 10.0 if args.campaign else 50.0
     if args.campaign:
         # the campaign fleet has no standby members, autoscaler, fault
-        # rates or telemetry lanes: refuse what it would silently ignore
+        # rates or telemetry lanes, and fixes its traffic and KV pool:
+        # refuse what it would silently ignore
         ignored = {
             "--standby": args.standby > 0,
             "--autoscale": args.autoscale,
             "--pim-fault-rate": args.pim_fault_rate > 0.0,
             "--mapping-fault-rate": args.mapping_fault_rate > 0.0,
             "--metrics-out": args.metrics_out is not None,
+            "--policy": args.policy is not None,
+            "--shape": args.shape is not None,
+            "--dataset": args.dataset is not None,
+            "--duration-ms": args.duration_ms is not None,
+            "--kv-blocks": args.kv_blocks is not None,
+            "--block-tokens": args.block_tokens is not None,
         }
         for flag, given in ignored.items():
             if given:
@@ -615,8 +622,10 @@ def _cmd_fleet(args: argparse.Namespace) -> None:
         "diurnal": DIURNAL,
         "bursty": BURSTY_OVERLOAD,
     }
-    shape = shapes[args.shape]
-    spec = _DATASETS.get(args.dataset)
+    # the six flags a campaign refuses take no default on the command
+    # line, so that giving one at its plain-run value is still refused
+    shape = shapes[args.shape if args.shape is not None else "diurnal"]
+    spec = _DATASETS.get(args.dataset if args.dataset is not None else ALPACA_LIKE.name)
     if spec is None:
         raise SystemExit(
             f"unknown dataset {args.dataset!r}; known: {sorted(_DATASETS)}"
@@ -629,19 +638,19 @@ def _cmd_fleet(args: argparse.Namespace) -> None:
         shed_policy=args.shed,
         pim_fault_rate=args.pim_fault_rate,
         mapping_fault_rate=args.mapping_fault_rate,
-        kv_blocks=args.kv_blocks,
-        block_tokens=args.block_tokens,
+        kv_blocks=args.kv_blocks if args.kv_blocks is not None else 64,
+        block_tokens=args.block_tokens if args.block_tokens is not None else 16,
         recovery_ms=recovery_ms,
         autoscale=args.autoscale,
     )
     tenant = TenantSpec(
-        name=spec.name, dataset=spec, policy=args.policy,
+        name=spec.name, dataset=spec,
+        policy=args.policy if args.policy is not None else "facil",
         qps=args.qps if args.qps is not None else 100.0,
         deadline_ms=args.deadline_ms, mean_turns=args.mean_turns,
     )
-    requests = shaped_workload(
-        [tenant], args.duration_ms, shape=shape, seed=args.seed
-    )
+    duration_ms = args.duration_ms if args.duration_ms is not None else 5_000.0
+    requests = shaped_workload([tenant], duration_ms, shape=shape, seed=args.seed)
     kills = []
     if args.kills:
         # Round-robin jittered schedule on the chaos RNG stream.  Unlike
@@ -999,7 +1008,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="tail of the catalog parked for autoscale-up")
     fleet.add_argument("--campaign", action="store_true",
                        help="run the kill-K chaos campaign (audit oracles) "
-                       "instead of a workload-shaped fleet run")
+                       "instead of a workload-shaped fleet run; it fixes its "
+                       "traffic and KV pool")
     fleet.add_argument("--kills", type=_nonneg_int, default=0,
                        help="seeded device losses to schedule "
                        "(--campaign default: 300)")
@@ -1008,13 +1018,15 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--recovery-ms", type=_positive_float, default=None,
                        help="quarantine dwell before the timed revive "
                        "(default 50; campaign 10)")
-    fleet.add_argument("--dataset", default=ALPACA_LIKE.name,
-                       help=f"one of {sorted(_DATASETS)}")
-    fleet.add_argument("--policy", choices=POLICIES, default="facil")
+    fleet.add_argument("--dataset", default=None,
+                       help=f"one of {sorted(_DATASETS)} (default alpaca-like)")
+    fleet.add_argument("--policy", choices=POLICIES, default=None,
+                       help="default facil")
     fleet.add_argument("--shape", choices=("steady", "diurnal", "bursty"),
-                       default="diurnal",
-                       help="arrival-rate shape over the horizon")
-    fleet.add_argument("--duration-ms", type=_positive_float, default=5_000.0)
+                       default=None,
+                       help="arrival-rate shape over the horizon (default diurnal)")
+    fleet.add_argument("--duration-ms", type=_positive_float, default=None,
+                       help="default 5000")
     fleet.add_argument("--qps", type=_positive_float, default=None,
                        help="peak arrival rate (default 100; campaign 200)")
     fleet.add_argument("--deadline-ms", type=_positive_float, default=400.0,
@@ -1031,10 +1043,10 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--mapping-fault-rate", type=_half_open_unit_interval,
                        default=0.0,
                        help="P(transient fault) per flexible-mapping prefill")
-    fleet.add_argument("--kv-blocks", type=_positive_int, default=64,
-                       help="per-device KV block pool size")
-    fleet.add_argument("--block-tokens", type=_positive_int, default=16,
-                       help="tokens per KV block")
+    fleet.add_argument("--kv-blocks", type=_positive_int, default=None,
+                       help="per-device KV block pool size (default 64)")
+    fleet.add_argument("--block-tokens", type=_positive_int, default=None,
+                       help="tokens per KV block (default 16)")
     fleet.add_argument("--autoscale", action="store_true",
                        help="enable the health-gated autoscaler (needs "
                        "--standby > 0 to have headroom)")

@@ -521,6 +521,13 @@ class TestFleetCommand:
         (["--pim-fault-rate", "0.1"], "--pim-fault-rate"),
         (["--mapping-fault-rate", "0.1"], "--mapping-fault-rate"),
         (["--metrics-out", "m.json"], "--metrics-out"),
+        # given at their plain-run defaults: still refused
+        (["--policy", "facil"], "--policy"),
+        (["--shape", "diurnal"], "--shape"),
+        (["--dataset", "alpaca-like"], "--dataset"),
+        (["--duration-ms", "5000"], "--duration-ms"),
+        (["--kv-blocks", "64"], "--kv-blocks"),
+        (["--block-tokens", "16"], "--block-tokens"),
     ))
     def test_fleet_campaign_refuses_flags_it_would_ignore(
         self, tmp_path, argv, flag
