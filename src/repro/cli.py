@@ -225,6 +225,7 @@ def _cmd_chaos(args: argparse.Namespace) -> None:
         print(f"metrics written to {args.metrics_out} "
               f"({len(report.metrics)} families)")
     payload = {"campaign": report.to_dict()}
+    crash = None
     if (
         args.crash_injections
         or args.kv_crash_injections
@@ -249,19 +250,14 @@ def _cmd_chaos(args: argparse.Namespace) -> None:
         raise SystemExit(f"{report.silent} silent corruption(s) escaped")
     if report.aborted:
         raise SystemExit(f"{report.aborted} query(ies) went unserved")
-    if "crash" in payload:
-        # Exit nonzero on ANY post-recovery audit finding — a campaign
-        # whose aggregate counters look clean can still carry individual
-        # failures (e.g. an armed crash that never fired), and silence
-        # here would let a broken sweep pass CI.
-        crash_failures = payload["crash"]["failures"]
-        if not payload["crash"]["ok"]:
-            raise SystemExit("crash-recovery campaign failed its audit")
-        if crash_failures:
-            raise SystemExit(
-                f"crash-recovery campaign logged {len(crash_failures)} "
-                f"finding(s): {crash_failures[0]}"
-            )
+    if crash is not None and not crash.ok:
+        # ok fails on ANY post-recovery audit finding, including one the
+        # aggregate counters miss (e.g. an armed crash that never fired)
+        first = f"; first: {crash.failures[0]}" if crash.failures else ""
+        raise SystemExit(
+            f"crash-recovery campaign failed its audit with "
+            f"{len(crash.failures)} finding(s){first}"
+        )
 
 
 def _build_workload_spec(args: argparse.Namespace):

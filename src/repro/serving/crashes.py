@@ -100,8 +100,11 @@ class CrashReport:
 
     @property
     def ok(self) -> bool:
+        """Every audit passed, every sweep ended clean, and no injection
+        logged a failure (an armed crash that never fired is one)."""
         return (
-            self.verifier_findings == 0
+            not self.failures
+            and self.verifier_findings == 0
             and self.refcount_mismatches == 0
             and self.area_mismatches == 0
             and self.crc_mismatches == 0

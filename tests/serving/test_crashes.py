@@ -5,9 +5,12 @@ acceptance-scale campaign — 500 injections, the ISSUE criterion — is
 ``chaos``-marked and runs in the nightly job.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.journal import CRASH_SITES, MIGRATE_CRASH_SITES
+from repro.dram.config import TINY_ORG
 from repro.kvcache import KV_CRASH_SITES
 from repro.serving.crashes import run_crash_campaign
 
@@ -48,6 +51,24 @@ class TestSmallCampaign:
     def test_rejects_nonpositive_injections(self):
         with pytest.raises(ValueError, match="positive"):
             run_crash_campaign(n_injections=0)
+
+    def test_a_crash_that_never_fired_fails_the_campaign(self):
+        """On one channel, toggling the PU order yields the same mapping,
+        so a phase switch returns before its first checkpoint and no
+        switch crash fires.  Every audit counter stays clean; the logged
+        failures alone must fail the campaign."""
+        org = replace(TINY_ORG, n_channels=1)
+        report = run_crash_campaign(n_injections=10, seed=0, org=org)
+        assert report.n_injections == 5
+        assert report.failures == [
+            f"injection {i} site {site}: armed crash never fired"
+            for i, site in enumerate(CRASH_SITES[5:10], start=5)
+        ]
+        assert report.verifier_findings == report.refcount_mismatches == 0
+        assert report.final_clean
+        assert not report.ok
+        assert report.to_dict()["ok"] is False
+        assert "verdict         : FAIL" in report.render()
 
 
 class TestKvCampaign:
