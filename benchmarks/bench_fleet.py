@@ -15,7 +15,6 @@ other baseline.
 """
 
 import os
-import random
 
 from repro.fleet import (
     BURSTY_OVERLOAD,
@@ -25,6 +24,7 @@ from repro.fleet import (
     run_fleet_chaos,
     shaped_workload,
 )
+from repro.fleet.chaos import kill_schedule
 from repro.kvcache.pool import KV_CRASH_SITES
 from repro.llm.datasets import ALPACA_LIKE
 from repro.serving.workload import TenantSpec
@@ -57,16 +57,7 @@ def _overload_run(kills):
     requests = shaped_workload(
         [tenant], DURATION_MS, shape=BURSTY_OVERLOAD, seed=SEED
     )
-    schedule = []
-    if kills:
-        rng = random.Random(SEED * 9973 + 65537)
-        gap_ns = KILL_GAP_MS * 1e6
-        t = gap_ns
-        for index in range(kills):
-            t += gap_ns * (rng.random() - 0.5)
-            schedule.append((t, index % DEVICES))
-            t += gap_ns
-        schedule.sort()
+    schedule, _ = kill_schedule(DEVICES, kills, KILL_GAP_MS, SEED)
     return FleetRuntime(config).run(requests, kills=schedule)
 
 

@@ -35,7 +35,6 @@ from repro.engine.metrics import geomean
 from repro.engine.policies import POLICIES, InferenceEngine
 from repro.engine.runner import dataset_eval, ttft_speedup_sweep
 from repro.llm.datasets import ALPACA_LIKE, HUMANEVAL_AUTOCOMPLETE_LIKE
-from repro.llm.model_config import model_by_name
 from repro.platforms.specs import ALL_PLATFORMS, PlatformSpec
 
 _DATASETS = {
@@ -528,9 +527,8 @@ def _cmd_trace(args: argparse.Namespace) -> None:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> None:
-    # Lazy import: the fleet layer pulls in serving + kvcache + adaptive.
+    # Lazy import: the fleet layer pulls in serving + kvcache.
     import json
-    import random as _random
 
     from repro.fleet import (
         BURSTY_OVERLOAD,
@@ -542,6 +540,7 @@ def _cmd_fleet(args: argparse.Namespace) -> None:
         run_fleet_chaos,
         shaped_workload,
     )
+    from repro.fleet.chaos import kill_schedule
     from repro.serving.workload import TenantSpec
 
     recovery_ms = args.recovery_ms
@@ -647,21 +646,12 @@ def _cmd_fleet(args: argparse.Namespace) -> None:
     )
     duration_ms = args.duration_ms if args.duration_ms is not None else 5_000.0
     requests = shaped_workload([tenant], duration_ms, shape=shape, seed=args.seed)
-    kills = []
-    if args.kills:
-        # Round-robin jittered schedule on the chaos RNG stream.  Unlike
-        # the campaign there is no kill-count oracle here, so a kill that
-        # lands on a still-quarantined device — or on a STANDBY/DRAINING
-        # member parked out of rotation (--standby/--autoscale) — is
-        # simply skipped by the runtime instead of retargeted.
-        kill_rng = _random.Random(args.seed * 9973 + 65537)
-        gap_ns = args.kill_gap_ms * 1e6
-        t = gap_ns
-        for index in range(args.kills):
-            t += gap_ns * (kill_rng.random() - 0.5)
-            kills.append((t, index % args.devices))
-            t += gap_ns
-        kills.sort()
+    # The campaign's schedule, without its recovery dwell: there is no
+    # kill-count oracle here, so a kill that lands on a still-quarantined
+    # device — or on a STANDBY/DRAINING member parked out of rotation
+    # (--standby/--autoscale) — is simply skipped by the runtime instead
+    # of retargeted.
+    kills, _ = kill_schedule(args.devices, args.kills, args.kill_gap_ms, args.seed)
     telemetry = None
     if args.metrics_out:
         from repro.telemetry import Telemetry

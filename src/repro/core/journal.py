@@ -16,7 +16,7 @@ huge pages translate through the new mapping and some through the old
 * each completed step appends a redo/undo record (:meth:`step`);
 * :meth:`checkpoint` marks the crash-injection sites between steps — a
   :class:`~repro.reliability.faults.FaultInjector` armed with
-  ``schedule_crash(site)`` raises :class:`InjectedCrash` there;
+  ``crash_during(site, op)`` raises :class:`InjectedCrash` there;
 * :func:`recover` replays uncommitted transactions after a crash:
   allocations roll **back** (undo), frees and phase switches roll
   **forward** (redo), so post-recovery state is always the state of some

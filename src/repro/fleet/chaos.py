@@ -14,12 +14,13 @@ under multi-turn traffic, with the full audit battery after every loss:
 * at least one request must fail over, or the other oracles checked
   nothing: a campaign too short to offer traffic fails.
 
-Determinism discipline: the kill schedule rides its **own** RNG stream
-(``random.Random(spec.seed * 9973 + 65537)``), disjoint from the
-workload stream and from every device's phase-fault substream.  Running
-the campaign therefore perturbs no existing bench: the serving and
-chaos BENCH baselines reproduce byte-identically whether or not a fleet
-campaign ran in the same process.
+Determinism discipline: the kill schedule (:func:`kill_schedule`, also
+behind ``repro-facil fleet --kills`` and ``bench_fleet``) rides its
+**own** RNG stream (``random.Random(seed * 9973 + 65537)``), disjoint
+from the workload stream and from every device's phase-fault substream.
+Running the campaign therefore perturbs no existing bench: the serving
+and chaos BENCH baselines reproduce byte-identically whether or not a
+fleet campaign ran in the same process.
 
 The schedule is built kill-by-kill, round-robin over the catalog with a
 uniform-jittered gap wider than the recovery dwell, so every scheduled
@@ -40,7 +41,7 @@ from repro.llm.datasets import ALPACA_LIKE
 from repro.serving.runtime import conservation_findings
 from repro.serving.workload import TenantSpec
 
-__all__ = ["FleetChaosReport", "FleetChaosSpec", "run_fleet_chaos"]
+__all__ = ["FleetChaosReport", "FleetChaosSpec", "kill_schedule", "run_fleet_chaos"]
 
 
 @dataclass(frozen=True)
@@ -125,34 +126,33 @@ class FleetChaosReport:
         }
 
 
-def _build_schedule(
-    spec: FleetChaosSpec, rng: random.Random
+def kill_schedule(
+    n_devices: int, kills: int, kill_gap_ms: float, seed: int, recovery_ms: float = 0.0
 ) -> Tuple[List[Tuple[float, int]], int]:
-    """Round-robin kill schedule with jittered gaps; returns the sorted
-    ``(t_ns, device_id)`` list and how many kills were retargeted off a
-    device still inside its recovery dwell."""
-    gap_ns = spec.kill_gap_ms * 1e6
-    recovery_ns = spec.recovery_ms * 1e6
-    down_until = [0.0] * spec.n_devices
+    """Round-robin kill schedule with jittered gaps on its own RNG
+    stream; returns the sorted ``(t_ns, device_id)`` list and how many
+    kills were retargeted off a device still inside its *recovery_ms*
+    dwell (none without one: the runtime then skips a kill on a down
+    device)."""
+    rng = random.Random(seed * 9973 + 65537)
+    gap_ns = kill_gap_ms * 1e6
+    recovery_ns = recovery_ms * 1e6
+    down_until = [0.0] * n_devices
     schedule: List[Tuple[float, int]] = []
     retargeted = 0
     t = gap_ns
-    for index in range(spec.kills):
+    for index in range(kills):
         # uniform jitter in [0.5, 1.5) gaps keeps order but varies spacing
         t += gap_ns * (rng.random() - 0.5)
-        target = index % spec.n_devices
+        target = index % n_devices
         if down_until[target] > t:
-            alive = [
-                d for d in range(spec.n_devices) if down_until[d] <= t
-            ]
+            alive = [d for d in range(n_devices) if down_until[d] <= t]
             if not alive:
                 # wait for the first revive, landing strictly *after* its
                 # timestamp: a kill scheduled at exactly the revive instant
                 # would depend on the runtime's tie-breaking to apply
                 t = min(down_until) + 1.0
-                alive = [
-                    d for d in range(spec.n_devices) if down_until[d] <= t
-                ]
+                alive = [d for d in range(n_devices) if down_until[d] <= t]
             target = alive[0]
             retargeted += 1
         schedule.append((t, target))
@@ -165,8 +165,9 @@ def run_fleet_chaos(spec: FleetChaosSpec) -> FleetChaosReport:
     """Run one campaign; the report's ``failures`` list is the verdict
     (empty = every oracle passed)."""
     report = FleetChaosReport(spec=spec)
-    kill_rng = random.Random(spec.seed * 9973 + 65537)
-    schedule, report.retargeted = _build_schedule(spec, kill_rng)
+    schedule, report.retargeted = kill_schedule(
+        spec.n_devices, spec.kills, spec.kill_gap_ms, spec.seed, spec.recovery_ms
+    )
 
     config = FleetConfig(
         n_devices=spec.n_devices,

@@ -20,11 +20,13 @@ plus two administrative states: DRAINING (autoscaler: finish queued
 work, accept nothing new) and STANDBY (powered down — the autoscaler's
 spare pool).
 QUARANTINED is also entered by an injected **kill**: the device's
-fault injector arms a KV-journal crash site, the in-flight pool
-operation dies mid-transaction, :func:`~repro.kvcache.pool.recover_pool`
-replays the journal, and the recovered pool is audited with the same
-refcount-reconciliation oracle the chaos campaigns use — device loss is
-crash-equivalent by construction, not by analogy.
+fault injector arms a KV-journal crash site and the in-flight pool
+operation dies mid-transaction, through the crash campaign's own KV
+injection (:func:`~repro.kvcache.pool.crash_pool`);
+:func:`~repro.kvcache.pool.recover_pool` replays the journal, and the
+recovered pool is audited with the same refcount-reconciliation oracle
+the chaos campaigns use — device loss is crash-equivalent by
+construction, not by analogy.
 """
 
 from __future__ import annotations
@@ -34,10 +36,10 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.journal import InjectedCrash, MapJournal
+from repro.core.journal import MapJournal
 from repro.engine.policies import InferenceEngine
 from repro.kvcache.block import BlockRef
-from repro.kvcache.pool import KV_CRASH_SITES, BlockPool, KvSpec, recover_pool
+from repro.kvcache.pool import KV_CRASH_SITES, BlockPool, KvSpec, crash_pool, recover_pool
 from repro.platforms.specs import PlatformSpec
 from repro.reliability.degrade import HealthMonitor
 from repro.reliability.faults import FaultInjector
@@ -257,7 +259,8 @@ class FleetDevice(WorkloadLoop):
     def finish_drain_if_idle(self, now_ns: float) -> bool:
         """DRAINING with an empty queue powers down to STANDBY."""
         if self.state is DeviceState.DRAINING and not len(self.queue):
-            self._drop_all_residency(now_ns)
+            self.pool.free_run(self._holder_refs(), now_ns)
+            self.resident.clear()
             self._move(DeviceState.STANDBY, now_ns)
             return True
         return False
@@ -274,53 +277,24 @@ class FleetDevice(WorkloadLoop):
     def kill(self, now_ns: float, kill_index: int = 0) -> int:
         """Abrupt device loss, crash-equivalent by construction.
 
-        Arms this device's own fault injector at a KV-journal crash
-        site (cycled by *kill_index*), drives a pool operation into the
-        armed crash, recovers the journal, audits the recovered pool
-        against the device's residency table, and drops all KV (the
-        conversations will be recomputed elsewhere).  Returns the number
-        of audit findings added (0 on a clean recovery).
+        Drives a pool operation into a KV-journal crash site (cycled by
+        *kill_index*) with the crash campaign's own injection, freeing
+        the first holder's block, recovers the journal, audits the pool
+        against the refs still held, and drops all KV (the conversations
+        will be recomputed elsewhere).  Returns the number of audit
+        findings added (0 on a clean recovery).
         """
         before = len(self.audit_findings)
         site = KV_CRASH_SITES[kill_index % len(KV_CRASH_SITES)]
-        op = site.split(":", 1)[0]
         label = f"{self.spec.name} kill {self.kills} site {site}"
-
-        # stage the pool so the op is legal, then arm and crash
-        holders = self._holder_refs()
-        popped: Optional[BlockRef] = None
-        if op == "kvalloc" and self.pool.free_blocks == 0 and holders:
-            victim = holders[0]
-            self._forget_ref(victim)
-            self.pool.free(victim, now_ns)
-            holders = self._holder_refs()
-        if op == "kvfree":
-            if holders:
-                popped = holders[0]
-                self._forget_ref(popped)
-            else:
-                popped = self.pool.alloc(now_ns).ref
-        self.injector.schedule_crash(site)
-        crashed = False
-        try:
-            if op == "kvalloc":
-                if self.pool.free_blocks:
-                    block = self.pool.alloc(now_ns)
-                    # an alloc that survives the armed site cannot happen
-                    self.pool.free(block.ref, now_ns)
-            else:
-                if popped is None:
-                    raise RuntimeError("kvfree crash site armed with no live block")
-                self.pool.free(popped, now_ns)
-        except InjectedCrash:
-            crashed = True
-        self.injector._pending_crash = None  # disarm whatever did not fire
-        if not crashed:
+        held = self._holder_refs()
+        if not crash_pool(self.pool, self.injector, site, held, lambda n: 0, now_ns):
             self.audit_findings.append(f"{label}: armed crash never fired")
 
         recover_pool(self.pool)
-        self._audit_pool(label)
-        self._drop_all_residency(now_ns)
+        self._audit_pool(label, held)
+        self.pool.free_run(held, now_ns)
+        self.resident.clear()
         if self.pool.used != 0:
             self.audit_findings.append(
                 f"{label}: {self.pool.used} block(s) still live after loss"
@@ -352,29 +326,18 @@ class FleetDevice(WorkloadLoop):
             refs.extend(self.resident[conv_id].refs)
         return refs
 
-    def _forget_ref(self, ref: BlockRef) -> None:
-        for conv_id in sorted(self.resident):
-            res = self.resident[conv_id]
-            if ref in res.refs:
-                res.refs.remove(ref)
-                return
-
-    def _audit_pool(self, label: str) -> None:
+    def _audit_pool(self, label: str, held: List[BlockRef]) -> None:
         """The chaos campaigns' oracle: structural audit plus refcount
-        reconciliation against this device's residency table."""
+        reconciliation against the refs the device holds."""
         violations = self.pool.audit()
         if violations:
             self.audit_findings.append(f"{label}: pool audit: {violations[0]}")
-        expected = {ref.block_id: 1 for ref in self._holder_refs()}
+        expected = {ref.block_id: 1 for ref in held}
         actual = self.pool.refcounts()
         if expected != actual:
             self.audit_findings.append(
                 f"{label}: live refcounts {actual} != held {expected}"
             )
-
-    def _drop_all_residency(self, now_ns: float) -> None:
-        self.pool.free_run(self._holder_refs(), now_ns)
-        self.resident.clear()
 
     def evict_conversation(self, conv_id: int, now_ns: float) -> bool:
         res = self.resident.pop(conv_id, None)

@@ -23,9 +23,10 @@ killed device.
 
 A device **quarantined by sustained fault pressure** (``update_health``
 crossing the quarantine watermark mid-run, no kill event involved) takes
-the same failover edge: its admitted queue drains through the router
-onto survivors and a timed revive (``recovery_ms``) returns it to
-rotation — exactly the ``revive`` edge the device docstring draws.
+the same edge as a killed one, :meth:`FleetRuntime._quarantine`: its
+admitted queue drains through the router onto survivors and a timed
+revive (``recovery_ms``) returns it to rotation — exactly the
+``revive`` edge the device docstring draws.
 
 Determinism: arrivals ride the workload stream; each device's phase
 faults ride its own derived substream; kills ride the campaign's
@@ -38,6 +39,7 @@ a revive timestamp still applies to the freshly revived device.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -305,21 +307,26 @@ class FleetRuntime:
             failovers[refugee.req_id] = failovers.get(refugee.req_id, 0) + 1
             self._admit(refugee, now_ns, unroutable, failover=True)
 
-    def _fail_over_device(
+    def _quarantine(
         self,
         device: FleetDevice,
         now_ns: float,
         carried: List[Request],
         unroutable: List[RequestOutcome],
         failovers: Dict[int, int],
+        revives: List[Tuple[float, int]],
     ) -> None:
-        """Re-admit a dead device's queue (plus any preempted in-flight
-        requests) on the survivors."""
+        """Take a lost device out of rotation, killed or quarantined by
+        its health: re-admit its queue (plus any preempted in-flight
+        requests) on the survivors and schedule its timed revive."""
         refugees: List[Request] = list(carried)
         refugees.extend(device.queue.drain(now_ns))
         device.degraded.clear()
         self.router.on_device_lost(device.spec.device_id, now_ns)
         self._fail_over(refugees, now_ns, unroutable, failovers)
+        bisect.insort(
+            revives, (now_ns + self.config.recovery_ms * 1e6, device.spec.device_id)
+        )
 
     # -- the loop --------------------------------------------------------------
 
@@ -343,7 +350,6 @@ class FleetRuntime:
                 )
             if not math.isfinite(t_ns):
                 raise ValueError(f"kills: t_ns {t_ns} is not finite")
-        cfg = self.config
         #: the fleet's own outcomes; each device keeps the ones it settles
         unroutable: List[RequestOutcome] = []
         #: req_id -> device losses it went through (final once settled)
@@ -423,11 +429,10 @@ class FleetRuntime:
                     continue
                 device.kill(t, kill_index=kills_applied)
                 kills_applied += 1
-                self._fail_over_device(
-                    device, t, carried.pop(device_id, []), unroutable, failovers
+                self._quarantine(
+                    device, t, carried.pop(device_id, []), unroutable,
+                    failovers, revives,
                 )
-                revives.append((t + cfg.recovery_ms * 1e6, device_id))
-                revives.sort()
                 continue
             if t_scale <= t_next:
                 if self.autoscaler is None or next_autoscale is None:
@@ -462,16 +467,11 @@ class FleetRuntime:
                 # onto survivors now and schedule the timed revive —
                 # the same edge as an injected kill, minus the crash
                 health_quarantines += 1
-                self._fail_over_device(
+                self._quarantine(
                     serve_dev, serve_dev.clock,
                     carried.pop(serve_dev.spec.device_id, []),
-                    unroutable, failovers,
+                    unroutable, failovers, revives,
                 )
-                revives.append(
-                    (serve_dev.clock + cfg.recovery_ms * 1e6,
-                     serve_dev.spec.device_id)
-                )
-                revives.sort()
 
         # conservation guard: every kill event, applied or skipped, fails
         # over the requests preempted for it, so none should be left;
@@ -502,7 +502,7 @@ class FleetRuntime:
                 for finding in device.audit_findings
             )
         report = FleetReport(
-            config=cfg,
+            config=self.config,
             outcomes=outcomes,
             duration_ns=end_ns,
             devices=[d.summary() for d in self.devices],

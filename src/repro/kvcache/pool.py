@@ -24,13 +24,16 @@ journal, so no block refcount is ever leaked (the crash campaign's
 a run of blocks in one transaction, through the same crash sites.
 Every record names a run — a single-block operation writes a run of
 one — so recovery has one path for both.
+
+:func:`crash_pool` is the one KV crash injection, shared by the crash
+campaign's KV sweep and every fleet device kill.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Sequence
 
 from repro.core.journal import MapJournal, RecoveryAction, RecoveryReport
 from repro.core.selector import MatrixConfig
@@ -46,8 +49,9 @@ from repro.kvcache.block import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.pimalloc import PimSystem, PimTensor
+    from repro.reliability.faults import FaultInjector
 
-__all__ = ["KV_CRASH_SITES", "BlockPool", "KvSpec", "recover_pool"]
+__all__ = ["KV_CRASH_SITES", "BlockPool", "KvSpec", "crash_pool", "recover_pool"]
 
 #: journal checkpoints inside the pool's alloc/free paths; the crash
 #: campaign's ``kvcache`` case cycles through all of them.
@@ -453,3 +457,36 @@ def recover_pool(pool: BlockPool) -> RecoveryReport:
         )
     pool._sample()
     return report
+
+
+def crash_pool(
+    pool: BlockPool,
+    injector: "FaultInjector",
+    site: str,
+    held: List[BlockRef],
+    pick: Callable[[int], int],
+    now_ns: float = 0.0,
+) -> bool:
+    """Drive one operation of *pool* into a crash armed at *site* (one of
+    :data:`KV_CRASH_SITES`); returns whether it fired.  *held* lists the
+    caller's refs and ``pick(n)`` chooses which of its *n* a free takes.
+
+    Staged first with no crash armed: a ``kvalloc`` on a full pool frees
+    a held block, a ``kvfree`` with nothing held allocates one.  Under
+    the crash a ``kvalloc`` allocates into *held* (nothing, and no
+    crash, on a full pool with nothing held); a ``kvfree`` pops its ref
+    off *held* first, as the holder drops it before the call, so a crash
+    mid-free rolls forward.  Recovery is the caller's."""
+    op = site.split(":", 1)[0]
+    if op == "kvalloc" and pool.free_blocks == 0 and held:
+        pool.free(held.pop(pick(len(held))), now_ns)
+    if op == "kvfree" and not held:
+        held.append(pool.alloc(now_ns).ref)
+
+    def operate() -> None:
+        if op == "kvfree":
+            pool.free(held.pop(pick(len(held))), now_ns)
+        elif pool.free_blocks:
+            held.append(pool.alloc(now_ns).ref)
+
+    return injector.crash_during(site, operate)

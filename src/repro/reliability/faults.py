@@ -26,6 +26,8 @@ seeded planner plus the hook implementations that the substrate exposes
   :class:`~repro.core.journal.InjectedCrash` at an armed journal
   checkpoint, modelling a kill mid-``pimalloc``/free/phase-switch; the
   write-ahead journal's recovery replay must restore consistency.
+  :meth:`FaultInjector.crash_during` arms one around one operation —
+  the path every crash campaign and every fleet kill takes.
 
 Everything is driven by one ``random.Random(seed)``, so a campaign is
 exactly reproducible: same seed, same faults, same report.
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -190,6 +192,21 @@ class FaultInjector:
         crash fires on the (k+1)-th hit of that site (e.g. the k-th page
         of a phase switch's PTE walk)."""
         self._pending_crash = (site, after)
+
+    def crash_during(
+        self, site: str, op: Callable[[], object], after: int = 0
+    ) -> bool:
+        """Run *op* with a crash armed at *site* (see :meth:`schedule_crash`)
+        and return whether it fired; disarmed either way, so a crash that
+        did not fire never lands in a later operation."""
+        self.schedule_crash(site, after)
+        try:
+            op()
+        except InjectedCrash:
+            return True
+        finally:
+            self._pending_crash = None
+        return False
 
     def suppress_invalidations(self, n: int = 1) -> None:
         """Swallow the next *n* TLB shootdowns."""

@@ -1,8 +1,9 @@
 """Crash-recovery campaign: seeded crash injection over the MapID journal.
 
 Each injection arms the :class:`~repro.reliability.faults.FaultInjector`
-with one journal crash site, performs the matching allocator operation
-(alloc, free, or phase switch) on a functional :class:`PimSystem`, lets
+with one journal crash site around the matching allocator operation
+(alloc, free, or phase switch) on a functional :class:`PimSystem`
+(:meth:`~repro.reliability.faults.FaultInjector.crash_during`), lets
 the :class:`~repro.core.journal.InjectedCrash` rip through it, then runs
 :func:`~repro.core.journal.recover` and **audits the recovered state**:
 
@@ -31,17 +32,12 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.analysis.mapverify import verify_pim_mapping
-from repro.core.journal import (
-    CRASH_SITES,
-    MIGRATE_CRASH_SITES,
-    InjectedCrash,
-    MapJournal,
-)
+from repro.core.journal import CRASH_SITES, MIGRATE_CRASH_SITES, MapJournal
 from repro.core.pimalloc import PimSystem, PimTensor
 from repro.core.selector import MatrixConfig
 from repro.dram.config import DramOrganization
 from repro.kvcache.block import BlockRef
-from repro.kvcache.pool import KV_CRASH_SITES, BlockPool, KvSpec, recover_pool
+from repro.kvcache.pool import KV_CRASH_SITES, BlockPool, KvSpec, crash_pool, recover_pool
 from repro.pim.config import PimConfig
 from repro.reliability.campaign import TINY_CAMPAIGN_ORG
 from repro.reliability.faults import FaultInjector
@@ -259,9 +255,11 @@ def _run_kv_campaign(report: CrashReport, kv_injections: int, seed: int) -> None
 
     Uses its own :class:`MapJournal` and :class:`FaultInjector` (seeded
     ``seed + 1``) so the MapID campaign above reproduces byte-identically
-    whether or not this runs.  After every recovery the pool is audited
-    and its refcounts reconciled against the held refs — any block alive
-    without a holder is a leaked refcount."""
+    whether or not this runs.  Each injection is one
+    :func:`~repro.kvcache.pool.crash_pool`, as a fleet device kill is.
+    After every recovery the pool is audited and its refcounts reconciled
+    against the held refs — any block alive without a holder is a leaked
+    refcount."""
     journal = MapJournal()
     injector = FaultInjector(seed + 1)
     journal.fault_hook = injector
@@ -287,28 +285,8 @@ def _run_kv_campaign(report: CrashReport, kv_injections: int, seed: int) -> None
 
     for index in range(kv_injections):
         site = KV_CRASH_SITES[index % len(KV_CRASH_SITES)]
-        op = site.split(":", 1)[0]
         label = f"kv injection {index} site {site}"
-
-        # stage the pool for the op (no crash armed yet)
-        if op == "kvalloc" and pool.free_blocks == 0:
-            pool.free(held.pop(rng.randrange(len(held))))
-        if op == "kvfree" and not held:
-            held.append(pool.alloc().ref)
-
-        injector.schedule_crash(site)
-        crashed = False
-        try:
-            if op == "kvalloc":
-                held.append(pool.alloc().ref)
-            else:  # kvfree: the holder drops its ref before the call, so
-                # a crash mid-free must roll forward, never resurrect it
-                ref = held.pop(rng.randrange(len(held)))
-                pool.free(ref)
-        except InjectedCrash:
-            crashed = True
-        injector._pending_crash = None  # disarm whatever did not fire
-        if not crashed:
+        if not crash_pool(pool, injector, site, held, rng.randrange):
             report.failures.append(f"{label}: armed crash never fired")
             continue
         report.kv_injections += 1
@@ -371,17 +349,14 @@ def _run_migration_campaign(
         )
 
         before_slots = arena.system.space.area_page_map_ids(arena.tensor.va)
-        injector.schedule_crash(site, after=after)
-        crashed = False
-        try:
-            arena.system.allocator.migrate_pages(
+        if not injector.crash_during(
+            site,
+            lambda: arena.system.allocator.migrate_pages(
                 arena.tensor, target_k,
                 page_start=page_start, page_count=page_count,
-            )
-        except InjectedCrash:
-            crashed = True
-        injector._pending_crash = None  # disarm whatever did not fire
-        if not crashed:
+            ),
+            after=after,
+        ):
             report.failures.append(f"{label}: armed crash never fired")
             continue
         report.migration_injections += 1
@@ -473,6 +448,15 @@ def run_crash_campaign(
         tensor.store(data)
         return _Live(tensor=tensor, data=data, crc=zlib.crc32(data.tobytes()))
 
+    def operate(op: str) -> None:
+        if op == "alloc":
+            rows, cols = _SHAPES[rng.randrange(len(_SHAPES))]
+            system.pimalloc(MatrixConfig(rows=rows, cols=cols, dtype_bytes=2))
+        elif op == "free":
+            live[-1].tensor.free()
+        else:  # switch
+            system.allocator.switch_mapping(live[-1].tensor)
+
     for index in range(n_injections):
         site = CRASH_SITES[index % len(CRASH_SITES)]
         op = site.split(":", 1)[0]
@@ -485,19 +469,7 @@ def run_crash_campaign(
         if op in ("free", "switch") and not live:
             live.append(fresh_tensor())
 
-        injector.schedule_crash(site)
-        crashed = False
-        try:
-            if op == "alloc":
-                rows, cols = _SHAPES[rng.randrange(len(_SHAPES))]
-                system.pimalloc(MatrixConfig(rows=rows, cols=cols, dtype_bytes=2))
-            elif op == "free":
-                live[-1].tensor.free()
-            else:  # switch
-                system.allocator.switch_mapping(live[-1].tensor)
-        except InjectedCrash:
-            crashed = True
-        if not crashed:
+        if not injector.crash_during(site, lambda: operate(op)):
             report.failures.append(f"{label}: armed crash never fired")
             continue
         report.n_injections += 1

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from repro.fleet.chaos import FleetChaosSpec, _build_schedule, run_fleet_chaos
+from repro.fleet.chaos import FleetChaosSpec, kill_schedule, run_fleet_chaos
 from repro.kvcache.pool import KV_CRASH_SITES
 
 
@@ -35,10 +35,17 @@ class TestSpecValidation:
         assert spec.horizon_ms == pytest.approx(1_000.0)
 
 
+def _schedule(spec, seed=None):
+    return kill_schedule(
+        spec.n_devices, spec.kills, spec.kill_gap_ms,
+        spec.seed if seed is None else seed, spec.recovery_ms,
+    )
+
+
 class TestSchedule:
     def test_schedule_is_sorted_and_complete(self):
         spec = FleetChaosSpec(kills=40)
-        schedule, _ = _build_schedule(spec, random.Random(1))
+        schedule, _ = _schedule(spec, seed=1)
         assert len(schedule) == 40
         times = [t for t, _ in schedule]
         assert times == sorted(times)
@@ -46,12 +53,12 @@ class TestSchedule:
 
     def test_round_robin_covers_every_device(self):
         spec = FleetChaosSpec(kills=40)
-        schedule, _ = _build_schedule(spec, random.Random(1))
+        schedule, _ = _schedule(spec, seed=1)
         assert {d for _, d in schedule} == set(range(spec.n_devices))
 
     def test_schedule_never_hits_a_recovering_device(self):
         spec = FleetChaosSpec(kills=60)
-        schedule, _ = _build_schedule(spec, random.Random(2))
+        schedule, _ = _schedule(spec, seed=2)
         down_until = [0.0] * spec.n_devices
         for t, device in schedule:
             assert down_until[device] <= t
@@ -59,37 +66,52 @@ class TestSchedule:
 
     def test_schedule_rides_its_own_stream(self):
         spec = FleetChaosSpec(kills=20, seed=5)
-        a, _ = _build_schedule(spec, random.Random(5 * 9973 + 65537))
-        b, _ = _build_schedule(spec, random.Random(5 * 9973 + 65537))
+        a, _ = _schedule(spec)
+        b, _ = _schedule(spec)
         assert a == b
 
-    def test_all_down_retarget_lands_strictly_after_revive(self):
+    def test_all_down_retarget_lands_strictly_after_revive(self, monkeypatch):
         """The all-devices-down retarget path must schedule the kill
         strictly after the earliest revive: a kill at exactly a revive
         timestamp would depend on the runtime's tie-breaking to apply,
         and (before the fix) was skipped, breaking the all-kills-applied
-        oracle.  Forge a recovery dwell longer than the validated cadence
-        bound to reach the branch deterministically."""
-        spec = FleetChaosSpec.__new__(FleetChaosSpec)
-        for name, value in dict(
-            n_devices=2, kills=4, seed=0, kill_gap_ms=20.0,
-            recovery_ms=50.0, qps=1.0, deadline_ms=400.0, mean_turns=1.0,
-            queue_capacity=8, shed_policy="reject",
-        ).items():
-            object.__setattr__(spec, name, value)
+        oracle.  A recovery dwell longer than the validated cadence
+        bound, with every jitter draw pinned to its minimum, reaches the
+        branch deterministically."""
+        n_devices, recovery_ms = 2, 50.0
 
         class _MinJitter:
             """Pins every jitter draw to the [-0.5, 0.5) minimum."""
 
+            def __init__(self, seed):
+                pass
+
             def random(self):
                 return 0.0
 
-        schedule, retargeted = _build_schedule(spec, _MinJitter())
+        monkeypatch.setattr("repro.fleet.chaos.random.Random", _MinJitter)
+        schedule, retargeted = kill_schedule(
+            n_devices, 4, 20.0, seed=0, recovery_ms=recovery_ms
+        )
         assert retargeted > 0  # the all-down branch actually fired
-        down = [0.0] * spec.n_devices
+        down = [0.0] * n_devices
         for t, device in schedule:
             assert down[device] < t  # strictly past any prior revive
-            down[device] = t + spec.recovery_ms * 1e6
+            down[device] = t + recovery_ms * 1e6
+
+    def test_no_recovery_dwell_is_the_plain_round_robin(self):
+        """Without a dwell no device is ever down, so kill *i* lands on
+        device ``i % n`` one jittered gap after the last: the schedule
+        ``fleet --kills`` and ``bench_fleet`` run."""
+        schedule, retargeted = kill_schedule(3, 30, 15.0, seed=1)
+        assert retargeted == 0
+        rng = random.Random(1 * 9973 + 65537)
+        gap_ns, t, expected = 15.0 * 1e6, 15.0 * 1e6, []
+        for index in range(30):
+            t += gap_ns * (rng.random() - 0.5)
+            expected.append((t, index % 3))
+            t += gap_ns
+        assert schedule == sorted(expected)
 
 
 class TestSmallCampaign:

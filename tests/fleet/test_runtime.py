@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from repro.fleet.chaos import kill_schedule
 from repro.fleet.runtime import (
     SHED_UNROUTABLE,
     TERMINAL_STATUSES,
@@ -33,14 +34,8 @@ def _run(n_devices=3, seed=0, kills=(), duration_ms=1_000.0, **cfg):
 
 
 def _kill_schedule(n, devices, gap_ms=100.0, seed=0):
-    rng = random.Random(seed * 9973 + 65537)
-    gap_ns = gap_ms * 1e6
-    schedule, t = [], gap_ns
-    for index in range(n):
-        t += gap_ns * (rng.random() - 0.5)
-        schedule.append((t, index % devices))
-        t += gap_ns
-    return sorted(schedule)
+    schedule, _ = kill_schedule(devices, n, gap_ms, seed)
+    return schedule
 
 
 class TestConfigValidation:
