@@ -75,6 +75,10 @@ ROUTABLE_STATES = (DeviceState.ACTIVE, DeviceState.DEGRADED)
 #: the most KV blocks one conversation keeps resident on a device
 MAX_BLOCKS_PER_CONVERSATION = 16
 
+#: observations a component's fault window needs before its rate moves
+#: the health machine
+HEALTH_MIN_OBSERVATIONS = 8
+
 #: (later timeline end, device clock, queued work) — the inputs of a
 #: device's backlog that stay fixed between two fleet events
 BacklogTerms = Tuple[float, float, float]
@@ -103,7 +107,6 @@ class DeviceSpec:
     #: health machine: windowed fault-rate watermarks (any component)
     degrade_fault_rate: float = 0.25
     quarantine_fault_rate: float = 0.625
-    health_min_observations: int = 8
 
     def __post_init__(self) -> None:
         if self.device_id < 0:
@@ -112,8 +115,6 @@ class DeviceSpec:
             raise ValueError(
                 "need 0 < degrade_fault_rate <= quarantine_fault_rate <= 1"
             )
-        if self.health_min_observations <= 0:
-            raise ValueError("health_min_observations must be positive")
         if self.settings.kv_blocks <= 0:
             raise ValueError("settings.kv_blocks must be positive (the prefix residency pool)")
 
@@ -223,7 +224,7 @@ class FleetDevice(WorkloadLoop):
         observations to mean anything — the health machine's input."""
         worst = 0.0
         for component in ("pim", "mapping", "soc"):
-            if self.monitor.observations(component) >= self.spec.health_min_observations:
+            if self.monitor.observations(component) >= HEALTH_MIN_OBSERVATIONS:
                 worst = max(worst, self.monitor.fault_rate(component))
         return worst
 

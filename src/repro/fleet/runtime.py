@@ -81,10 +81,8 @@ class FleetConfig:
     seed: int = 0
     queue_capacity: int = 8
     shed_policy: str = "reject"
-    spill_backlog_ns: float = 2e9
     pim_fault_rate: float = 0.0
     mapping_fault_rate: float = 0.0
-    soc_fault_rate: float = 0.0
     kv_blocks: int = 64
     block_tokens: int = 16
     #: quarantined-device dwell time before the timed revive
@@ -219,7 +217,6 @@ def build_fleet(config: FleetConfig) -> List[FleetDevice]:
         shed_policy=config.shed_policy,
         pim_fault_rate=config.pim_fault_rate,
         mapping_fault_rate=config.mapping_fault_rate,
-        soc_fault_rate=config.soc_fault_rate,
         kv_blocks=config.kv_blocks,
         block_tokens=config.block_tokens,
     )
@@ -249,9 +246,7 @@ class FleetRuntime:
         self.config = config
         self.devices = devices if devices is not None else build_fleet(config)
         self.by_id = {d.spec.device_id: d for d in self.devices}
-        self.router = FleetRouter(
-            self.devices, spill_backlog_ns=config.spill_backlog_ns
-        )
+        self.router = FleetRouter(self.devices)
         self.autoscaler = (
             Autoscaler(
                 self.devices,

@@ -111,7 +111,7 @@ class TestHealthMachine:
         assert device.update_health(2.0) is DeviceState.ACTIVE
 
     def test_too_few_observations_never_degrade(self, iphone_engine):
-        device = make_device(iphone_engine, health_min_observations=8)
+        device = make_device(iphone_engine)
         self._observe(device, "pim", faults=3, total=3)  # 100% but n < 8
         assert device.update_health(1.0) is DeviceState.ACTIVE
 

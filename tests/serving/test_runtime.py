@@ -61,9 +61,9 @@ class TestOneSettingsRecord:
         assert not spec & settings
         assert spec == {
             "device_id", "platform", "settings", "degrade_fault_rate",
-            "quarantine_fault_rate", "health_min_observations",
+            "quarantine_fault_rate",
         }
-        assert len(settings) + len(serving - settings) + len(spec) == 25
+        assert len(settings) + len(serving - settings) + len(spec) == 24
 
     def test_runtime_passes_the_adaptive_record_through(self, iphone_engine):
         from repro.adaptive import AdaptiveConfig
