@@ -20,8 +20,7 @@ Policy, evaluated on a fixed cadence:
 * **Drain** the least-loaded ACTIVE device when mean backlog has stayed
   under ``low_backlog_ns`` for ``patience`` evaluations, floored at
   ``min_active`` routable members.  Draining devices finish their queue
-  and power down (DRAINING -> STANDBY); an in-flight adaptive canary is
-  rolled back on entry (see :meth:`FleetDevice.drain`).
+  and power down (DRAINING -> STANDBY).
 
 The high/low watermark gap plus patience is the same hysteresis idiom as
 the brown-out controller: both edges damped, so diurnal swells produce a
