@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Set, Tuple
 
 __all__ = ["BuddyAllocator", "CompactionResult", "OutOfMemoryError"]
 
@@ -39,6 +39,10 @@ class CompactionResult:
 
     frame: int
     pages_moved: int
+    #: ``(old, new)`` first frame of each block compaction moved out of
+    #: the window, in the order it moved them; the owner of a moved
+    #: block must follow it to its new frame
+    displaced: List[Tuple[int, int]] = field(default_factory=list)
 
 
 class BuddyAllocator:
@@ -280,8 +284,7 @@ class BuddyAllocator:
         window = self._cheapest_window(order)
         if window is None:
             raise OutOfMemoryError(f"no compactable window of order {order}")
-        moved = self._evacuate_window(window, order)
-        return CompactionResult(frame=window, pages_moved=moved)
+        return self._evacuate_window(window, order)
 
     def _free_page_set(self) -> Set[int]:
         pages: Set[int] = set()
@@ -303,13 +306,12 @@ class BuddyAllocator:
                 break
         return best_frame
 
-    def _evacuate_window(self, window: int, order: int) -> int:
+    def _evacuate_window(self, window: int, order: int) -> CompactionResult:
         """Move every allocation overlapping the window elsewhere and leave
         the whole window allocated as one block of *order*.
 
         A resident block is freed and re-allocated outside the reserved
         window (the cost of copying its pages is what the caller charges).
-        Returns the number of pages moved.
         """
         block = 1 << order
         window_pages = set(range(window, window + block))
@@ -322,13 +324,15 @@ class BuddyAllocator:
             self.free(frame)
         self._reserve_range(window, block)
         self.allocated[window] = order
-        moved = 0
-        for frame, res_order in residents:
-            moved += 1 << res_order
-            self.alloc(res_order)  # new home for the displaced data
+        # a new home for the displaced data
+        displaced = [(frame, self.alloc(res_order)) for frame, res_order in residents]
         gone = {frame for frame, _ in residents}
         self.pinned = [f for f in self.pinned if f not in gone]
-        return moved
+        return CompactionResult(
+            frame=window,
+            pages_moved=sum(1 << res_order for _, res_order in residents),
+            displaced=displaced,
+        )
 
     def _reserve_range(self, start: int, count: int) -> None:
         """Remove the exact pages ``[start, start+count)`` from the free

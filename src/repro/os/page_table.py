@@ -264,6 +264,24 @@ class PageTable:
         """Remove the leaf at *va* (a one-page :meth:`unmap_pages`)."""
         self.unmap_pages(va, 1, huge)
 
+    def _leaf(self, va: int) -> Tuple[Dict[int, Any], int, int]:
+        """The table holding the leaf PTE that covers *va*, the leaf's
+        index in it and the PTE word, found without MMU side effects.
+
+        Raises:
+            PageFaultError: when no leaf covers *va*.
+        """
+        indices = self._indices(va)
+        node = self._root
+        for level in range(N_LEVELS):
+            entry = node.get(indices[level])
+            if entry is None:
+                raise PageFaultError(f"va {va:#x} not mapped (level {level})")
+            if not isinstance(entry, dict):
+                return node, indices[level], entry
+            node = entry
+        raise PageFaultError(f"va {va:#x}: walk reached depth without a leaf")
+
     def walk(self, va: int) -> WalkResult:
         """Walk the tree; returns the leaf for *va*.
 
@@ -307,29 +325,35 @@ class PageTable:
             raise ValueError(
                 f"map_id {map_id} needs more than {MAP_ID_BITS} bits"
             )
-        indices = self._indices(va)
-        node = self._root
-        for level in range(N_LEVELS):
-            entry = node.get(indices[level])
-            if entry is None:
-                raise PageFaultError(f"va {va:#x} not mapped (level {level})")
-            if isinstance(entry, dict):
-                node = entry
-                continue
-            if not entry & PteFlags.HUGE:
-                raise ValueError(
-                    f"va {va:#x} is a base-page mapping; MapID lives only "
-                    "in huge-page PTEs"
-                )
-            mask = ((1 << MAP_ID_BITS) - 1) << MAP_ID_SHIFT
-            updated = (entry & ~mask) | (map_id << MAP_ID_SHIFT)
-            if map_id != 0:
-                updated |= PteFlags.PIM
-            else:
-                updated &= ~PteFlags.PIM
-            node[indices[level]] = updated
-            return updated
-        raise PageFaultError(f"va {va:#x}: walk reached depth without a leaf")
+        node, index, entry = self._leaf(va)
+        if not entry & PteFlags.HUGE:
+            raise ValueError(
+                f"va {va:#x} is a base-page mapping; MapID lives only "
+                "in huge-page PTEs"
+            )
+        mask = ((1 << MAP_ID_BITS) - 1) << MAP_ID_SHIFT
+        updated = (entry & ~mask) | (map_id << MAP_ID_SHIFT)
+        if map_id != 0:
+            updated |= PteFlags.PIM
+        else:
+            updated &= ~PteFlags.PIM
+        node[index] = updated
+        return updated
+
+    def set_pa(self, va: int, pa: int) -> int:
+        """Point the leaf PTE covering *va* at the page at *pa*, keeping
+        its flags and MapID (compaction moved the page's frame).
+
+        Returns the updated PTE value.
+
+        Raises:
+            PageFaultError: when no leaf covers *va*.
+            ValueError: when *pa* cannot be encoded in the leaf.
+        """
+        node, index, entry = self._leaf(va)
+        leaf = unpack_pte(entry)
+        node[index] = updated = pack_pte(pa >> PAGE_SHIFT, leaf.flags, leaf.map_id)
+        return updated
 
     def map_id_of(self, va: int) -> int:
         """MapID field of the leaf PTE covering *va*, read without MMU
@@ -343,17 +367,7 @@ class PageTable:
         Raises:
             PageFaultError: when no leaf covers *va*.
         """
-        indices = self._indices(va)
-        node = self._root
-        for level in range(N_LEVELS):
-            entry = node.get(indices[level])
-            if entry is None:
-                raise PageFaultError(f"va {va:#x} not mapped (level {level})")
-            if isinstance(entry, dict):
-                node = entry
-                continue
-            return unpack_pte(entry).map_id
-        raise PageFaultError(f"va {va:#x}: walk reached depth without a leaf")
+        return unpack_pte(self._leaf(va)[2]).map_id
 
     def corrupt_pte(self, va: int, xor_mask: int) -> int:
         """Fault-injection backdoor: XOR *xor_mask* into the leaf PTE
@@ -364,19 +378,9 @@ class PageTable:
         Raises:
             PageFaultError: when no leaf covers *va*.
         """
-        indices = self._indices(va)
-        node = self._root
-        for level in range(N_LEVELS):
-            entry = node.get(indices[level])
-            if entry is None:
-                raise PageFaultError(f"va {va:#x} not mapped (level {level})")
-            if isinstance(entry, dict):
-                node = entry
-                continue
-            corrupted = entry ^ xor_mask
-            node[indices[level]] = corrupted
-            return corrupted
-        raise PageFaultError(f"va {va:#x}: walk reached depth without a leaf")
+        node, index, entry = self._leaf(va)
+        node[index] = corrupted = entry ^ xor_mask
+        return corrupted
 
     def translate(self, va: int) -> WalkResult:
         """Alias of :meth:`walk` (kept for API symmetry with the MMU)."""

@@ -10,7 +10,7 @@ carries the mapping choice to the memory controller.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.os.buddy import BuddyAllocator
 from repro.os.mmu import Mmu
@@ -88,8 +88,9 @@ class AddressSpace:
         instead of failing when free memory is fragmented.
 
         The area's frames are allocated first and its PTEs installed in
-        one page-table call.  A failure in either step frees every frame
-        taken, in allocation order, and maps nothing.
+        one page-table call.  A compaction that moves a frame some area
+        holds re-points that area's page.  A failure in either step frees
+        every frame taken, in allocation order, and maps nothing.
         """
         if length <= 0:
             raise ValueError("length must be positive")
@@ -111,6 +112,7 @@ class AddressSpace:
             for _ in range(length >> page_shift):
                 if huge and compact:
                     result = self.buddy.alloc_with_compaction(order)
+                    self._repoint(result.displaced)
                     frames.append(result.frame)
                     self.compaction_moves += result.pages_moved
                 else:
@@ -150,6 +152,26 @@ class AddressSpace:
         for index, frame in enumerate(area.frames):
             self.mmu.tlb.invalidate(va + index * area.page_bytes, area.page_shift)
             self.buddy.free(frame)
+
+    def _repoint(self, displaced: List[Tuple[int, int]]) -> None:
+        """Move every live page whose frame compaction moved, given each
+        moved block's ``(old, new)`` first frame: the area's ``frames``,
+        its leaf PTE (same flags and MapID, new address) and one TLB
+        shootdown.
+
+        The huge frames ``mmap`` has taken but not mapped yet need no
+        move: each fills a whole window of the order being minted, and
+        compaction only picks a full window when fewer pages than one
+        window are free, which fails first.
+        """
+        moved = dict(displaced)
+        for area in self.areas.values():
+            for index, frame in enumerate(area.frames):
+                if frame in moved:
+                    area.frames[index] = moved[frame]
+                    page_va = area.va + index * area.page_bytes
+                    self.page_table.set_pa(page_va, moved[frame] << PAGE_SHIFT)
+                    self.mmu.tlb.invalidate(page_va, area.page_shift)
 
     def set_area_map_id(self, va: int, page_index: int, map_id: int) -> None:
         """Re-route one huge page of the area at *va* through *map_id*:

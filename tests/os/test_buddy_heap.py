@@ -6,10 +6,10 @@ got heaps beside them: ``alloc`` scans the free set with ``min()``.
 Random operation sequences over every order run on both, mixing
 ``alloc``, ``free``, ``alloc_with_compaction``, ``fragment_to``,
 ``_reserve_range`` and ``from_allocated``.  After each operation the
-test compares the result (frame, compaction or exception), ``allocated``,
-``pinned`` and every free list in iteration order, and checks that each
-heap holds every free frame of its order and at most
-``2 * len(set) + _HEAP_SLACK`` entries.
+test compares the result (frame, compaction with its displaced blocks,
+or exception), ``allocated``, ``pinned`` and every free list in
+iteration order, and checks that each heap holds every free frame of
+its order and at most ``2 * len(set) + _HEAP_SLACK`` entries.
 """
 
 from __future__ import annotations
@@ -162,13 +162,13 @@ class _MinScanBuddy:
             self.free(frame)
         self._reserve_range(window, block)
         self.allocated[window] = order
-        moved = 0
+        moved, displaced = 0, []
         for frame, o in residents:
             moved += 1 << o
-            self.alloc(o)
+            displaced.append((frame, self.alloc(o)))
         gone = {frame for frame, _ in residents}
         self.pinned = [f for f in self.pinned if f not in gone]
-        return CompactionResult(frame=window, pages_moved=moved)
+        return CompactionResult(frame=window, pages_moved=moved, displaced=displaced)
 
     def _reserve_range(self, start: int, count: int) -> None:
         end, remaining, progress = start + count, count, True

@@ -105,6 +105,42 @@ class TestCompactionAccounting:
         assert va in space.areas
 
 
+def _assert_areas_own_their_frames(space):
+    """Every allocated frame belongs to exactly one live area, and each
+    page translates to its area's frame."""
+    owned = [frame for area in space.areas.values() for frame in area.frames]
+    assert sorted(owned) == sorted(space.buddy.allocated)
+    for area in space.areas.values():
+        for index, frame in enumerate(area.frames):
+            t = space.mmu.translate(area.va + index * area.page_bytes)
+            assert t.pa == frame << PAGE_SHIFT
+
+
+class TestCompactionFollowsLiveAreas:
+    def test_displaced_page_is_repointed(self):
+        """Minting a huge page moves a live base page out of its window;
+        the owning area must follow the page to its new frame."""
+        space = AddressSpace(BuddyAllocator(1536, max_order=9))
+        a, b, _, d, _ = (space.mmap(n << PAGE_SHIFT) for n in (1, 511, 1, 511, 1))
+        space.munmap(b)
+        space.munmap(d)
+        space.mmu.translate(a)  # cache the translation compaction moves
+        huge = space.mmap(2 << 20, huge=True)
+        assert space.compaction_moves == 1
+        assert space.areas[huge].frames == [0]
+        assert space.areas[a].frames == [513]
+        leaf = space.page_table.walk(a)
+        assert (leaf.pa, leaf.flags, leaf.map_id) == (
+            513 << PAGE_SHIFT, PteFlags.PRESENT | PteFlags.WRITABLE, 0
+        )
+        _assert_areas_own_their_frames(space)
+        # freeing the moved page must not free the huge page
+        space.munmap(a)
+        second = space.mmap(2 << 20, huge=True)
+        assert space.areas[second].frames != [0]
+        _assert_areas_own_their_frames(space)
+
+
 class TestAreaOf:
     def test_lookup_by_interior_address(self):
         space = _space()
