@@ -18,11 +18,11 @@ units (see :mod:`repro.pim.functional`) with no re-layout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.core.bitfield import ceil_div, ilog2
+from repro.core.bitfield import ilog2
 from repro.core.controller import MemoryController
 from repro.core.journal import JournalTxn, MapJournal
 from repro.core.mapping import AddressMapping, pim_optimized_mapping

@@ -13,6 +13,10 @@ pops the lowest free frame in O(log n) instead of scanning the set.
 The sets stay the source of truth, and their iteration order, which
 ``fragment_to`` and ``_reserve_range`` depend on, is untouched by the
 heaps.
+
+``alloc_run`` and ``free_run`` take a run of blocks in one call, as
+``mmap`` and ``munmap`` do for an area's pages; ``alloc`` and ``free``
+are their one-block cases.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 __all__ = ["BuddyAllocator", "CompactionResult", "OutOfMemoryError"]
 
@@ -167,43 +171,77 @@ class BuddyAllocator:
     # -- allocation ------------------------------------------------------------
 
     def alloc(self, order: int = 0) -> int:
-        """Allocate a block of 2**order pages; returns the first frame.
+        """Allocate a block of 2**order pages; returns the first frame (a
+        one-block :meth:`alloc_run`).
 
         Raises:
             OutOfMemoryError: when no block of sufficient order is free.
         """
+        frames = self.alloc_run(order, 1)
+        if not frames:
+            raise OutOfMemoryError(f"no free block of order {order}")
+        return frames[0]
+
+    def alloc_run(self, order: int, n: int) -> List[int]:
+        """Allocate up to *n* blocks of 2**order pages: the frames *n*
+        calls of :meth:`alloc` would return, in the same order, with the
+        same splits.
+
+        Returns early, with fewer frames, where the next :meth:`alloc`
+        would raise :class:`OutOfMemoryError`.
+        """
         if not 0 <= order <= self.max_order:
             raise ValueError(f"order {order} out of range")
-        for source in range(order, self.max_order + 1):
-            blocks = self.free_lists[source]
-            if blocks:
-                # the lowest free frame: pop past stale heap entries
-                heap = self._heaps[source]
+        free_lists, heaps, allocated = self.free_lists, self._heaps, self.allocated
+        sources = range(order, self.max_order + 1)
+        frames: List[int] = []
+        for _ in range(n):
+            for source in sources:
+                blocks = free_lists[source]
+                if blocks:
+                    break
+            else:
+                break  # no block of sufficient order is free
+            # the lowest free frame: pop past stale heap entries
+            heap = heaps[source]
+            frame = heapq.heappop(heap)
+            while frame not in blocks:
                 frame = heapq.heappop(heap)
-                while frame not in blocks:
-                    frame = heapq.heappop(heap)
-                self._discard(source, frame)
-                # Split down to the requested order, freeing the buddies.
-                for split in range(source - 1, order - 1, -1):
-                    self._add(split, frame + (1 << split))
-                self.allocated[frame] = order
-                return frame
-        raise OutOfMemoryError(f"no free block of order {order}")
+            self._discard(source, frame)
+            # Split down to the requested order, freeing the buddies.
+            for split in range(source - 1, order - 1, -1):
+                self._add(split, frame + (1 << split))
+            allocated[frame] = order
+            frames.append(frame)
+        return frames
 
     def free(self, frame: int) -> None:
-        """Free a previously allocated block, merging buddies eagerly."""
-        order = self.allocated.pop(frame, None)
-        if order is None:
-            raise ValueError(f"frame {frame} is not the start of an allocation")
-        while order < self.max_order:
-            buddy = frame ^ (1 << order)
-            if buddy in self.free_lists[order] and buddy + (1 << order) <= self.total_pages:
-                self._discard(order, buddy)
-                frame = min(frame, buddy)
-                order += 1
-            else:
-                break
-        self._add(order, frame)
+        """Free a previously allocated block, merging buddies eagerly (a
+        one-block :meth:`free_run`)."""
+        self.free_run((frame,))
+
+    def free_run(self, frames: Iterable[int]) -> None:
+        """Free each block of *frames* in turn, merging buddies eagerly,
+        exactly as one :meth:`free` per frame.
+
+        Raises:
+            ValueError: at the first frame that does not start an
+                allocation, after the frames before it are freed.
+        """
+        free_lists, allocated = self.free_lists, self.allocated
+        for frame in frames:
+            order = allocated.pop(frame, None)
+            if order is None:
+                raise ValueError(f"frame {frame} is not the start of an allocation")
+            while order < self.max_order:
+                buddy = frame ^ (1 << order)
+                if buddy in free_lists[order] and buddy + (1 << order) <= self.total_pages:
+                    self._discard(order, buddy)
+                    frame = min(frame, buddy)
+                    order += 1
+                else:
+                    break
+            self._add(order, frame)
 
     # -- fragmentation -----------------------------------------------------------
 
@@ -320,8 +358,7 @@ class BuddyAllocator:
             for frame, res_order in list(self.allocated.items())
             if set(range(frame, frame + (1 << res_order))) & window_pages
         ]
-        for frame, _ in residents:
-            self.free(frame)
+        self.free_run(frame for frame, _ in residents)
         self._reserve_range(window, block)
         self.allocated[window] = order
         # a new home for the displaced data

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.os.page_table import PageTable, WalkResult
+from repro.os.page_table import PageTable
 from repro.os.tlb import Tlb
 
 __all__ = ["Mmu", "Translation"]

@@ -67,25 +67,37 @@ def pack_pte(pfn: int, flags: int, map_id: int = 0) -> int:
     memory (paper Fig. 11).  For 4 KB pages ``map_id`` must be 0: regular
     pages always use the conventional mapping.
     """
+    pfn_bits = _pfn_bits(pfn)
+    leaf_bits = _leaf_bits(flags, map_id)
+    if flags & PteFlags.HUGE and pfn & ((1 << UNUSED_HUGE_BITS) - 1):
+        raise ValueError(
+            f"huge-page pfn {pfn:#x} must be 2 MB aligned "
+            f"({UNUSED_HUGE_BITS} low bits clear)"
+        )
+    return pfn_bits | leaf_bits
+
+
+def _pfn_bits(pfn: int) -> int:
+    """The PFN field of a PTE."""
     if pfn < 0 or pfn > _PFN_MASK:
         raise ValueError(f"pfn {pfn:#x} out of range")
+    return pfn << _PFN_SHIFT
+
+
+def _leaf_bits(flags: int, map_id: int) -> int:
+    """Every PTE bit but the PFN field: the low flags and, in a huge
+    leaf, the MapID.  A run of leaves with one *flags* and *map_id*
+    checks and computes these once."""
     if not 0 <= map_id < (1 << MAP_ID_BITS):
         raise ValueError(
             f"map_id {map_id} needs more than {MAP_ID_BITS} bits; the paper "
             "bounds the mapping count so 4 bits always suffice"
         )
-    huge = bool(flags & PteFlags.HUGE)
-    if not huge and map_id != 0:
-        raise ValueError("MapID can only be stored in huge-page PTEs")
-    if huge and pfn & ((1 << UNUSED_HUGE_BITS) - 1):
-        raise ValueError(
-            f"huge-page pfn {pfn:#x} must be 2 MB aligned "
-            f"({UNUSED_HUGE_BITS} low bits clear)"
-        )
-    pte = (pfn << _PFN_SHIFT) | (flags & PteFlags.LOW_MASK)
-    if huge:
-        pte |= map_id << MAP_ID_SHIFT
-    return pte
+    if not flags & PteFlags.HUGE:
+        if map_id != 0:
+            raise ValueError("MapID can only be stored in huge-page PTEs")
+        return flags & PteFlags.LOW_MASK
+    return (flags & PteFlags.LOW_MASK) | (map_id << MAP_ID_SHIFT)
 
 
 def unpack_pte(pte: int) -> "WalkResult":
@@ -172,18 +184,22 @@ class PageTable:
         ``va + i * page_bytes -> pas[i]``.
 
         The whole run is checked before the tree changes, so a failure
-        installs nothing.  The path to each parent table is walked once
-        to check it, and once more to create it if it is missing.
+        installs nothing.  The flags and the MapID are checked once; the
+        path to each parent table is walked once to check it, and once
+        more to create it if it is missing.
 
         Raises:
-            ValueError: naming the first page that is misaligned, cannot
-                be encoded, overlaps an existing huge mapping or is
+            ValueError: for a MapID that cannot be encoded, or naming the
+                first page that is misaligned, whose frame number cannot
+                be encoded, that overlaps an existing huge mapping or is
                 already mapped.
         """
         shift = HUGE_SHIFT if huge else PAGE_SHIFT
         page_bytes = 1 << shift
         depth = N_LEVELS - 2 if huge else N_LEVELS - 1
-        full_flags = flags | PteFlags.PRESENT | (PteFlags.HUGE if huge else 0)
+        leaf_bits = _leaf_bits(
+            flags | PteFlags.PRESENT | (PteFlags.HUGE if huge else 0), map_id
+        )
         # per parent table on the run: a va on its path, the table (None
         # while it does not exist) and the leaves it gains
         runs: List[Tuple[int, Optional[Dict[int, Any]], Dict[int, int]]] = []
@@ -192,11 +208,12 @@ class PageTable:
         leaves: Dict[int, int] = {}
         for index, pa in enumerate(pas):
             page_va = va + index * page_bytes
+            # a huge pa aligned here leaves its MapID bits clear
             if page_va & (page_bytes - 1) or pa & (page_bytes - 1):
                 raise ValueError(
                     f"va {page_va:#x} / pa {pa:#x} not aligned to {page_bytes} bytes"
                 )
-            pte = pack_pte(pa >> PAGE_SHIFT, full_flags, map_id)
+            pte = _pfn_bits(pa >> PAGE_SHIFT) | leaf_bits
             if page_va >> (shift + LEVEL_BITS) != parent:
                 parent = page_va >> (shift + LEVEL_BITS)
                 table = self._table(page_va, depth)

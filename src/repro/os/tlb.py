@@ -9,8 +9,8 @@ number, supporting both page sizes in one structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.os.page_table import HUGE_SHIFT, PAGE_SHIFT, WalkResult
 
@@ -98,15 +98,32 @@ class Tlb:
         )
 
     def invalidate(self, va: int, page_shift: int) -> None:
-        if self.fault_hook is not None and not self.fault_hook.on_invalidate(
-            va, page_shift
-        ):
-            return
-        vpn = va >> page_shift
-        entry_set = self._sets[self._set_index(vpn)]
-        entry_set[:] = [
-            e for e in entry_set if not (e.vpn == vpn and e.page_shift == page_shift)
-        ]
+        """Shoot down the page at *va* (a one-page :meth:`invalidate_run`)."""
+        self.invalidate_run(va, 1, page_shift)
+
+    def invalidate_run(self, va: int, n: int, page_shift: int) -> None:
+        """Shoot down the *n* consecutive pages of ``1 << page_shift``
+        bytes from *va*.
+
+        The fault hook sees each page once, in page order, as *n*
+        one-page shootdowns would show it, and a page whose shootdown it
+        swallows keeps its entry.  The entries of the other pages are
+        then dropped, visiting each affected set once.
+        """
+        first = va >> page_shift
+        hook = self.fault_hook
+        doomed = {
+            first + index
+            for index in range(n)
+            if hook is None or hook.on_invalidate(va + (index << page_shift), page_shift)
+        }
+        for set_index in sorted({vpn % self.n_sets for vpn in doomed}):
+            entry_set = self._sets[set_index]
+            if entry_set:
+                entry_set[:] = [
+                    e for e in entry_set
+                    if not (e.vpn in doomed and e.page_shift == page_shift)
+                ]
 
     def flush(self) -> None:
         for entry_set in self._sets:

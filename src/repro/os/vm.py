@@ -87,10 +87,12 @@ class AddressSpace:
         compaction (counting moved pages in :attr:`compaction_moves`)
         instead of failing when free memory is fragmented.
 
-        The area's frames are allocated first and its PTEs installed in
-        one page-table call.  A compaction that moves a frame some area
-        holds re-points that area's page.  A failure in either step frees
-        every frame taken, in allocation order, and maps nothing.
+        The area's frames are taken in one buddy run and its PTEs
+        installed in one page-table call; only pages the run could not
+        supply fall back to one allocation (or compaction) each.  A
+        compaction that moves a frame some area holds re-points that
+        area's page.  A failure frees every frame taken, in allocation
+        order, and maps nothing.
         """
         if length <= 0:
             raise ValueError("length must be positive")
@@ -107,9 +109,10 @@ class AddressSpace:
         if map_id != 0:
             flags |= PteFlags.PIM
         order = _HUGE_ORDER if huge else 0
-        frames: List[int] = []
+        n_pages = length >> page_shift
+        frames = self.buddy.alloc_run(order, n_pages)
         try:
-            for _ in range(length >> page_shift):
+            while len(frames) < n_pages:
                 if huge and compact:
                     result = self.buddy.alloc_with_compaction(order)
                     self._repoint(result.displaced)
@@ -125,8 +128,7 @@ class AddressSpace:
                 flags=flags,
             )
         except Exception:
-            for frame in frames:
-                self.buddy.free(frame)
+            self.buddy.free_run(frames)
             raise
         self.areas[va] = VmArea(
             va=va,
@@ -141,17 +143,15 @@ class AddressSpace:
     def munmap(self, va: int) -> None:
         """Tear down the region starting at *va* and free its frames.
 
-        The PTEs go in one call; each page's TLB shootdown and buddy free
-        then follow in page order."""
+        One call each removes the PTEs, shoots down the pages' TLB
+        entries and frees the frames, all in page order."""
         area = self.areas.pop(va, None)
         if area is None:
             raise ValueError(f"va {va:#x} is not the start of a mapped area")
-        self.page_table.unmap_pages(
-            va, len(area.frames), huge=area.page_shift == HUGE_SHIFT
-        )
-        for index, frame in enumerate(area.frames):
-            self.mmu.tlb.invalidate(va + index * area.page_bytes, area.page_shift)
-            self.buddy.free(frame)
+        n_pages = len(area.frames)
+        self.page_table.unmap_pages(va, n_pages, huge=area.page_shift == HUGE_SHIFT)
+        self.mmu.tlb.invalidate_run(va, n_pages, area.page_shift)
+        self.buddy.free_run(area.frames)
 
     def _repoint(self, displaced: List[Tuple[int, int]]) -> None:
         """Move every live page whose frame compaction moved, given each

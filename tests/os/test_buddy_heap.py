@@ -4,12 +4,17 @@
 ``_MinScanBuddy`` below is the allocator as it was before its free sets
 got heaps beside them: ``alloc`` scans the free set with ``min()``.
 Random operation sequences over every order run on both, mixing
-``alloc``, ``free``, ``alloc_with_compaction``, ``fragment_to``,
-``_reserve_range`` and ``from_allocated``.  After each operation the
-test compares the result (frame, compaction with its displaced blocks,
-or exception), ``allocated``, ``pinned`` and every free list in
-iteration order, and checks that each heap holds every free frame of
-its order and at most ``2 * len(set) + _HEAP_SLACK`` entries.
+``alloc``, ``free``, ``alloc_run``, ``free_run``,
+``alloc_with_compaction``, ``fragment_to``, ``_reserve_range`` and
+``from_allocated``.  A run on the heaped allocator is compared with one
+``alloc`` or ``free`` per block on the reference: an ``alloc_run`` cut
+short where the next ``alloc`` runs out of memory, and a ``free_run``
+that stops at a bad frame after freeing the frames before it.  After
+each operation the test compares the result (frames, compaction with
+its displaced blocks, or exception), ``allocated``, ``pinned`` and every
+free list in iteration order, and checks that each heap holds every
+free frame of its order and at most ``2 * len(set) + _HEAP_SLACK``
+entries.
 """
 
 from __future__ import annotations
@@ -203,6 +208,23 @@ def _outcome(call):
         return (type(exc).__name__, str(exc))
 
 
+def _alloc_one_by_one(reference: _MinScanBuddy, order: int, n: int) -> List[int]:
+    """``alloc_run`` as *n* ``alloc`` calls: stop at the first one that
+    runs out of memory."""
+    frames: List[int] = []
+    for _ in range(n):
+        try:
+            frames.append(reference.alloc(order))
+        except OutOfMemoryError:
+            break
+    return frames
+
+
+def _free_one_by_one(reference: _MinScanBuddy, frames: List[int]) -> None:
+    for frame in frames:
+        reference.free(frame)
+
+
 def _assert_same(heaped: BuddyAllocator, reference: _MinScanBuddy) -> None:
     assert list(heaped.allocated.items()) == list(reference.allocated.items())
     assert heaped.pinned == reference.pinned
@@ -221,8 +243,8 @@ def _run(seed: int, n_ops: int) -> None:
     reference = _MinScanBuddy(total_pages, max_order)
     _assert_same(heaped, reference)
     for _ in range(n_ops):
-        op = rng.choice(("alloc", "alloc", "alloc", "free", "free", "compact",
-                         "fragment", "reserve", "rebuild"))
+        op = rng.choice(("alloc", "alloc", "alloc", "free", "free", "alloc_run",
+                         "free_run", "compact", "fragment", "reserve", "rebuild"))
         if op == "alloc":
             order = rng.randrange(0, max_order + 2)  # one past the top
             results = [_outcome(lambda a=a: a.alloc(order)) for a in (heaped, reference)]
@@ -233,6 +255,30 @@ def _run(seed: int, n_ops: int) -> None:
                 else rng.randrange(total_pages)  # mostly not an allocation
             )
             results = [_outcome(lambda a=a: a.free(frame)) for a in (heaped, reference)]
+        elif op == "alloc_run":
+            order = rng.randrange(0, max_order + 2)  # one past the top
+            # small runs, or more blocks than the arena holds
+            n = rng.choice(
+                (rng.randrange(1, 9), 2 * (total_pages >> min(order, max_order)) + 1)
+            )
+            results = [
+                _outcome(lambda: heaped.alloc_run(order, n)),
+                _outcome(lambda: _alloc_one_by_one(reference, order, n)),
+            ]
+        elif op == "free_run":
+            live = list(reference.allocated)
+            frames = rng.sample(live, rng.randrange(len(live) + 1))
+            if rng.random() < 0.4:
+                # a frame freed twice, or one that is (mostly) no allocation
+                if frames and rng.random() < 0.5:
+                    bad = frames[0]
+                else:
+                    bad = rng.randrange(total_pages + 1)
+                frames.insert(rng.randrange(len(frames) + 1), bad)
+            results = [
+                _outcome(lambda: heaped.free_run(frames)),
+                _outcome(lambda: _free_one_by_one(reference, frames)),
+            ]
         elif op == "compact":
             order = rng.randrange(0, max_order + 1)
             results = [
@@ -274,3 +320,18 @@ def test_every_order_is_exercised():
     orders = {random.Random(seed).randrange(0, 10) for seed in range(24)}
     assert orders == set(range(10))
 
+
+def test_runs_stop_where_single_calls_stop():
+    """A run cut short by running out of memory, and a free run that
+    meets a bad frame in its middle, leave what single calls leave."""
+    heaped = BuddyAllocator(3 * 8 + 5, max_order=3)
+    reference = _MinScanBuddy(3 * 8 + 5, max_order=3)
+    frames = heaped.alloc_run(2, 10)
+    assert frames == _alloc_one_by_one(reference, 2, 10) == [24, 0, 4, 8, 12, 16, 20]
+    _assert_same(heaped, reference)
+    run = [8, 0, 8, 20]  # the second 8 is no longer an allocation
+    assert _outcome(lambda: heaped.free_run(run)) == _outcome(
+        lambda: _free_one_by_one(reference, run)
+    ) == ("ValueError", "frame 8 is not the start of an allocation")
+    assert 20 in heaped.allocated and 0 not in heaped.allocated
+    _assert_same(heaped, reference)

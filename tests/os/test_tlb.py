@@ -4,6 +4,7 @@ import pytest
 
 from repro.os.page_table import HUGE_SHIFT, PAGE_SHIFT, WalkResult
 from repro.os.tlb import Tlb
+from repro.reliability.faults import FaultInjector
 
 
 def _leaf(pa, huge=False, map_id=0):
@@ -72,6 +73,46 @@ class TestInvalidate:
         tlb.fill(0x1000, _leaf(0x1000))
         tlb.invalidate(0x1000, PAGE_SHIFT)
         assert tlb.lookup(0x1000) is None
+
+    @pytest.mark.parametrize("swallowed", [0, 1, 3, 9])
+    @pytest.mark.parametrize("page_shift", [PAGE_SHIFT, HUGE_SHIFT])
+    def test_run_matches_page_by_page_under_lost_shootdowns(
+        self, page_shift, swallowed
+    ):
+        """A run shootdown shows the fault hook every page in page order,
+        so an injector swallowing k shootdowns spares the same pages and
+        logs the same events as one ``invalidate`` per page."""
+        huge = page_shift == HUGE_SHIFT
+        page = 1 << page_shift
+        other = 1 << (PAGE_SHIFT if huge else HUGE_SHIFT)
+        base = 0x7F00_0000_0000 + 3 * page  # a run that wraps the sets
+
+        def filled():
+            # the run's pages and their neighbours, and as many pages of
+            # the other size from the run's start
+            tlb = Tlb(n_sets=4, ways=8)
+            for index in range(12):
+                tlb.fill(base + (index - 2) * page, _leaf(index * page, huge))
+                tlb.fill(base + (index - 2) * other, _leaf(index * other, not huge))
+            injector = FaultInjector(seed=0)
+            injector.suppress_invalidations(swallowed)
+            tlb.fault_hook = injector
+            return tlb, injector
+
+        def entries(tlb):
+            return [[(e.vpn, e.page_shift, e.leaf, e.stamp) for e in s]
+                    for s in tlb._sets]
+
+        run, run_faults = filled()
+        single, single_faults = filled()
+        run.invalidate_run(base, 7, page_shift)
+        for index in range(7):
+            single.invalidate(base + index * page, page_shift)
+        assert entries(run) == entries(single)
+        assert sum(map(len, entries(run))) == 24 - 7 + min(swallowed, 7)
+        assert run_faults.log == single_faults.log
+        assert len(run_faults.log) == min(swallowed, 7)
+        assert run_faults._suppress_invalidations == max(swallowed - 7, 0)
 
     def test_flush(self):
         tlb = Tlb()
