@@ -289,7 +289,7 @@ class PageTable:
             PageFaultError: when no leaf covers *va*.
         """
         indices = self._indices(va)
-        node = self._root
+        node: Any = self._root
         for level in range(N_LEVELS):
             entry = node.get(indices[level])
             if entry is None:
