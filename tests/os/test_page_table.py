@@ -121,6 +121,21 @@ class TestPageTableHugePages:
         with pytest.raises(ValueError, match="overlaps"):
             table.map_page(0x4000_1000, 0x9000, huge=False)
 
+    def test_set_pa_keeps_flags_and_map_id(self):
+        """Compaction moves a page's frame: the leaf gets the new address
+        and keeps everything else."""
+        table = PageTable()
+        table.map_page(0x4000_0000, 0x20_0000, huge=True, map_id=5,
+                       flags=PteFlags.PRESENT | PteFlags.PIM)
+        before = table.walk(0x4000_0000)
+        table.set_pa(0x4000_0000, 0x60_0000)
+        after = table.walk(0x4000_0000)
+        assert (after.pa, after.map_id, after.flags) == (0x60_0000, 5, before.flags)
+        with pytest.raises(ValueError, match="2 MB aligned"):
+            table.set_pa(0x4000_0000, 0x60_1000)
+        with pytest.raises(PageFaultError):
+            table.set_pa(0x5000_0000, 0x60_0000)
+
     def test_walk_counter(self):
         table = PageTable()
         table.map_page(0x1000, 0x2000)
