@@ -363,8 +363,9 @@ class BuddyAllocator:
         self.allocated[window] = order
         # a new home for the displaced data
         displaced = [(frame, self.alloc(res_order)) for frame, res_order in residents]
-        gone = {frame for frame, _ in residents}
-        self.pinned = [f for f in self.pinned if f not in gone]
+        # a moved pinned page stays pinned at its new frame
+        moved = dict(displaced)
+        self.pinned = [moved.get(f, f) for f in self.pinned]
         return CompactionResult(
             frame=window,
             pages_moved=sum(1 << res_order for _, res_order in residents),

@@ -233,6 +233,18 @@ class TestCompaction:
         assert result.frame == 512
         assert result.pages_moved == 1
 
+    def test_moved_pinned_page_stays_pinned(self):
+        buddy = BuddyAllocator(1024, max_order=9)
+        buddy.fragment_to(0.99, order=9, rng=random.Random(0))
+        assert buddy.pinned == [512, 0]
+        result = buddy.alloc_with_compaction(9)
+        assert result.displaced == [(0, 513)]
+        assert buddy.pinned == [512, 513]
+        # releasing every pinned page and the minted block leaks nothing
+        for frame in buddy.pinned + [result.frame]:
+            buddy.free(frame)
+        assert buddy.free_pages == 1024 and buddy.allocated == {}
+
     def test_raises_when_not_enough_free(self):
         buddy = BuddyAllocator(512, max_order=9)
         buddy.alloc(8)  # half the arena used

@@ -171,8 +171,7 @@ class _MinScanBuddy:
         for frame, o in residents:
             moved += 1 << o
             displaced.append((frame, self.alloc(o)))
-        gone = {frame for frame, _ in residents}
-        self.pinned = [f for f in self.pinned if f not in gone]
+        self.pinned = [dict(displaced).get(f, f) for f in self.pinned]
         return CompactionResult(frame=window, pages_moved=moved, displaced=displaced)
 
     def _reserve_range(self, start: int, count: int) -> None:

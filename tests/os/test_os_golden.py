@@ -310,7 +310,7 @@ CASES: Dict[str, Callable[[], str]] = {
 }
 
 GOLDEN: Dict[str, str] = {
-    "fragment-compact": "a1f0778bae8b4fb977a69df00ebdcec16cdadfcc2e627d92cfeac3f4e6802b3a",
+    "fragment-compact": "8e146216f95893f82bf0b8afcb15e2c3b730dd5ad3548aac1b1c2ed815248635",
     "from-allocated-load": "9cb9a30aeea98b9d4c11da40366be77d332783a7770870a2f69383c522f8a28a",
     "mixed-mmap": "c5ee708fc29a0cd6c32113f4cbe9a6879d5041fd44dd72e9970849aee7675f83",
     "mmap-oom": "24583469fde4da83287a08e83b0d3802cd22af15e412c26dd06a633f8a4868d0",
