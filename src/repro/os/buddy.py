@@ -324,25 +324,22 @@ class BuddyAllocator:
             raise OutOfMemoryError(f"no compactable window of order {order}")
         return self._evacuate_window(window, order)
 
-    def _free_page_set(self) -> Set[int]:
-        pages: Set[int] = set()
-        for order, blocks in enumerate(self.free_lists):
-            for frame in blocks:
-                pages.update(range(frame, frame + (1 << order)))
-        return pages
-
     def _cheapest_window(self, order: int) -> Optional[int]:
-        """Aligned window with the most free pages (fewest moves)."""
-        free_pages = self._free_page_set()
-        block = 1 << order
-        best_frame, best_free = None, -1
-        for frame in range(0, self.total_pages - block + 1, block):
-            free_count = sum(1 for page in range(frame, frame + block) if page in free_pages)
-            if free_count > best_free:
-                best_frame, best_free = frame, free_count
-            if best_free == block:  # already free; alloc() would have found it
-                break
-        return best_frame
+        """First aligned window with the most free pages (fewest moves).
+
+        Called only after ``alloc(order)`` failed, so every free block
+        is below *order* and lies inside one aligned window; blocks in a
+        trailing partial window count for none.
+        """
+        counts = [0] * (self.total_pages >> order)
+        if not counts:
+            return None
+        for block_order, blocks in enumerate(self.free_lists[:order]):
+            for frame in blocks:
+                window = frame >> order
+                if window < len(counts):
+                    counts[window] += 1 << block_order
+        return counts.index(max(counts)) << order
 
     def _evacuate_window(self, window: int, order: int) -> CompactionResult:
         """Move every allocation overlapping the window elsewhere and leave
@@ -352,11 +349,11 @@ class BuddyAllocator:
         window (the cost of copying its pages is what the caller charges).
         """
         block = 1 << order
-        window_pages = set(range(window, window + block))
+        end = window + block
         residents = [
             (frame, res_order)
-            for frame, res_order in list(self.allocated.items())
-            if set(range(frame, frame + (1 << res_order))) & window_pages
+            for frame, res_order in self.allocated.items()
+            if frame < end and frame + (1 << res_order) > window
         ]
         self.free_run(frame for frame, _ in residents)
         self._reserve_range(window, block)
