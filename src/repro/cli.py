@@ -10,31 +10,41 @@ Subcommands::
     repro-facil chaos    --flip-rate 2.0 --seed 7 # reliability campaign
     repro-facil serve    --duration-ms 60000      # serving runtime + SLO report
     repro-facil fleet    --devices 4 --kills 40   # fleet run with device losses
+    repro-facil fleet-chaos --kills 300           # fleet kill campaign + audit oracles
     repro-facil trace    --trace-out trace.json   # traced run + metrics snapshot
     repro-facil dse      --workers 4              # design-space sweep + Pareto report
     repro-facil analyze  --format json            # static analysis gate
 
-``chaos``, ``serve``, and ``fleet`` write machine-readable JSON reports
-under ``benchmarks/results/`` and exit nonzero when any query went
-unserved (for ``fleet``: when any request was lost or any post-recovery
-audit found damage).
+``chaos``, ``serve``, ``fleet`` and ``fleet-chaos`` write machine-readable
+JSON reports under ``benchmarks/results/`` and exit nonzero when any
+query went unserved (for ``fleet``: when any request was lost or any
+post-recovery audit found damage; for ``fleet-chaos``: when any campaign
+oracle failed).
 
-All commands take ``--platform`` (default ``jetson-agx-orin``).  Install
-exposes the ``repro-facil`` script; the module also runs directly as
-``python -m repro.cli``.
+Each flag that several subcommands take is declared once, in
+``_SHARED_FLAGS``.  A flag's ``dest`` is the name of the record field it
+sets, and :func:`_record` builds each record from the flags by field
+name.  A subcommand takes only the flags of what it runs, so argparse
+itself refuses a flag that the subcommand would ignore.
+
+The single-device commands take ``--platform`` (default
+``jetson-agx-orin``).  Install exposes the ``repro-facil`` script; the
+module also runs directly as ``python -m repro.cli``.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import random
 import sys
-from typing import Callable, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Type, TypeVar
 
 from repro.core.selector import MatrixConfig, build_selected_mapping, select_mapping
 from repro.engine.metrics import geomean
-from repro.engine.policies import POLICIES, InferenceEngine
+from repro.engine.policies import POLICIES, InferenceEngine, decode_on_pim
 from repro.engine.runner import dataset_eval, ttft_speedup_sweep
-from repro.llm.datasets import ALPACA_LIKE, HUMANEVAL_AUTOCOMPLETE_LIKE
+from repro.llm.datasets import ALPACA_LIKE, HUMANEVAL_AUTOCOMPLETE_LIKE, DatasetSpec
 from repro.platforms.specs import ALL_PLATFORMS, PlatformSpec
 
 _DATASETS = {
@@ -42,44 +52,25 @@ _DATASETS = {
     HUMANEVAL_AUTOCOMPLETE_LIKE.name: HUMANEVAL_AUTOCOMPLETE_LIKE,
 }
 
+_R = TypeVar("_R")
+_N = TypeVar("_N", int, float)
+
 
 # -- argparse numeric validators ------------------------------------------
 # Bad counts and rates should die at the parser with a flag-specific
 # message, not hundreds of frames deep in the event loop.
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value <= 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer (got {value})"
-        )
-    return value
+def _number_flag(
+    cast: Callable[[str], _N], noun: str, rule: str, ok: Callable[[_N], bool]
+) -> Callable[[str], _N]:
+    """An argparse ``type``: *noun* for which *ok* holds, else the error
+    ``must be <rule>``."""
 
-
-def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a non-negative integer (got {value})"
-        )
-    return value
-
-
-def _float_flag(rule: str, ok: Callable[[float], bool]) -> Callable[[str], float]:
-    """An argparse ``type``: a number for which *ok* holds, else the
-    error ``must be <rule>``."""
-
-    def parse(text: str) -> float:
+    def parse(text: str) -> _N:
         try:
-            value = float(text)
+            value = cast(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"{text!r} is not a number")
+            raise argparse.ArgumentTypeError(f"{text!r} is not {noun}")
         if not ok(value):
             raise argparse.ArgumentTypeError(f"must be {rule} (got {value})")
         return value
@@ -87,12 +78,16 @@ def _float_flag(rule: str, ok: Callable[[float], bool]) -> Callable[[str], float
     return parse
 
 
-_positive_float = _float_flag("positive", lambda v: v > 0)
-_nonneg_float = _float_flag("non-negative", lambda v: v >= 0)
-_unit_interval = _float_flag("in [0, 1]", lambda v: 0.0 <= v <= 1.0)
-_open_unit_interval = _float_flag("in (0, 1)", lambda v: 0.0 < v < 1.0)
+_positive_int = _number_flag(int, "an integer", "a positive integer", lambda v: v > 0)
+_nonneg_int = _number_flag(int, "an integer", "a non-negative integer", lambda v: v >= 0)
+_positive_float = _number_flag(float, "a number", "positive", lambda v: v > 0)
+_nonneg_float = _number_flag(float, "a number", "non-negative", lambda v: v >= 0)
+_unit_interval = _number_flag(float, "a number", "in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+_open_unit_interval = _number_flag(float, "a number", "in (0, 1)", lambda v: 0.0 < v < 1.0)
 #: probabilities and jitter amplitudes that the runtime requires below 1
-_half_open_unit_interval = _float_flag("in [0, 1)", lambda v: 0.0 <= v < 1.0)
+_half_open_unit_interval = _number_flag(
+    float, "a number", "in [0, 1)", lambda v: 0.0 <= v < 1.0
+)
 
 
 def _platform_by_name(name: str) -> PlatformSpec:
@@ -101,6 +96,29 @@ def _platform_by_name(name: str) -> PlatformSpec:
             return platform
     known = ", ".join(p.name for p in ALL_PLATFORMS)
     raise SystemExit(f"unknown platform {name!r}; known: {known}")
+
+
+def _dataset_by_name(name: str) -> DatasetSpec:
+    spec = _DATASETS.get(name)
+    if spec is None:
+        raise SystemExit(f"unknown dataset {name!r}; known: {sorted(_DATASETS)}")
+    return spec
+
+
+def _record(cls: Type[_R], args: argparse.Namespace, **given: Any) -> _R:
+    """Build the record *cls* from the flags whose ``dest`` names one of
+    its fields, with the *given* fields set directly; a ``ValueError``
+    from the record's own checks exits with its one-line message."""
+    fields = {
+        field.name: getattr(args, field.name)
+        for field in dataclasses.fields(cls)
+        if hasattr(args, field.name)
+    }
+    fields.update(given)
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
 
 
 def _cmd_platforms(args: argparse.Namespace) -> None:
@@ -135,12 +153,12 @@ def _cmd_mapping(args: argparse.Namespace) -> None:
 def _cmd_query(args: argparse.Namespace) -> None:
     platform = _platform_by_name(args.platform)
     engine = InferenceEngine(platform)
-    print(f"{platform.name} / {engine.model.name}, prefill={args.prefill}, "
-          f"decode={args.decode}\n")
+    print(f"{platform.name} / {engine.model.name}, prefill={args.prefill_len}, "
+          f"decode={args.decode_len}\n")
     policies = [args.policy] if args.policy else list(POLICIES)
     print(f"{'policy':16s} {'TTFT':>10s} {'TTLT':>10s}  breakdown")
     for policy in policies:
-        q = engine.run_query(policy, args.prefill, args.decode)
+        q = engine.run_query(policy, args.prefill_len, args.decode_len)
         parts = ", ".join(
             f"{k}={v / 1e6:.1f}ms" for k, v in q.breakdown.items()
         )
@@ -151,7 +169,7 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
     platform = _platform_by_name(args.platform)
     engine = InferenceEngine(platform)
     lengths = tuple(args.prefill_lengths)
-    points = ttft_speedup_sweep(engine, lengths, decode_len=args.decode)
+    points = ttft_speedup_sweep(engine, lengths, decode_len=args.decode_len)
     print(f"TTFT speedup of FACIL over hybrid-static on {platform.name}:")
     for point in points:
         print(f"  prefill {point.prefill:>4d}: {point.ttft_speedup:.2f}x "
@@ -163,12 +181,8 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
 def _cmd_dataset(args: argparse.Namespace) -> None:
     platform = _platform_by_name(args.platform)
     engine = InferenceEngine(platform)
-    spec = _DATASETS.get(args.dataset)
-    if spec is None:
-        raise SystemExit(
-            f"unknown dataset {args.dataset!r}; known: {sorted(_DATASETS)}"
-        )
-    result = dataset_eval(engine, spec, n_queries=args.queries, seed=args.seed)
+    spec = _dataset_by_name(args.dataset)
+    result = dataset_eval(engine, spec, n_queries=args.n_queries, seed=args.seed)
     print(f"{spec.name} x {result.n_queries} queries on {platform.name}:")
     print(f"{'policy':16s} {'mean TTFT':>10s} {'mean TTLT':>10s}")
     for policy in POLICIES:
@@ -202,21 +216,7 @@ def _cmd_chaos(args: argparse.Namespace) -> None:
 
     platform = _platform_by_name(args.platform)
     engine = ResilientEngine(InferenceEngine(platform))
-    spec = CampaignSpec(
-        seed=args.seed,
-        n_queries=args.queries,
-        policy=args.policy,
-        prefill_len=args.prefill,
-        decode_len=args.decode,
-        flip_rate=args.flip_rate,
-        double_flip_rate=args.double_flip_rate,
-        pte_corrupt_rate=args.pte_corrupt_rate,
-        mapping_corrupt_rate=args.mapping_corrupt_rate,
-        stale_tlb_rate=args.stale_tlb_rate,
-        alloc_fail_rate=args.alloc_fail_rate,
-        pu_fail_at=args.pu_fail_at,
-    )
-    report = run_campaign(spec, engine=engine)
+    report = run_campaign(_record(CampaignSpec, args), engine=engine)
     print(f"platform        : {platform.name} / {engine.engine.model.name}")
     print(report.render())
     if args.metrics_out:
@@ -276,88 +276,64 @@ def _build_workload_spec(args: argparse.Namespace):
         SpeculativeSpec,
     )
 
-    try:
-        if args.workload == "speculative":
-            return SpeculativeSpec(
-                draft_model=args.draft_model,
-                gamma=args.gamma,
-                acceptance_rate=args.acceptance_rate,
-            )
-        if args.workload == "moe":
-            return ExpertPlacementSpec(
-                n_experts=args.experts,
-                experts_per_token=args.experts_per_token,
-                resident_experts=args.resident_experts,
-            )
-        return CoResidencySpec(
-            secondary_model=args.secondary_model,
-            secondary_share=args.secondary_share,
+    if args.workload == "speculative":
+        # the spec's own KV pool backs its rollback accounting; --kv-blocks
+        # and --block-tokens size the serving loop's pool
+        return _record(
+            SpeculativeSpec, args, kv_blocks=SpeculativeSpec.kv_blocks,
+            block_tokens=SpeculativeSpec.block_tokens,
         )
-    except ValueError as exc:
-        raise SystemExit(str(exc))
+    if args.workload == "moe":
+        return _record(ExpertPlacementSpec, args)
+    return _record(CoResidencySpec, args)
+
+
+def _request_stream(args: argparse.Namespace, engine: InferenceEngine,
+                    dataset: DatasetSpec, coresident=None):
+    """The run's Poisson request stream, offered at ``--qps`` or else at
+    ``--load`` times the sustainable rate; returns the stream, the
+    offered rate and the sustainable rate."""
+    from repro.serving import TenantSpec, poisson_workload, sustainable_qps
+
+    probe = TenantSpec(name="probe", dataset=dataset, policy=args.policy)
+    capacity_qps = sustainable_qps(engine, probe, seed=args.seed)
+    qps = getattr(args, "qps", None) or args.load * capacity_qps
+    shares = [(dataset.name, 1.0)]
+    if coresident is not None:
+        # split the offered rate between the two co-resident models
+        share = coresident.secondary_share
+        shares = [(dataset.name, 1.0 - share), (coresident.secondary_tenant, share)]
+    tenants = [
+        _record(TenantSpec, args, name=name, dataset=dataset, qps=qps * part)
+        for name, part in shares
+    ]
+    requests = poisson_workload(tenants, duration_ms=args.duration_ms, seed=args.seed)
+    return requests, qps, capacity_qps
 
 
 def _cmd_serve(args: argparse.Namespace) -> None:
     # Lazy import: the serving layer pulls in the reliability stack.
-    from repro.serving import (
-        ServingConfig,
-        ServingRuntime,
-        TenantSpec,
-        poisson_workload,
-        sustainable_qps,
-    )
+    from repro.serving import ServingConfig, ServingRuntime
 
     platform = _platform_by_name(args.platform)
     engine = InferenceEngine(platform)
-    spec = _DATASETS.get(args.dataset)
-    if spec is None:
-        raise SystemExit(
-            f"unknown dataset {args.dataset!r}; known: {sorted(_DATASETS)}"
-        )
+    dataset = _dataset_by_name(args.dataset)
     if args.adaptive != "off" and args.kv_blocks:
         raise SystemExit(
             "--adaptive runs on the whole-request loop only (drop --kv-blocks)"
         )
     workload_spec = _build_workload_spec(args)
-    probe = TenantSpec(
-        name="probe", dataset=spec, policy=args.policy,
-        deadline_ms=args.deadline_ms,
+    requests, qps, capacity_qps = _request_stream(
+        args, engine, dataset,
+        workload_spec if args.workload == "coresident" else None,
     )
-    capacity_qps = sustainable_qps(engine, probe, seed=args.seed)
-    qps = args.qps if args.qps is not None else args.load * capacity_qps
-    tenants = []
-    if args.workload == "coresident":
-        # split the offered rate between the two co-resident models
-        share = workload_spec.secondary_share
-        tenants.append(TenantSpec(
-            name=spec.name, dataset=spec, policy=args.policy,
-            qps=qps * (1.0 - share), deadline_ms=args.deadline_ms,
-            mean_turns=args.mean_turns, think_time_ms=args.think_time_ms,
-        ))
-        tenants.append(TenantSpec(
-            name=workload_spec.secondary_tenant, dataset=spec,
-            policy=args.policy, qps=qps * share,
-            deadline_ms=args.deadline_ms, mean_turns=args.mean_turns,
-            think_time_ms=args.think_time_ms,
-        ))
-    else:
-        tenants.append(TenantSpec(
-            name=spec.name, dataset=spec, policy=args.policy, qps=qps,
-            deadline_ms=args.deadline_ms, mean_turns=args.mean_turns,
-            think_time_ms=args.think_time_ms,
-        ))
-    requests = poisson_workload(tenants, duration_ms=args.duration_ms, seed=args.seed)
     # Brown-out watermarks scale with the platform: saturation means a
     # few mean decode phases queued, whatever those cost here.
-    import random as _random
-
-    from repro.engine.policies import decode_on_pim
-
-    probe_rng = _random.Random(args.seed)
+    probe_rng = random.Random(args.seed)
     on_pim = decode_on_pim(args.policy)
     decode_works = [
         engine.decode_total_ns(t.prefill_tokens, t.decode_tokens, on_pim)
-        for t in (spec.sample_one(probe_rng) for _ in range(50))
+        for t in (dataset.sample_one(probe_rng) for _ in range(50))
     ]
     mean_decode_ns = sum(decode_works) / len(decode_works)
     adaptive = None
@@ -365,20 +341,10 @@ def _cmd_serve(args: argparse.Namespace) -> None:
         from repro.adaptive import AdaptiveConfig
 
         adaptive = AdaptiveConfig(mode=args.adaptive, pinned_map_id=args.adaptive_pin)
-    config = ServingConfig(
-        seed=args.seed,
-        queue_capacity=args.capacity,
-        shed_policy=args.shed,
-        max_retries=args.max_retries,
-        jitter=args.jitter,
-        pim_fault_rate=args.pim_fault_rate,
-        mapping_fault_rate=args.mapping_fault_rate,
+    config = _record(
+        ServingConfig, args, adaptive=adaptive,
         brownout_high_ns=4.0 * mean_decode_ns,
         brownout_low_ns=1.0 * mean_decode_ns,
-        kv_blocks=args.kv_blocks,
-        block_tokens=args.block_tokens,
-        prefix_sharing=args.prefix_sharing,
-        adaptive=adaptive,
     )
     telemetry = None
     if args.trace_out or args.metrics_out:
@@ -458,41 +424,13 @@ def _write_telemetry(telemetry, trace_out, metrics_out) -> None:
 
 def _cmd_trace(args: argparse.Namespace) -> None:
     # Lazy imports: the serving and telemetry planes are only needed here.
-    from repro.serving import (
-        ServingConfig,
-        ServingRuntime,
-        TenantSpec,
-        poisson_workload,
-        sustainable_qps,
-    )
+    from repro.serving import ServingConfig, ServingRuntime
     from repro.telemetry import Telemetry
 
     platform = _platform_by_name(args.platform)
     engine = InferenceEngine(platform)
-    spec = _DATASETS.get(args.dataset)
-    if spec is None:
-        raise SystemExit(
-            f"unknown dataset {args.dataset!r}; known: {sorted(_DATASETS)}"
-        )
-    tenant = TenantSpec(
-        name=spec.name, dataset=spec, policy=args.policy,
-        deadline_ms=args.deadline_ms,
-    )
-    qps = args.load * sustainable_qps(engine, tenant, seed=args.seed)
-    tenant = TenantSpec(
-        name=spec.name, dataset=spec, policy=args.policy, qps=qps,
-        deadline_ms=args.deadline_ms,
-    )
-    requests = poisson_workload(
-        [tenant], duration_ms=args.duration_ms, seed=args.seed
-    )
-    config = ServingConfig(
-        seed=args.seed,
-        queue_capacity=args.capacity,
-        shed_policy="degrade",
-        kv_blocks=args.kv_blocks,
-        block_tokens=args.block_tokens,
-    )
+    requests, qps, _ = _request_stream(args, engine, _dataset_by_name(args.dataset))
+    config = _record(ServingConfig, args, shed_policy="degrade")
     telemetry = Telemetry(sample_every=args.sample_every)
     report = ServingRuntime(engine, config, telemetry=telemetry).run(requests)
     print(f"platform        : {platform.name} / {engine.model.name}")
@@ -528,130 +466,39 @@ def _cmd_trace(args: argparse.Namespace) -> None:
 
 def _cmd_fleet(args: argparse.Namespace) -> None:
     # Lazy import: the fleet layer pulls in serving + kvcache.
-    import json
-
     from repro.fleet import (
         BURSTY_OVERLOAD,
         DIURNAL,
-        FleetChaosSpec,
         FleetConfig,
         FleetRuntime,
         SteadyShape,
-        run_fleet_chaos,
         shaped_workload,
     )
     from repro.fleet.chaos import kill_schedule
     from repro.serving.workload import TenantSpec
 
-    recovery_ms = args.recovery_ms
-    if recovery_ms is None:
-        recovery_ms = 10.0 if args.campaign else 50.0
-    if args.campaign:
-        # the campaign fleet has no standby members, autoscaler, fault
-        # rates or telemetry lanes, and fixes its traffic and KV pool:
-        # refuse what it would silently ignore
-        ignored = {
-            "--standby": args.standby > 0,
-            "--autoscale": args.autoscale,
-            "--pim-fault-rate": args.pim_fault_rate > 0.0,
-            "--mapping-fault-rate": args.mapping_fault_rate > 0.0,
-            "--metrics-out": args.metrics_out is not None,
-            "--policy": args.policy is not None,
-            "--shape": args.shape is not None,
-            "--dataset": args.dataset is not None,
-            "--duration-ms": args.duration_ms is not None,
-            "--kv-blocks": args.kv_blocks is not None,
-            "--block-tokens": args.block_tokens is not None,
-        }
-        for flag, given in ignored.items():
-            if given:
-                raise SystemExit(f"{flag} does not apply to fleet --campaign")
-        try:
-            spec = FleetChaosSpec(
-                n_devices=args.devices,
-                kills=args.kills if args.kills else 300,
-                seed=args.seed,
-                kill_gap_ms=args.kill_gap_ms,
-                recovery_ms=recovery_ms,
-                qps=args.qps if args.qps is not None else 200.0,
-                deadline_ms=args.deadline_ms,
-                mean_turns=args.mean_turns,
-                queue_capacity=args.capacity,
-                shed_policy=args.shed,
-            )
-        except ValueError as exc:
-            raise SystemExit(str(exc))
-        report = run_fleet_chaos(spec)
-        d = report.to_dict()
-        print(f"fleet chaos campaign: seed={d['seed']} "
-              f"devices={d['n_devices']} kills={d['kills_applied']}"
-              f"/{d['kills_requested']}")
-        print(f"crashes by site : " + ", ".join(
-            f"{site}={n}" for site, n in sorted(d["crashes_by_site"].items())
-        ))
-        print(f"offered         : {d['offered']} ({d['served']} served, "
-              f"{d['shed']} shed, {d['unserved']} unserved)")
-        print(f"failover reqs   : {d['failover_requests']}")
-        print(f"audit findings  : {len(d['audit_findings'])}")
-        print(f"ok              : {d['ok']}")
-        out = (
-            args.out if args.out
-            else _results_path(f"fleet_chaos_seed{args.seed}.json")
-        )
-        with open(out, "w") as handle:
-            handle.write(json.dumps(d, indent=2) + "\n")
-        print(f"\nreport written to {out}")
-        if not report.ok:
-            raise SystemExit(
-                f"fleet chaos campaign failed: {report.failures[0]}"
-            )
-        return
-
-    if args.standby >= args.devices:
+    if args.standby_devices >= args.n_devices:
         raise SystemExit(
-            f"--standby must be less than --devices ({args.standby} >= "
-            f"{args.devices}): at least one device starts in rotation"
+            f"--standby must be less than --devices ({args.standby_devices} "
+            f">= {args.n_devices}): at least one device starts in rotation"
         )
     shapes = {
         "steady": SteadyShape(),
         "diurnal": DIURNAL,
         "bursty": BURSTY_OVERLOAD,
     }
-    # the six flags a campaign refuses take no default on the command
-    # line, so that giving one at its plain-run value is still refused
-    shape = shapes[args.shape if args.shape is not None else "diurnal"]
-    spec = _DATASETS.get(args.dataset if args.dataset is not None else ALPACA_LIKE.name)
-    if spec is None:
-        raise SystemExit(
-            f"unknown dataset {args.dataset!r}; known: {sorted(_DATASETS)}"
-        )
-    config = FleetConfig(
-        n_devices=args.devices,
-        standby_devices=args.standby,
-        seed=args.seed,
-        queue_capacity=args.capacity,
-        shed_policy=args.shed,
-        pim_fault_rate=args.pim_fault_rate,
-        mapping_fault_rate=args.mapping_fault_rate,
-        kv_blocks=args.kv_blocks if args.kv_blocks is not None else 64,
-        block_tokens=args.block_tokens if args.block_tokens is not None else 16,
-        recovery_ms=recovery_ms,
-        autoscale=args.autoscale,
+    dataset = _dataset_by_name(args.dataset)
+    config = _record(FleetConfig, args)
+    tenant = _record(TenantSpec, args, name=dataset.name, dataset=dataset)
+    requests = shaped_workload(
+        [tenant], args.duration_ms, shape=shapes[args.shape], seed=args.seed
     )
-    tenant = TenantSpec(
-        name=spec.name, dataset=spec,
-        policy=args.policy if args.policy is not None else "facil",
-        qps=args.qps if args.qps is not None else 100.0,
-        deadline_ms=args.deadline_ms, mean_turns=args.mean_turns,
-    )
-    duration_ms = args.duration_ms if args.duration_ms is not None else 5_000.0
-    requests = shaped_workload([tenant], duration_ms, shape=shape, seed=args.seed)
     # The campaign's schedule, without its recovery dwell: there is no
     # kill-count oracle here, so a kill that lands on a still-quarantined
     # device — or on a STANDBY/DRAINING member parked out of rotation
     # (--standby/--autoscale) — is simply skipped by the runtime instead
     # of retargeted.
-    kills, _ = kill_schedule(args.devices, args.kills, args.kill_gap_ms, args.seed)
+    kills, _ = kill_schedule(args.n_devices, args.kills, args.kill_gap_ms, args.seed)
     telemetry = None
     if args.metrics_out:
         from repro.telemetry import Telemetry
@@ -677,6 +524,38 @@ def _cmd_fleet(args: argparse.Namespace) -> None:
         )
 
 
+def _cmd_fleet_chaos(args: argparse.Namespace) -> None:
+    # Lazy import: the fleet layer pulls in serving + kvcache.
+    import json
+
+    from repro.fleet import FleetChaosSpec, run_fleet_chaos
+
+    report = run_fleet_chaos(_record(FleetChaosSpec, args))
+    d = report.to_dict()
+    print(f"fleet chaos campaign: seed={d['seed']} "
+          f"devices={d['n_devices']} kills={d['kills_applied']}"
+          f"/{d['kills_requested']}")
+    print("crashes by site : " + ", ".join(
+        f"{site}={n}" for site, n in sorted(d["crashes_by_site"].items())
+    ))
+    print(f"offered         : {d['offered']} ({d['served']} served, "
+          f"{d['shed']} shed, {d['unserved']} unserved)")
+    print(f"failover reqs   : {d['failover_requests']}")
+    print(f"audit findings  : {len(d['audit_findings'])}")
+    print(f"ok              : {d['ok']}")
+    out = (
+        args.out if args.out
+        else _results_path(f"fleet_chaos_seed{args.seed}.json")
+    )
+    with open(out, "w") as handle:
+        handle.write(json.dumps(d, indent=2) + "\n")
+    print(f"\nreport written to {out}")
+    if not report.ok:
+        raise SystemExit(
+            f"fleet chaos campaign failed: {report.failures[0]}"
+        )
+
+
 def _cmd_dse(args: argparse.Namespace) -> None:
     # Lazy import: the DSE layer pulls in serving + kvcache.
     import json
@@ -691,24 +570,11 @@ def _cmd_dse(args: argparse.Namespace) -> None:
     )
     from repro.dse.evaluate import evaluate_point
 
-    knobs = {
-        "duration_ms": args.duration_ms,
-        "qps": args.qps,
-        "deadline_ms": args.deadline_ms,
-        "queue_capacity": args.capacity,
-        "block_tokens": args.block_tokens,
-    }
     try:
-        if args.axes:
-            spec = SweepSpec(
-                seed=args.seed,
-                axes=tuple(parse_axis_overrides(args.axes)),
-                **knobs,
-            )
-        else:
-            spec = default_sweep(seed=args.seed, **knobs)
+        axes = parse_axis_overrides(args.axes) if args.axes else default_sweep().axes
     except ValueError as exc:
         raise SystemExit(str(exc))
+    spec = _record(SweepSpec, args, axes=tuple(axes))
 
     # Self-contained repro prefix: every sweep-level flag spelled out so
     # the printed per-point command rebuilds the identical spec
@@ -721,7 +587,7 @@ def _cmd_dse(args: argparse.Namespace) -> None:
         "--duration-ms", str(args.duration_ms),
         "--qps", str(args.qps),
         "--deadline-ms", str(args.deadline_ms),
-        "--capacity", str(args.capacity),
+        "--capacity", str(args.queue_capacity),
         "--block-tokens", str(args.block_tokens),
     ]
     for axis in args.axes or []:
@@ -796,6 +662,62 @@ def _cmd_analyze(args: argparse.Namespace) -> None:
         raise SystemExit(1)
 
 
+#: Every flag that more than one subcommand takes, declared once.  A
+#: subcommand sets its own default only where it differs from this one.
+#: A ``dest`` names the record field the flag sets (see :func:`_record`).
+_SHARED_FLAGS: Dict[str, Dict[str, Any]] = {
+    "--platform": dict(default="jetson-agx-orin"),
+    "--seed": dict(type=int, default=0, help="seed of the run's random streams"),
+    "--dataset": dict(default=ALPACA_LIKE.name, help=f"one of {sorted(_DATASETS)}"),
+    "--policy": dict(choices=POLICIES, default="facil"),
+    "--queries": dict(dest="n_queries", type=_positive_int, default=100),
+    "--prefill": dict(dest="prefill_len", type=_positive_int, default=24),
+    "--decode": dict(dest="decode_len", type=_positive_int, default=64),
+    "--duration-ms": dict(type=_positive_float, default=60_000.0,
+                          help="simulated horizon (per point in a sweep)"),
+    "--qps": dict(type=_positive_float, default=None,
+                  help="offered arrival rate (a fleet's peak rate); serve's "
+                  "default: --load x sustainable rate"),
+    "--load": dict(type=_positive_float, default=0.5,
+                   help="arrival rate as a fraction of sustainable"),
+    "--deadline-ms": dict(type=_positive_float, default=10_000.0,
+                          help="per-request TTFT budget"),
+    "--mean-turns": dict(type=_positive_float, default=1.0,
+                         help="mean turns per conversation (> 1 emits "
+                         "multi-turn traffic)"),
+    "--capacity": dict(dest="queue_capacity", type=_positive_int, default=8,
+                       help="admission queue bound (per device in a fleet)"),
+    "--shed": dict(dest="shed_policy", choices=("reject", "degrade", "drop-oldest"),
+                   default="reject",
+                   help="load-shedding policy (per device in a fleet)"),
+    "--pim-fault-rate": dict(type=_half_open_unit_interval, default=0.0,
+                             help="P(transient fault) per PIM phase attempt"),
+    "--mapping-fault-rate": dict(type=_half_open_unit_interval, default=0.0,
+                                 help="P(transient fault) per flexible-mapping "
+                                 "prefill"),
+    # fleet declares its own --kv-blocks: a fleet device needs a pool
+    "--kv-blocks": dict(type=_nonneg_int, default=0,
+                        help="KV block pool size; > 0 switches to the paged-KV "
+                        "continuous-batching scheduler, 0 serves whole requests"),
+    "--block-tokens": dict(type=_positive_int, default=16,
+                           help="tokens per KV block"),
+    "--devices": dict(dest="n_devices", type=_positive_int, default=4,
+                      help="fleet size (heterogeneous Table II catalog)"),
+    "--kills": dict(type=_nonneg_int, default=0,
+                    help="seeded device losses to schedule"),
+    "--kill-gap-ms": dict(type=_positive_float, default=20.0,
+                          help="mean gap between consecutive kills"),
+    "--recovery-ms": dict(type=_positive_float, default=50.0,
+                          help="quarantine dwell before the timed revive"),
+    "--out": dict(default=None, metavar="PATH",
+                  help="JSON report path (default: benchmarks/results/)"),
+    "--trace-out": dict(default=None, metavar="PATH",
+                        help="write a Chrome-trace JSON of the run's spans"),
+    "--metrics-out": dict(default=None, metavar="PATH",
+                          help="write a metrics snapshot (JSON) of the run"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-facil",
@@ -804,39 +726,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("platforms", help="list the Table II platform catalog")
+    def command(name: str, run: Callable[[argparse.Namespace], None],
+                summary: str, *flags: str, **defaults: Any) -> argparse.ArgumentParser:
+        """A subcommand taking the shared *flags*, with *defaults* where
+        its own differ from the table's."""
+        cmd = sub.add_parser(name, help=summary)
+        for flag in flags:
+            cmd.add_argument(flag, **_SHARED_FLAGS[flag])
+        cmd.set_defaults(run=run, **defaults)
+        return cmd
 
-    mapping = sub.add_parser("mapping", help="show the selector's decision")
+    command("platforms", _cmd_platforms, "list the Table II platform catalog")
+
+    mapping = command("mapping", _cmd_mapping, "show the selector's decision",
+                      "--platform")
     mapping.add_argument("--rows", type=_positive_int, required=True)
     mapping.add_argument("--cols", type=_positive_int, required=True)
     mapping.add_argument("--dtype-bytes", type=_positive_int, default=2)
 
-    query = sub.add_parser("query", help="price one query under the policies")
-    query.add_argument("--prefill", type=_positive_int, default=24)
-    query.add_argument("--decode", type=_positive_int, default=64)
-    query.add_argument("--policy", choices=POLICIES, default=None)
+    command("query", _cmd_query, "price one query under the policies",
+            "--platform", "--prefill", "--decode", "--policy", policy=None)
 
-    sweep = sub.add_parser("sweep", help="Fig. 13 TTFT speedup series")
+    sweep = command("sweep", _cmd_sweep, "Fig. 13 TTFT speedup series",
+                    "--platform", "--decode")
     sweep.add_argument(
         "--prefill-lengths", type=_positive_int, nargs="+", default=[8, 16, 32, 64, 128]
     )
-    sweep.add_argument("--decode", type=_positive_int, default=64)
 
-    dataset = sub.add_parser("dataset", help="Figs. 15/16 dataset trace")
-    dataset.add_argument(
-        "--dataset", default=ALPACA_LIKE.name, help=f"one of {sorted(_DATASETS)}"
-    )
-    dataset.add_argument("--queries", type=_positive_int, default=100)
-    dataset.add_argument("--seed", type=int, default=0)
+    command("dataset", _cmd_dataset, "Figs. 15/16 dataset trace",
+            "--platform", "--dataset", "--queries", "--seed")
 
-    chaos = sub.add_parser(
-        "chaos", help="seeded fault-injection campaign with reliability report"
+    chaos = command(
+        "chaos", _cmd_chaos,
+        "seeded fault-injection campaign with reliability report",
+        "--platform", "--seed", "--queries", "--policy", "--prefill",
+        "--decode", "--out", "--metrics-out",
+        n_queries=20, prefill_len=64, decode_len=16,
     )
-    chaos.add_argument("--seed", type=int, default=0)
-    chaos.add_argument("--queries", type=_positive_int, default=20)
-    chaos.add_argument("--policy", choices=POLICIES, default="facil")
-    chaos.add_argument("--prefill", type=_positive_int, default=64)
-    chaos.add_argument("--decode", type=_positive_int, default=16)
     chaos.add_argument("--flip-rate", type=_nonneg_float, default=1.0,
                        help="expected transient single-bit flips per query")
     chaos.add_argument("--double-flip-rate", type=_nonneg_float, default=0.0,
@@ -861,45 +787,19 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also sweep N crash injections through two-phase "
                        "MIGRATE transactions on the adaptive arena and audit "
                        "the never-torn invariant")
-    chaos.add_argument("--out", default=None, metavar="PATH",
-                       help="JSON report path (default: benchmarks/results/)")
-    chaos.add_argument("--metrics-out", default=None, metavar="PATH",
-                       help="also write the campaign's telemetry metrics "
-                       "snapshot (JSON) to this path")
 
-    serve = sub.add_parser(
-        "serve", help="serving runtime: multi-tenant stream with SLO report"
+    serve = command(
+        "serve", _cmd_serve,
+        "serving runtime: multi-tenant stream with SLO report",
+        "--platform", "--seed", "--dataset", "--policy", "--duration-ms",
+        "--qps", "--load", "--deadline-ms", "--capacity", "--shed",
+        "--pim-fault-rate", "--mapping-fault-rate", "--kv-blocks",
+        "--block-tokens", "--mean-turns", "--out", "--trace-out",
+        "--metrics-out",
     )
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--dataset", default=ALPACA_LIKE.name,
-                       help=f"one of {sorted(_DATASETS)}")
-    serve.add_argument("--policy", choices=POLICIES, default="facil")
-    serve.add_argument("--duration-ms", type=_positive_float, default=60_000.0)
-    serve.add_argument("--qps", type=_positive_float, default=None,
-                       help="arrival rate; default: --load x sustainable rate")
-    serve.add_argument("--load", type=_positive_float, default=0.5,
-                       help="arrival rate as a fraction of sustainable "
-                       "(ignored with --qps)")
-    serve.add_argument("--deadline-ms", type=_positive_float, default=10_000.0,
-                       help="per-request TTFT budget")
-    serve.add_argument("--capacity", type=_positive_int, default=8,
-                       help="admission queue bound")
-    serve.add_argument("--shed", choices=("reject", "degrade", "drop-oldest"),
-                       default="reject", help="load-shedding policy")
     serve.add_argument("--max-retries", type=_nonneg_int, default=3)
     serve.add_argument("--jitter", type=_half_open_unit_interval, default=0.1,
                        help="backoff jitter amplitude in [0, 1)")
-    serve.add_argument("--pim-fault-rate", type=_half_open_unit_interval,
-                       default=0.0,
-                       help="P(transient fault) per PIM phase attempt")
-    serve.add_argument("--mapping-fault-rate", type=_half_open_unit_interval,
-                       default=0.0,
-                       help="P(transient fault) per flexible-mapping prefill")
-    serve.add_argument("--kv-blocks", type=_nonneg_int, default=0,
-                       help="KV block pool size; > 0 switches to the paged-KV "
-                       "continuous-batching scheduler")
-    serve.add_argument("--block-tokens", type=_positive_int, default=16,
-                       help="tokens per KV block")
     serve.add_argument("--adaptive", choices=("off", "static", "active"),
                        default="off",
                        help="online adaptive remapping: 'static' watches the "
@@ -913,9 +813,6 @@ def build_parser() -> argparse.ArgumentParser:
                        action=argparse.BooleanOptionalAction, default=True,
                        help="share full prefix blocks across turns of a "
                        "conversation (--no-prefix-sharing to disable)")
-    serve.add_argument("--mean-turns", type=_positive_float, default=1.0,
-                       help="mean turns per conversation (> 1 emits "
-                       "multi-turn traffic)")
     serve.add_argument("--think-time-ms", type=_positive_float, default=2000.0,
                        help="mean think time between conversation turns")
     serve.add_argument("--workload",
@@ -930,8 +827,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="speculative: draft tokens per round")
     serve.add_argument("--acceptance-rate", type=_unit_interval, default=0.8,
                        help="speculative: per-token acceptance probability")
-    serve.add_argument("--experts", type=_positive_int, default=8,
-                       help="moe: total expert count")
+    serve.add_argument("--experts", dest="n_experts", type=_positive_int,
+                       default=8, help="moe: total expert count")
     serve.add_argument("--experts-per-token", type=_positive_int, default=2,
                        help="moe: experts routed per decode token")
     serve.add_argument("--resident-experts", type=_positive_int, default=4,
@@ -942,12 +839,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default=0.5,
                        help="coresident: fraction of traffic to the "
                        "secondary model")
-    serve.add_argument("--out", default=None, metavar="PATH",
-                       help="JSON report path (default: benchmarks/results/)")
-    serve.add_argument("--trace-out", default=None, metavar="PATH",
-                       help="write a Chrome-trace JSON of the run's spans")
-    serve.add_argument("--metrics-out", default=None, metavar="PATH",
-                       help="write a metrics snapshot (JSON) of the run")
     serve.add_argument("--trace-sample", type=_positive_int, default=8,
                        help="head-sampling period: trace every Nth query")
     serve.add_argument("--replay-check", action="store_true",
@@ -958,96 +849,59 @@ def build_parser() -> argparse.ArgumentParser:
                        help="barrier cadence in completed requests "
                        "(with --replay-check)")
 
-    trace = sub.add_parser(
-        "trace",
-        help="short traced serving run: Chrome trace + metrics snapshot",
+    trace = command(
+        "trace", _cmd_trace,
+        "short traced serving run: Chrome trace + metrics snapshot",
+        "--platform", "--seed", "--dataset", "--policy", "--duration-ms",
+        "--load", "--deadline-ms", "--capacity", "--kv-blocks",
+        "--block-tokens", "--trace-out", "--metrics-out",
+        duration_ms=10_000.0, load=0.7, queue_capacity=16, kv_blocks=256,
+        trace_out="trace.json", metrics_out="metrics.json",
     )
-    trace.add_argument("--seed", type=int, default=0)
-    trace.add_argument("--dataset", default=ALPACA_LIKE.name,
-                       help=f"one of {sorted(_DATASETS)}")
-    trace.add_argument("--policy", choices=POLICIES, default="facil")
-    trace.add_argument("--duration-ms", type=_positive_float, default=10_000.0)
-    trace.add_argument("--load", type=_positive_float, default=0.7,
-                       help="arrival rate as a fraction of sustainable")
-    trace.add_argument("--deadline-ms", type=_positive_float, default=10_000.0)
-    trace.add_argument("--capacity", type=_positive_int, default=16)
-    trace.add_argument("--kv-blocks", type=_nonneg_int, default=256,
-                       help="KV block pool size (0: whole-request serving loop)")
-    trace.add_argument("--block-tokens", type=_positive_int, default=16)
     trace.add_argument("--sample-every", type=_positive_int, default=1,
                        help="head-sampling period: trace every Nth query")
-    trace.add_argument("--trace-out", default="trace.json", metavar="PATH")
-    trace.add_argument("--metrics-out", default="metrics.json",
-                       metavar="PATH")
     trace.add_argument("--advisor-sweep", action="store_true",
                        help="also run the advisor/selector agreement sweep "
                        "over every platform and report disagreements")
 
-    fleet = sub.add_parser(
-        "fleet",
-        help="fleet run over heterogeneous devices, with device losses",
+    fleet = command(
+        "fleet", _cmd_fleet,
+        "fleet run over heterogeneous devices, with device losses",
+        "--seed", "--devices", "--kills", "--kill-gap-ms", "--recovery-ms",
+        "--dataset", "--policy", "--duration-ms", "--qps", "--deadline-ms",
+        "--mean-turns", "--capacity", "--shed", "--pim-fault-rate",
+        "--mapping-fault-rate", "--block-tokens", "--out", "--metrics-out",
+        duration_ms=5_000.0, qps=100.0, deadline_ms=400.0, mean_turns=3.0,
     )
-    fleet.add_argument("--seed", type=int, default=0)
-    fleet.add_argument("--devices", type=_positive_int, default=4,
-                       help="fleet size (heterogeneous Table II catalog)")
-    fleet.add_argument("--standby", type=_nonneg_int, default=0,
+    fleet.add_argument("--standby", dest="standby_devices", type=_nonneg_int,
+                       default=0,
                        help="tail of the catalog parked for autoscale-up")
-    fleet.add_argument("--campaign", action="store_true",
-                       help="run the kill-K chaos campaign (audit oracles) "
-                       "instead of a workload-shaped fleet run; it fixes its "
-                       "traffic and KV pool")
-    fleet.add_argument("--kills", type=_nonneg_int, default=0,
-                       help="seeded device losses to schedule "
-                       "(--campaign default: 300)")
-    fleet.add_argument("--kill-gap-ms", type=_positive_float, default=20.0,
-                       help="mean gap between consecutive kills")
-    fleet.add_argument("--recovery-ms", type=_positive_float, default=None,
-                       help="quarantine dwell before the timed revive "
-                       "(default 50; campaign 10)")
-    fleet.add_argument("--dataset", default=None,
-                       help=f"one of {sorted(_DATASETS)} (default alpaca-like)")
-    fleet.add_argument("--policy", choices=POLICIES, default=None,
-                       help="default facil")
     fleet.add_argument("--shape", choices=("steady", "diurnal", "bursty"),
-                       default=None,
-                       help="arrival-rate shape over the horizon (default diurnal)")
-    fleet.add_argument("--duration-ms", type=_positive_float, default=None,
-                       help="default 5000")
-    fleet.add_argument("--qps", type=_positive_float, default=None,
-                       help="peak arrival rate (default 100; campaign 200)")
-    fleet.add_argument("--deadline-ms", type=_positive_float, default=400.0,
-                       help="per-request TTFT budget")
-    fleet.add_argument("--mean-turns", type=_positive_float, default=3.0,
-                       help="mean turns per conversation")
-    fleet.add_argument("--capacity", type=_positive_int, default=8,
-                       help="per-device admission queue bound")
-    fleet.add_argument("--shed", choices=("reject", "degrade", "drop-oldest"),
-                       default="reject", help="per-device shedding policy")
-    fleet.add_argument("--pim-fault-rate", type=_half_open_unit_interval,
-                       default=0.0,
-                       help="P(transient fault) per PIM phase attempt")
-    fleet.add_argument("--mapping-fault-rate", type=_half_open_unit_interval,
-                       default=0.0,
-                       help="P(transient fault) per flexible-mapping prefill")
-    fleet.add_argument("--kv-blocks", type=_positive_int, default=None,
-                       help="per-device KV block pool size (default 64)")
-    fleet.add_argument("--block-tokens", type=_positive_int, default=None,
-                       help="tokens per KV block (default 16)")
+                       default="diurnal",
+                       help="arrival-rate shape over the horizon")
+    fleet.add_argument("--kv-blocks", type=_positive_int, default=64,
+                       help="per-device KV block pool size")
     fleet.add_argument("--autoscale", action="store_true",
                        help="enable the health-gated autoscaler (needs "
                        "--standby > 0 to have headroom)")
-    fleet.add_argument("--out", default=None, metavar="PATH",
-                       help="JSON report path (default: benchmarks/results/)")
-    fleet.add_argument("--metrics-out", default=None, metavar="PATH",
-                       help="write per-device telemetry lanes (JSON)")
 
-    dse = sub.add_parser(
-        "dse",
-        help="design-space exploration: parallel sweep + Pareto frontier",
+    command(
+        "fleet-chaos", _cmd_fleet_chaos,
+        "fleet kill-K chaos campaign with audit oracles",
+        "--seed", "--devices", "--kills", "--kill-gap-ms", "--recovery-ms",
+        "--qps", "--deadline-ms", "--mean-turns", "--capacity", "--shed",
+        "--out",
+        kills=300, recovery_ms=10.0, qps=200.0, deadline_ms=400.0,
+        mean_turns=3.0,
     )
-    dse.add_argument("--seed", type=int, default=0,
-                     help="sweep seed; every point derives its own "
-                     "substream from it")
+
+    dse = command(
+        "dse", _cmd_dse,
+        "design-space exploration: parallel sweep + Pareto frontier",
+        "--seed", "--duration-ms", "--qps", "--deadline-ms", "--capacity",
+        "--block-tokens", "--out",
+        duration_ms=8000.0, qps=2.0,
+    )
     dse.add_argument("--workers", type=_positive_int, default=1,
                      help="worker processes; the report is byte-identical "
                      "for any value")
@@ -1055,21 +909,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="override one axis of the default grid, e.g. "
                      "--axes mapping=facil,soc-only (repeatable; axes: "
                      "platform, mapping, shed, kv_blocks, workload)")
-    dse.add_argument("--duration-ms", type=_positive_float, default=8000.0,
-                     help="simulated horizon per point")
-    dse.add_argument("--qps", type=_positive_float, default=2.0,
-                     help="offered arrival rate per point")
-    dse.add_argument("--deadline-ms", type=_positive_float, default=10_000.0,
-                     help="per-request TTFT budget")
-    dse.add_argument("--capacity", type=_positive_int, default=8,
-                     help="admission queue bound")
-    dse.add_argument("--block-tokens", type=_positive_int, default=16,
-                     help="tokens per KV block (kv_blocks > 0 points)")
     dse.add_argument("--top", type=_positive_int, default=None,
                      help="show only the top-N ranked frontier entries")
-    dse.add_argument("--out", default=None, metavar="PATH",
-                     help="sweep report JSON path "
-                     "(default: benchmarks/results/dse_seed<seed>.json)")
     dse.add_argument("--resume", action="store_true",
                      help="reuse completed points (matched by "
                      "config_hash + seed) from the --out file if present")
@@ -1081,9 +922,9 @@ def build_parser() -> argparse.ArgumentParser:
                      "printed by the sweep report (default: derived from "
                      "--seed and the point's index)")
 
-    analyze = sub.add_parser(
-        "analyze",
-        help="static analysis: mapping verifier, trace linter, repo lint",
+    analyze = command(
+        "analyze", _cmd_analyze,
+        "static analysis: mapping verifier, trace linter, repo lint",
     )
     analyze.add_argument(
         "--format", choices=("text", "json", "sarif"), default="text",
@@ -1108,30 +949,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--waive", action="append", metavar="RULE",
         help="drop findings of this rule ID (repeatable)",
     )
-
-    for sub_parser in (mapping, query, sweep, dataset, chaos, serve, trace):
-        sub_parser.add_argument("--platform", default="jetson-agx-orin")
     return parser
-
-
-_COMMANDS = {
-    "platforms": _cmd_platforms,
-    "mapping": _cmd_mapping,
-    "query": _cmd_query,
-    "sweep": _cmd_sweep,
-    "dataset": _cmd_dataset,
-    "chaos": _cmd_chaos,
-    "serve": _cmd_serve,
-    "trace": _cmd_trace,
-    "fleet": _cmd_fleet,
-    "dse": _cmd_dse,
-    "analyze": _cmd_analyze,
-}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    _COMMANDS[args.command](args)
+    args.run(args)
     return 0
 
 

@@ -4,6 +4,11 @@ import pytest
 
 from repro.cli import build_parser, main
 
+SUBCOMMANDS = (
+    "platforms", "mapping", "query", "sweep", "dataset", "chaos", "serve",
+    "trace", "fleet", "fleet-chaos", "dse", "analyze",
+)
+
 
 class TestParser:
     def test_requires_subcommand(self):
@@ -14,6 +19,145 @@ class TestParser:
         args = build_parser().parse_args(["mapping", "--rows", "8", "--cols", "16"])
         assert args.rows == 8 and args.cols == 16
         assert args.platform == "jetson-agx-orin"
+
+    def test_top_level_help_lists_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["--help"])
+        assert excinfo.value.code == 0
+        assert "{" + ",".join(SUBCOMMANDS) + "}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_help_renders(self, command, capsys):
+        # argparse %-formats help strings only when it renders them
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([command, "--help"])
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: repro-facil {command}")
+
+
+class _Built(Exception):
+    """Stops a command at the call that receives the record it built."""
+
+
+def _built(monkeypatch, module, name, argv):
+    """Run *argv* up to its call of ``module.name``; return that call's
+    positional and keyword arguments."""
+    calls = []
+
+    def capture(*args, **kwargs):
+        calls.append((args, kwargs))
+        raise _Built
+
+    monkeypatch.setattr(module, name, capture)
+    with pytest.raises(_Built):
+        main(argv)
+    return calls[0]
+
+
+class TestDefaultRecords:
+    """The record each subcommand builds from its defaults: a drifted
+    default fails here, not only in a committed report's diff."""
+
+    def test_fleet_chaos(self, monkeypatch):
+        import repro.fleet
+        from repro.fleet import FleetChaosSpec
+
+        (spec,), _ = _built(
+            monkeypatch, repro.fleet, "run_fleet_chaos", ["fleet-chaos"]
+        )
+        # the campaign sheds by rejecting, unlike the spec's default
+        assert spec == FleetChaosSpec(shed_policy="reject")
+        assert (spec.kills, spec.recovery_ms, spec.qps) == (300, 10.0, 200.0)
+
+    def test_fleet(self, monkeypatch):
+        import repro.fleet
+        from repro.fleet import DIURNAL, FleetConfig
+        from repro.llm.datasets import ALPACA_LIKE
+        from repro.serving import TenantSpec
+
+        shaped = []
+        monkeypatch.setattr(
+            repro.fleet, "shaped_workload",
+            lambda *args, **kwargs: shaped.append((args, kwargs)) or [],
+        )
+        (config,), _ = _built(monkeypatch, repro.fleet, "FleetRuntime", ["fleet"])
+        assert config == FleetConfig()
+        assert (config.recovery_ms, config.kv_blocks, config.block_tokens) == (
+            50.0, 64, 16
+        )
+        [((tenants, duration_ms), kwargs)] = shaped
+        assert tenants == [TenantSpec(
+            name=ALPACA_LIKE.name, dataset=ALPACA_LIKE, policy="facil",
+            qps=100.0, deadline_ms=400.0, mean_turns=3.0,
+        )]
+        assert duration_ms == 5_000.0 and kwargs["shape"] is DIURNAL
+
+    def test_serve(self, monkeypatch):
+        import repro.serving
+        from repro.serving import ServingConfig
+
+        (_, config), kwargs = _built(
+            monkeypatch, repro.serving, "ServingRuntime",
+            ["serve", "--duration-ms", "3000"],
+        )
+        # serve jitters its backoff by default; the record does not
+        assert config == ServingConfig(
+            jitter=0.1,
+            brownout_high_ns=config.brownout_high_ns,
+            brownout_low_ns=config.brownout_low_ns,
+        )
+        assert config.brownout_high_ns == 4.0 * config.brownout_low_ns > 0
+        assert kwargs["workload"] is None
+
+    def test_trace(self, monkeypatch):
+        import repro.serving
+        from repro.serving import ServingConfig
+
+        (_, config), _ = _built(
+            monkeypatch, repro.serving, "ServingRuntime",
+            ["trace", "--duration-ms", "3000"],
+        )
+        assert config == ServingConfig(
+            queue_capacity=16, shed_policy="degrade", kv_blocks=256
+        )
+
+    @pytest.mark.parametrize("workload", ["speculative", "moe", "coresident"])
+    def test_serve_workload_specs(self, monkeypatch, workload):
+        import repro.serving
+        from repro.workloads import (
+            CoResidencySpec,
+            ExpertPlacementSpec,
+            SpeculativeSpec,
+        )
+
+        # --block-tokens sizes the serving loop's pool, not the spec's
+        _, kwargs = _built(
+            monkeypatch, repro.serving, "ServingRuntime",
+            ["serve", "--workload", workload, "--qps", "2",
+             "--duration-ms", "1000", "--block-tokens", "32"],
+        )
+        expected = {
+            "speculative": SpeculativeSpec(),
+            "moe": ExpertPlacementSpec(),
+            "coresident": CoResidencySpec(),
+        }
+        assert kwargs["workload"] == expected[workload]
+
+    def test_chaos(self, monkeypatch):
+        import repro.reliability
+        from repro.reliability import CampaignSpec
+
+        (spec,), _ = _built(
+            monkeypatch, repro.reliability, "run_campaign", ["chaos"]
+        )
+        assert spec == CampaignSpec()
+
+    def test_dse(self, monkeypatch):
+        import repro.dse
+        from repro.dse import default_sweep
+
+        (spec,), _ = _built(monkeypatch, repro.dse, "run_sweep", ["dse"])
+        assert spec == default_sweep(seed=0)
 
 
 class TestCommands:
@@ -471,9 +615,10 @@ class TestNumericFlagValidation:
             "fleet", "--devices", "6", "--standby", "2", "--kills", "40",
             "--shape", "bursty", "--autoscale", "--shed", "drop-oldest",
         ])
-        assert args.devices == 6 and args.standby == 2 and args.kills == 40
+        assert args.n_devices == 6 and args.standby_devices == 2
+        assert args.kills == 40
         assert args.shape == "bursty" and args.autoscale
-        assert args.shed == "drop-oldest"
+        assert args.shed_policy == "drop-oldest"
 
 
 class TestFleetCommand:
@@ -494,9 +639,7 @@ class TestFleetCommand:
         self, capsys, tmp_path
     ):
         out = tmp_path / "campaign.json"
-        assert main([
-            "fleet", "--campaign", "--kills", "8", "--out", str(out),
-        ]) == 0
+        assert main(["fleet-chaos", "--kills", "8", "--out", str(out)]) == 0
         import json
 
         report = json.loads(out.read_text())
@@ -510,7 +653,7 @@ class TestFleetCommand:
     ))
     def test_fleet_campaign_refusals_are_one_line(self, tmp_path, argv, words):
         with pytest.raises(SystemExit) as excinfo:
-            main(["fleet", "--campaign", "--out", str(tmp_path / "c.json")] + argv)
+            main(["fleet-chaos", "--out", str(tmp_path / "c.json")] + argv)
         message = excinfo.value.code
         assert isinstance(message, str) and "\n" not in message
         assert words in message
@@ -530,25 +673,22 @@ class TestFleetCommand:
         (["--block-tokens", "16"], "--block-tokens"),
     ))
     def test_fleet_campaign_refuses_flags_it_would_ignore(
-        self, tmp_path, argv, flag
+        self, tmp_path, capsys, argv, flag
     ):
+        # fleet-chaos's parser holds only FleetChaosSpec's flags and --out
         with pytest.raises(SystemExit) as excinfo:
             main([
-                "fleet", "--campaign", "--kills", "4",
+                "fleet-chaos", "--kills", "4",
                 "--out", str(tmp_path / "c.json"),
             ] + argv)
-        message = excinfo.value.code
-        assert isinstance(message, str) and "\n" not in message
-        assert flag in message and "--campaign" in message
+        assert excinfo.value.code == 2  # argparse usage error
+        assert flag in capsys.readouterr().err
         assert not (tmp_path / "c.json").exists()
 
     def test_fleet_campaign_without_a_failover_fails(self, tmp_path):
         out = tmp_path / "c.json"
         with pytest.raises(SystemExit) as excinfo:
-            main([
-                "fleet", "--campaign", "--kills", "4", "--seed", "0",
-                "--out", str(out),
-            ])
+            main(["fleet-chaos", "--kills", "4", "--seed", "0", "--out", str(out)])
         message = excinfo.value.code
         assert isinstance(message, str) and "\n" not in message
         assert "no request failed over" in message and "checked nothing" in message
