@@ -9,7 +9,7 @@ to such permutations, plus small helpers shared across the code base.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 

@@ -11,10 +11,7 @@ replay it under different timings/policies, diff the results.
 
 from __future__ import annotations
 
-import io
-from typing import Iterable, List, Optional, TextIO, Union
-
-import numpy as np
+from typing import Iterable, List, TextIO, Union
 
 from repro.dram.address import DramCoord, Field
 from repro.dram.command import Request

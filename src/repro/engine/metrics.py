@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, Sequence
 
 __all__ = ["LatencyStats", "QueryLatency", "geomean", "percentile", "speedup"]
 

@@ -37,7 +37,7 @@ from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional
 
 from repro.core.relayout import relayout_cost_ns
-from repro.core.selector import MatrixConfig, select_mapping
+from repro.core.selector import select_mapping
 from repro.engine.metrics import QueryLatency
 from repro.llm.inference import AttentionCost, attention_cost
 from repro.llm.layers import LinearSpec, linear_specs

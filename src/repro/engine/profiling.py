@@ -12,10 +12,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.engine.policies import InferenceEngine
-from repro.llm.layers import LinearSpec, linear_specs
+from repro.llm.layers import linear_specs
 from repro.llm.model_config import LlmConfig
 from repro.platforms.specs import PlatformSpec
 from repro.soc.processor import SocProcessor, ideal_npu

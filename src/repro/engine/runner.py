@@ -11,12 +11,11 @@ Each function mirrors one evaluation axis of the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro.engine.metrics import QueryLatency, geomean, speedup
 from repro.engine.policies import POLICIES, InferenceEngine
-from repro.llm.datasets import DatasetSpec, QueryTrace, sample_trace
-from repro.platforms.specs import PlatformSpec
+from repro.llm.datasets import DatasetSpec, sample_trace
 
 __all__ = [
     "SweepPoint",

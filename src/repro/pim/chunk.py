@@ -18,7 +18,6 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.core.mapping import Field
-from repro.dram.config import DramOrganization
 
 if TYPE_CHECKING:  # circular at runtime: pimalloc imports repro.pim
     from repro.core.pimalloc import PimTensor

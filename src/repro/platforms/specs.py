@@ -15,7 +15,7 @@ calibration constants the paper reports:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
 from repro.dram.config import (
     DramConfig,

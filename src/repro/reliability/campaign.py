@@ -38,7 +38,7 @@ from repro.dram.config import TINY_ORG, DramOrganization
 from repro.os.buddy import OutOfMemoryError
 from repro.os.page_table import MAP_ID_BITS
 from repro.pim.config import PimConfig
-from repro.reliability.degrade import Health, ResilientEngine, ResilientQuery
+from repro.reliability.degrade import ResilientEngine, ResilientQuery
 from repro.reliability.ecc import UncorrectableEccError
 from repro.reliability.faults import FaultInjector
 from repro.reliability.integrity import MappingIntegrityError

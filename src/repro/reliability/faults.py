@@ -36,7 +36,7 @@ exactly reproducible: same seed, same faults, same report.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, List, Optional, Set, Tuple
 
 import numpy as np

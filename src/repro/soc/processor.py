@@ -15,7 +15,7 @@ per-platform differences in Fig. 13.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = ["SocProcessor", "ideal_npu"]
 

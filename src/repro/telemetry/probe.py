@@ -31,7 +31,7 @@ so simulated results are byte-identical with telemetry on or off.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 

@@ -15,11 +15,10 @@ from repro.analysis.mapverify import (
     verify_platform,
     verify_selection,
 )
-from repro.core.bitfield import ilog2
 from repro.core.mapping import conventional_mapping, pim_optimized_mapping
 from repro.core.selector import MatrixConfig
 from repro.dram.config import DramOrganization, lpddr5_organization
-from repro.pim.config import AIM_LPDDR5, HBM_PIM, PimConfig
+from repro.pim.config import AIM_LPDDR5, HBM_PIM
 from repro.platforms.specs import ALL_PLATFORMS
 
 ORG = lpddr5_organization(256, 64)

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.mapping import (
     AddressMapping,
-    CONVENTIONAL_SPEC,
     Field,
     conventional_mapping,
     max_map_id,

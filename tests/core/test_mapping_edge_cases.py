@@ -1,8 +1,6 @@
 """Edge cases of the mapping builder: small chunks (leftover column
 bits), chunks spanning multiple DRAM rows, and the GDDR6 preset."""
 
-import pytest
-
 from repro.core.mapping import Field, pim_optimized_mapping
 from repro.dram.config import DramOrganization, GDDR6_16000_TIMINGS, LPDDR5_6400_TIMINGS
 

@@ -11,7 +11,7 @@ from repro.core.selector import (
     select_mapping,
 )
 from repro.dram.config import DramOrganization, lpddr5_organization
-from repro.pim.config import AIM_LPDDR5, HBM_PIM, PimConfig
+from repro.pim.config import AIM_LPDDR5, HBM_PIM
 
 JETSON_ORG = lpddr5_organization(bus_width_bits=256, capacity_gb=64)
 IPHONE_ORG = lpddr5_organization(bus_width_bits=64, capacity_gb=8)

@@ -5,7 +5,6 @@ import pytest
 from repro.dram.config import (
     DramConfig,
     DramOrganization,
-    DramTimings,
     LPDDR5_6400_TIMINGS,
     TINY_ORG,
     lpddr5_organization,

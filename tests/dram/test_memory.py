@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dram.address import DramCoord
-from repro.dram.config import TINY_ORG, DramOrganization, lpddr5_organization
+from repro.dram.config import TINY_ORG, lpddr5_organization
 from repro.dram.memory import PhysicalMemory
 
 

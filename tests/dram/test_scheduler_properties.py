@@ -1,8 +1,6 @@
 """Property-based tests for the FR-FCFS scheduler: conservation and
 timing-sanity invariants over random request streams."""
 
-import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.dram.address import DramCoord

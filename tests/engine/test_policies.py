@@ -3,7 +3,6 @@
 import pytest
 
 from repro.engine.policies import POLICIES, InferenceEngine
-from repro.llm.model_config import LLAMA3_8B
 from repro.platforms.specs import IDEAPAD, JETSON_ORIN, MACBOOK_PRO
 
 

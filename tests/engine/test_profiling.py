@@ -1,7 +1,5 @@
 """Tests for the Fig. 2 / Fig. 3 profiling helpers."""
 
-import pytest
-
 from repro.engine.policies import InferenceEngine
 from repro.engine.profiling import (
     decode_time_breakdown,

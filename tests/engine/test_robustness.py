@@ -3,15 +3,13 @@ variants, and model overrides."""
 
 from dataclasses import replace
 
-import pytest
-
 from repro.engine import policies
 from repro.engine.metrics import geomean
 from repro.engine.policies import InferenceEngine
 from repro.engine.runner import dataset_eval, ttft_speedup_sweep
 from repro.llm.datasets import ALPACA_LIKE
 from repro.llm.inference import attention_cost
-from repro.llm.model_config import LLAMA3_8B, PHI_1_5
+from repro.llm.model_config import PHI_1_5
 from repro.pim.config import AIM_GDDR6, HBM_PIM
 from repro.platforms.specs import JETSON_ORIN
 from repro.soc.processor import ideal_npu

@@ -1,15 +1,12 @@
 """Consistency checks across independent implementations of the same
 quantity — places where two code paths must agree by construction."""
 
-import numpy as np
 import pytest
 
-from repro.core.controller import MemoryController
 from repro.core.mapping import conventional_mapping, max_map_id, pim_optimized_mapping
 from repro.core.selector import MatrixConfig, select_mapping
 from repro.engine.policies import InferenceEngine
 from repro.llm.layers import total_linear_bytes
-from repro.llm.model_config import LLAMA3_8B
 from repro.platforms.specs import ALL_PLATFORMS, JETSON_ORIN
 
 

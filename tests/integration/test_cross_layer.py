@@ -1,7 +1,6 @@
 """Cross-layer behaviors that no single module test covers."""
 
 import numpy as np
-import pytest
 
 from repro.core.controller import MemoryController
 from repro.core.pimalloc import PimSystem

@@ -12,7 +12,6 @@ with *no re-layout* in between — and both agree with numpy.
 import numpy as np
 import pytest
 
-from repro.core.controller import CONVENTIONAL_MAP_ID
 from repro.core.pimalloc import PimSystem
 from repro.core.relayout import relayout_functional
 from repro.core.selector import MatrixConfig

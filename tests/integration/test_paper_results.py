@@ -12,7 +12,7 @@ from repro.engine.policies import InferenceEngine
 from repro.engine.profiling import pim_offload_speedup
 from repro.engine.runner import dataset_eval, ttft_speedup_sweep, ttlt_speedup_grid
 from repro.llm.datasets import ALPACA_LIKE, HUMANEVAL_AUTOCOMPLETE_LIKE
-from repro.platforms.specs import ALL_PLATFORMS, IDEAPAD, JETSON_ORIN
+from repro.platforms.specs import ALL_PLATFORMS, JETSON_ORIN
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.controller import MemoryController
-from repro.core.mapping import conventional_mapping, pim_optimized_mapping
+from repro.core.mapping import pim_optimized_mapping
 from repro.core.pimalloc import PimSystem
 from repro.core.selector import MatrixConfig
 from repro.dram.config import TINY_ORG

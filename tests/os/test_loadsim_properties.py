@@ -1,9 +1,7 @@
 """Property-based tests for the fragmentation arena builder."""
 
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.os.buddy import BuddyAllocator
 from repro.os.loadsim import build_fragmented_arena
 
 _SETTINGS = dict(

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.os.mmu import Mmu
-from repro.os.page_table import PageFaultError, PageTable, PteFlags
-from repro.os.tlb import Tlb
+from repro.os.page_table import PageFaultError, PageTable
 
 
 def _mmu_with_pages():

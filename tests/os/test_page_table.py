@@ -6,7 +6,6 @@ import random
 import pytest
 
 from repro.os.page_table import (
-    HUGE_SHIFT,
     MAP_ID_BITS,
     PAGE_SHIFT,
     PageFaultError,

@@ -1,6 +1,5 @@
 """Tests for chunk placement enumeration and the §II-C invariants."""
 
-import numpy as np
 import pytest
 
 from repro.core.pimalloc import PimSystem

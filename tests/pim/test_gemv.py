@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core.pimalloc import PimSystem
-from repro.core.selector import MatrixConfig, select_mapping
+from repro.core.selector import MatrixConfig
 from repro.dram.config import DramConfig, LPDDR5_6400_TIMINGS, lpddr5_organization
 from repro.pim.config import AIM_LPDDR5
 from repro.pim.functional import pim_gemv

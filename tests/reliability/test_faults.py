@@ -7,7 +7,6 @@ from repro.core.pimalloc import PimSystem
 from repro.core.selector import MatrixConfig
 from repro.dram.config import TINY_ORG
 from repro.os.buddy import OutOfMemoryError
-from repro.os.page_table import HUGE_SHIFT
 from repro.pim.config import aim_config_for
 from repro.reliability.faults import FaultInjector, FaultKind
 

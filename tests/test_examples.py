@@ -4,8 +4,6 @@ import os
 import subprocess
 import sys
 
-import pytest
-
 _EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "examples")
 
 
